@@ -434,15 +434,23 @@ fn guarded_embed_matches_pre_query_engine_goldens() {
 /// feeds them to `catmark verify-evidence` as an external, keyless
 /// auditor would. Both SHA dispatch backends must produce these exact
 /// bytes — the `CATMARK_SHA_BACKEND=soft` CI pass re-runs this test.
+/// `versioned` entries pin the per-segment layout: a committed
+/// version's manifest identity plus one tally per segment.
 const EVIDENCE_GOLDENS: &[(&str, usize, u64, u64, u64, usize)] = &[
     ("detect_e15", 3_000, 15, 0b10_1100_1110, 0xcf83_7b5a_1c11_84a7, 2018),
     ("detect_e30", 3_000, 30, 0b01_0011_0001, 0xf3fc_15be_3eac_257f, 1118),
     ("detect_e60", 6_000, 60, 0b00_0000_0001, 0x0c76_f166_25e4_0dcc, 1118),
+    ("detect_versioned_e15", 3_000, 15, 0b10_1100_1110, 0x9e29_528f_d639_3eb8, 13678),
 ];
 
 /// The certified detection for one pinned configuration, plus the
-/// fast-path verdict it must stay in lockstep with.
+/// fast-path verdict it must stay in lockstep with. A `versioned`
+/// configuration marks the relation segment by segment inside a
+/// content-addressed pile, commits it as one `VersionLog` version, and
+/// certifies that version with `detect_certified_incremental` over a
+/// fresh vote cache; the others certify the in-memory relation.
 fn certified_run(
+    name: &str,
     tuples: usize,
     e: u64,
     wm_pattern: u64,
@@ -463,6 +471,25 @@ fn certified_run(
         .target_column("item_nbr")
         .bind(&rel)
         .unwrap();
+    if name.contains("versioned") {
+        use catmark::core::VoteCache;
+        use catmark::relation::{ContentStore, SegmentedRelation, VersionLog};
+        let store = ContentStore::in_memory();
+        let mut log = VersionLog::new();
+        let mut seg = SegmentedRelation::builder(rel.schema().clone())
+            .segment_rows(tuples.div_ceil(8))
+            .store(Box::new(store.clone()))
+            .from_relation(&rel)
+            .unwrap();
+        session.embed_segmented(&mut seg, &wm).unwrap();
+        let version = log.commit(&mut seg, &store).unwrap();
+        let manifest = log.get(version).unwrap().clone();
+        let fast = session.detect(&seg.to_relation().unwrap(), &wm).unwrap();
+        let certified = session
+            .detect_certified_incremental(&mut seg, &wm, &manifest, &mut VoteCache::new())
+            .unwrap();
+        return (certified, fast);
+    }
     session.embed(&mut rel, &wm).unwrap();
     let fast = session.detect(&rel, &wm).unwrap();
     (session.detect_certified(&rel, &wm).unwrap(), fast)
@@ -478,7 +505,7 @@ fn certified_detection_bundles_match_goldens() {
     if std::env::var("GOLDEN_PRINT").is_ok() {
         std::fs::create_dir_all(&dir).unwrap();
         for &(name, tuples, e, wm, ..) in EVIDENCE_GOLDENS {
-            let (certified, _) = certified_run(tuples, e, wm);
+            let (certified, _) = certified_run(name, tuples, e, wm);
             std::fs::write(dir.join(format!("{name}.evd")), &certified.bundle).unwrap();
             println!(
                 "    ({name:?}, {tuples}, {e}, {wm:#012b}, {:#018x}, {}),",
@@ -488,15 +515,15 @@ fn certified_detection_bundles_match_goldens() {
         }
         // The negative fixture: the first golden with one payload byte
         // flipped, which `catmark verify-evidence` must refuse.
-        let (certified, _) =
-            certified_run(EVIDENCE_GOLDENS[0].1, EVIDENCE_GOLDENS[0].2, EVIDENCE_GOLDENS[0].3);
+        let (name, tuples, e, wm, ..) = EVIDENCE_GOLDENS[0];
+        let (certified, _) = certified_run(name, tuples, e, wm);
         let mut corrupted = certified.bundle;
         corrupted[CORRUPT_AT] ^= 0x01;
         std::fs::write(dir.join("corrupted.evd"), &corrupted).unwrap();
         return;
     }
     for &(name, tuples, e, wm, bundle_fnv, bundle_len) in EVIDENCE_GOLDENS {
-        let (certified, fast) = certified_run(tuples, e, wm);
+        let (certified, fast) = certified_run(name, tuples, e, wm);
         let label = format!("evidence {name}: tuples={tuples} e={e} wm={wm:#b}");
         assert_eq!(fnv64(&certified.bundle), bundle_fnv, "bundle drift: {label}");
         assert_eq!(certified.bundle.len(), bundle_len, "bundle size drift: {label}");
