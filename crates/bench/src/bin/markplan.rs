@@ -36,9 +36,9 @@
 //!   [`catmark_relation::spill::FileStore`] with a resident budget of
 //!   **1/4 of the columnar footprint** — and asserts the enforced
 //!   resident-bytes ceiling plus byte-identity against the in-memory
-//!   path, via the explicit *sequential* drivers;
-//! * **pipeline** re-runs the out-of-core round trip through the
-//!   two-stage pipelined drivers (a worker thread plans segment
+//!   path, via an explicit *sequential* walk;
+//! * **pipeline** re-runs the out-of-core round trip through a
+//!   pipelined segment walk (a worker thread plans segment
 //!   `i + 1` from an off-pager clone while the main thread
 //!   embeds/serializes segment `i`) and asserts byte-identity, the
 //!   unchanged pager ceiling, the one-in-flight-clone bound, and
@@ -108,7 +108,7 @@ use catmark_core::quality::{
 };
 use catmark_core::query_preserve::{CountQuery, CountQueryPreservation, Tolerance, ValueSet};
 use catmark_core::{
-    detect, verify_evidence, MarkPlan, MarkSession, VoteCache, Watermark, WatermarkSpec,
+    detect, verify_evidence, MarkPlan, MarkSession, VoteCache, Walk, Watermark, WatermarkSpec,
 };
 use catmark_crypto::Sha256Backend;
 use catmark_datagen::{ItemScanConfig, SalesGenerator};
@@ -449,32 +449,33 @@ fn main() {
         // nothing pre-planned across iterations. Within the round
         // trip the session cache still lets decode reuse the plans
         // embed built — the same reuse the in-memory path gets. The
-        // explicit sequential drivers keep this scenario the fixed
+        // explicit sequential walk keeps this scenario the fixed
         // reference point the pipeline is measured against.
         let ooc_session = bind(&spec, &rel);
         let mut seg = ooc_segmented();
         let start = Instant::now();
         ooc_session
-            .embed_segmented_sequential(&mut seg, &wm)
+            .embed_segmented_with(&mut seg, &wm, None, Walk::Sequential)
             .expect("segmented embedding succeeds");
-        let decoded =
-            ooc_session.decode_segmented_sequential(&mut seg).expect("segmented decoding succeeds");
+        let (decoded, _) = ooc_session
+            .decode_segmented_with(&mut seg, Walk::Sequential)
+            .expect("segmented decoding succeeds");
         let elapsed = start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(decoded.watermark, wm);
         ooc_best = ooc_best.min(elapsed);
     }
 
-    // Pipeline scenario — the same streamed round trip through the
-    // two-stage pipelined drivers. Correctness gate first: identical
+    // Pipeline scenario — the same streamed round trip through a
+    // pipelined segment walk. Correctness gate first: identical
     // bytes, the pager ceiling unchanged, and at most one segment
     // clone in flight.
     let (pipe_peak, pipe_inflight, pipe_prefetched, pipe_identical) = {
         let mut seg = ooc_segmented();
         let (report, embed_stats) = session
-            .embed_segmented_pipelined_with_stats(&mut seg, &wm)
+            .embed_segmented_with(&mut seg, &wm, None, Walk::Pipelined)
             .expect("pipelined segmented embedding succeeds");
         let (decode, decode_stats) = session
-            .decode_segmented_pipelined_with_stats(&mut seg)
+            .decode_segmented_with(&mut seg, Walk::Pipelined)
             .expect("pipelined segmented decoding succeeds");
         let materialized = seg.to_relation().expect("segments materialize");
         let identical = decode.watermark == wm
@@ -501,10 +502,10 @@ fn main() {
         let mut seg = ooc_segmented();
         let start = Instant::now();
         ooc_session
-            .embed_segmented_pipelined(&mut seg, &wm)
+            .embed_segmented_with(&mut seg, &wm, None, Walk::Pipelined)
             .expect("pipelined segmented embedding succeeds");
-        let decoded = ooc_session
-            .decode_segmented_pipelined(&mut seg)
+        let (decoded, _) = ooc_session
+            .decode_segmented_with(&mut seg, Walk::Pipelined)
             .expect("pipelined segmented decoding succeeds");
         let elapsed = start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(decoded.watermark, wm);
@@ -532,14 +533,15 @@ fn main() {
 
     // Correctness gate first: the certified verdict is the plain
     // verdict, and the emitted bundle convinces the keyless verifier.
-    let plain_decode =
-        ev_session.decode_segmented_sequential(&mut ev_seg).expect("segmented decode succeeds");
+    let (plain_decode, _) = ev_session
+        .decode_segmented_with(&mut ev_seg, Walk::Sequential)
+        .expect("segmented decode succeeds");
     let plain_verdict = catmark_core::session::Verdict {
         detection: detect(&plain_decode.watermark, &wm),
         decode: plain_decode,
     };
     let ev_certified = ev_session
-        .detect_certified_segmented(&mut ev_seg, &wm, &ev_manifest)
+        .detect_certified_incremental(&mut ev_seg, &wm, &ev_manifest, &mut VoteCache::new())
         .expect("certified segmented detect succeeds");
     assert_eq!(
         ev_certified.outcome, plain_verdict,
@@ -554,8 +556,9 @@ fn main() {
     for _ in 0..ITERS {
         let cold = bind(&spec, &plan_marked);
         let start = Instant::now();
-        let report =
-            cold.decode_segmented_sequential(&mut ev_seg).expect("segmented decode succeeds");
+        let (report, _) = cold
+            .decode_segmented_with(&mut ev_seg, Walk::Sequential)
+            .expect("segmented decode succeeds");
         let verdict = detect(&report.watermark, &wm);
         detect_plain_best = detect_plain_best.min(start.elapsed().as_secs_f64() * 1e3);
         std::hint::black_box(verdict.matched_bits);
@@ -563,7 +566,7 @@ fn main() {
         let cold = bind(&spec, &plan_marked);
         let start = Instant::now();
         let certified = cold
-            .detect_certified_segmented(&mut ev_seg, &wm, &ev_manifest)
+            .detect_certified_incremental(&mut ev_seg, &wm, &ev_manifest, &mut VoteCache::new())
             .expect("certified segmented detect succeeds");
         detect_certified_best = detect_certified_best.min(start.elapsed().as_secs_f64() * 1e3);
         std::hint::black_box(certified.bundle.len());
@@ -797,7 +800,9 @@ fn main() {
         .store(Box::new(churn_store.clone()))
         .from_relation(&rel)
         .expect("segmentation succeeds");
-    session.embed_segmented_sequential(&mut churn_seg, &wm).expect("base embed succeeds");
+    session
+        .embed_segmented_with(&mut churn_seg, &wm, None, Walk::Sequential)
+        .expect("base embed succeeds");
     let mut marked_id = churn_log.commit(&mut churn_seg, &churn_store).expect("commit succeeds");
 
     let churn_seg_count = churn_seg.segment_count();
@@ -833,7 +838,9 @@ fn main() {
         let mut twin = churn_log
             .open_version(current_id, rel.schema(), &churn_store, None)
             .expect("version reopens");
-        session.embed_segmented_sequential(&mut twin, &wm).expect("full re-pass succeeds");
+        session
+            .embed_segmented_with(&mut twin, &wm, None, Walk::Sequential)
+            .expect("full re-pass succeeds");
         let inc = session
             .embed_incremental(&mut churn_seg, &wm, &marked_m, &current_m)
             .expect("incremental re-mark succeeds");
@@ -856,8 +863,9 @@ fn main() {
         churn_log.commit(&mut twin, &churn_store).expect("commit succeeds");
         // Warm the vote cache and gate the incremental decode against
         // the full streaming decode.
-        let full_decode =
-            session.decode_segmented_sequential(&mut churn_seg).expect("full decode succeeds");
+        let (full_decode, _) = session
+            .decode_segmented_with(&mut churn_seg, Walk::Sequential)
+            .expect("full decode succeeds");
         let inc_decode = session
             .decode_incremental(&mut churn_seg, &remarked_m, &mut vote_cache)
             .expect("incremental decode succeeds");
@@ -880,10 +888,12 @@ fn main() {
 
         // Full re-pass + full streaming decode over the twin.
         let start = Instant::now();
-        let full_report =
-            session.embed_segmented_sequential(&mut twin, &wm).expect("full re-pass succeeds");
-        let full_decode =
-            session.decode_segmented_sequential(&mut twin).expect("full decode succeeds");
+        let (full_report, _) = session
+            .embed_segmented_with(&mut twin, &wm, None, Walk::Sequential)
+            .expect("full re-pass succeeds");
+        let (full_decode, _) = session
+            .decode_segmented_with(&mut twin, Walk::Sequential)
+            .expect("full decode succeeds");
         churn_full_best = churn_full_best.min(start.elapsed().as_secs_f64() * 1e3);
         std::hint::black_box(full_report.altered);
 

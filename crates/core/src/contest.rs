@@ -27,9 +27,11 @@
 
 use catmark_relation::Relation;
 
-use crate::decode::{DecodeReport, Decoder};
+use crate::decode::{DecodeReport, Decoder, VoteAccumulator};
 use crate::detect::{detect, Detection};
+use crate::ecc::MajorityVotingEcc;
 use crate::error::CoreError;
+use crate::plan::PlanCache;
 use crate::spec::{Watermark, WatermarkSpec};
 
 /// One party's ownership claim: their spec (keys) and asserted mark.
@@ -155,26 +157,35 @@ pub fn evidence_with_cache(
     rel: &Relation,
     key_attr: &str,
     target_attr: &str,
-    cache: &crate::plan::PlanCache,
+    cache: &PlanCache,
 ) -> Result<ClaimEvidence, CoreError> {
     let key_idx = rel.schema().index_of(key_attr)?;
     let attr_idx = rel.schema().index_of(target_attr)?;
+    Ok(claim_evidence(claim, rel, key_idx, attr_idx, cache)?.0)
+}
+
+/// [`evidence_with_cache`] on resolved column indices, returning the
+/// vote tally the evidence was resolved from as well — the tally is
+/// what a certified contest serializes.
+pub(crate) fn claim_evidence(
+    claim: &Claim,
+    rel: &Relation,
+    key_idx: usize,
+    attr_idx: usize,
+    cache: &PlanCache,
+) -> Result<(ClaimEvidence, VoteAccumulator), CoreError> {
     let plan = cache.plan_for(&claim.spec, rel, key_idx)?;
-    let decode = Decoder::engine(&claim.spec).decode_with_plan(
-        rel,
-        attr_idx,
-        &crate::ecc::MajorityVotingEcc,
-        &plan,
-    )?;
+    let mut tally = VoteAccumulator::new(claim.spec.wm_data_len);
+    tally.accumulate(&claim.spec, rel, attr_idx, &plan);
+    let decode = Decoder::engine(&claim.spec).resolve(&MajorityVotingEcc, &tally)?;
     let detection = detect(&decode.watermark, &claim.watermark);
     let voted = decode.positions_observed.max(1);
     let unanimous = decode.positions_observed - decode.position_conflicts;
-    Ok(ClaimEvidence {
-        claimant: claim.claimant.clone(),
-        decode,
-        detection,
-        vote_unanimity: unanimous as f64 / voted as f64,
-    })
+    let vote_unanimity = unanimous as f64 / voted as f64;
+    Ok((
+        ClaimEvidence { claimant: claim.claimant.clone(), decode, detection, vote_unanimity },
+        tally,
+    ))
 }
 
 /// Resolve a two-party contest over `rel`.
@@ -226,25 +237,60 @@ pub fn resolve_with_cache(
     target_attr: &str,
     alpha: f64,
     unanimity_margin: f64,
-    cache: &crate::plan::PlanCache,
+    cache: &PlanCache,
 ) -> Result<(ContestOutcome, ClaimEvidence, ClaimEvidence), CoreError> {
     let ev_a = evidence_with_cache(a, rel, key_attr, target_attr, cache)?;
     let ev_b = evidence_with_cache(b, rel, key_attr, target_attr, cache)?;
-    let outcome = match (ev_a.is_present(alpha), ev_b.is_present(alpha)) {
-        (false, false) => ContestOutcome::NeitherClaim,
-        (true, false) => ContestOutcome::OnlyClaim(ev_a.claimant.clone()),
-        (false, true) => ContestOutcome::OnlyClaim(ev_b.claimant.clone()),
-        (true, true) => {
-            if ev_a.vote_unanimity + unanimity_margin < ev_b.vote_unanimity {
-                ContestOutcome::EarlierClaim(ev_a.claimant.clone())
-            } else if ev_b.vote_unanimity + unanimity_margin < ev_a.vote_unanimity {
-                ContestOutcome::EarlierClaim(ev_b.claimant.clone())
-            } else {
-                ContestOutcome::Indeterminate
-            }
-        }
-    };
-    Ok((outcome, ev_a, ev_b))
+    Ok((outcome(&ev_a, &ev_b, alpha, unanimity_margin), ev_a, ev_b))
+}
+
+/// How the contest rule falls, seen from the first claim. The
+/// discriminants are the outcome tags evidence bundles record.
+#[derive(Clone, Copy)]
+pub(crate) enum Ruling {
+    OnlyFirst = 0,
+    OnlySecond = 1,
+    FirstEarlier = 2,
+    SecondEarlier = 3,
+    Indeterminate = 4,
+    Neither = 5,
+}
+
+/// The contest rule over two claims' facts: presence first; when both
+/// marks are present, the one whose vote unanimity is lower by more
+/// than `unanimity_margin` shows the overwrite damage of the earlier
+/// embedding.
+pub(crate) fn ruling(
+    present: (bool, bool),
+    unanimity: (f64, f64),
+    unanimity_margin: f64,
+) -> Ruling {
+    match present {
+        (false, false) => Ruling::Neither,
+        (true, false) => Ruling::OnlyFirst,
+        (false, true) => Ruling::OnlySecond,
+        _ if unanimity.0 + unanimity_margin < unanimity.1 => Ruling::FirstEarlier,
+        _ if unanimity.1 + unanimity_margin < unanimity.0 => Ruling::SecondEarlier,
+        _ => Ruling::Indeterminate,
+    }
+}
+
+/// The [`ContestOutcome`] of `a` against `b` at significance `alpha`.
+pub(crate) fn outcome(
+    a: &ClaimEvidence,
+    b: &ClaimEvidence,
+    alpha: f64,
+    unanimity_margin: f64,
+) -> ContestOutcome {
+    let present = (a.is_present(alpha), b.is_present(alpha));
+    match ruling(present, (a.vote_unanimity, b.vote_unanimity), unanimity_margin) {
+        Ruling::OnlyFirst => ContestOutcome::OnlyClaim(a.claimant.clone()),
+        Ruling::OnlySecond => ContestOutcome::OnlyClaim(b.claimant.clone()),
+        Ruling::FirstEarlier => ContestOutcome::EarlierClaim(a.claimant.clone()),
+        Ruling::SecondEarlier => ContestOutcome::EarlierClaim(b.claimant.clone()),
+        Ruling::Indeterminate => ContestOutcome::Indeterminate,
+        Ruling::Neither => ContestOutcome::NeitherClaim,
+    }
 }
 
 /// The additive attack itself: embed `attacker_claim`'s mark over
@@ -262,13 +308,14 @@ pub fn additive_attack(
 ) -> Result<crate::embed::EmbedReport, CoreError> {
     let key_idx = rel.schema().index_of(key_attr)?;
     let attr_idx = rel.schema().index_of(target_attr)?;
-    crate::embed::Embedder::engine(&attacker_claim.spec).embed_by_idx(
+    let plan = crate::plan::MarkPlan::build(&attacker_claim.spec, rel, key_idx);
+    crate::embed::Embedder::engine(&attacker_claim.spec).embed_with_plan_trusted(
         rel,
-        key_idx,
         attr_idx,
         &attacker_claim.watermark,
-        &crate::ecc::MajorityVotingEcc,
+        &MajorityVotingEcc,
         None,
+        &plan,
     )
 }
 

@@ -139,36 +139,14 @@ impl<'a> Decoder<'a> {
         Decoder { spec }
     }
 
-    /// Fully general decoding with explicit indices and ECC. Builds a
-    /// fresh [`MarkPlan`] internally; callers that already hold one
-    /// (or share a [`crate::plan::PlanCache`] with the embedding pass)
-    /// should use [`Decoder::decode_with_plan`].
-    ///
-    /// # Errors
-    ///
-    /// None beyond index validity — decoding never fails on suspect
-    /// data; it simply reports what it could recover.
-    pub fn decode_by_idx(
-        &self,
-        rel: &Relation,
-        key_idx: usize,
-        attr_idx: usize,
-        ecc: &dyn ErrorCorrectingCode,
-    ) -> Result<DecodeReport, CoreError> {
-        let plan = MarkPlan::build(self.spec, rel, key_idx);
-        self.decode_with_plan(rel, attr_idx, ecc, &plan)
-    }
-
     /// Decoding over a precomputed [`MarkPlan`]: only the fit rows are
     /// visited and no key is rehashed.
-    ///
-    /// Byte-identical to [`Decoder::decode_by_idx`] when the plan was
-    /// built from the same spec and relation.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidSpec`] when the plan does not match this
-    /// spec/relation.
+    /// spec/relation; decoding never fails on suspect data, it simply
+    /// reports what it could recover.
     pub fn decode_with_plan(
         &self,
         rel: &Relation,
@@ -197,7 +175,7 @@ impl<'a> Decoder<'a> {
     ) -> Result<DecodeReport, CoreError> {
         let mut votes = VoteAccumulator::new(self.spec.wm_data_len);
         votes.accumulate(self.spec, rel, attr_idx, plan);
-        self.resolve(ecc, votes)
+        self.resolve(ecc, &votes)
     }
 
     /// Turn accumulated per-position vote tallies into a
@@ -210,7 +188,7 @@ impl<'a> Decoder<'a> {
     pub(crate) fn resolve(
         &self,
         ecc: &dyn ErrorCorrectingCode,
-        votes: VoteAccumulator,
+        votes: &VoteAccumulator,
     ) -> Result<DecodeReport, CoreError> {
         let VoteAccumulator { ones, zeros, fit_tuples, votes_cast, foreign_values } = votes;
         let len = self.spec.wm_data_len;
@@ -252,9 +230,9 @@ impl<'a> Decoder<'a> {
         let watermark = ecc.decode(&wm_data, self.spec.wm_len, &mut tie_break);
         Ok(DecodeReport {
             watermark,
-            fit_tuples,
-            votes_cast,
-            foreign_values,
+            fit_tuples: *fit_tuples,
+            votes_cast: *votes_cast,
+            foreign_values: *foreign_values,
             positions_observed,
             positions_erased,
             position_conflicts,
@@ -301,20 +279,7 @@ impl VoteAccumulator {
         attr_idx: usize,
         plan: &MarkPlan,
     ) {
-        self.accumulate_rows(spec, rel, attr_idx, plan.fit());
-    }
-
-    /// [`VoteAccumulator::accumulate`] over an explicit slice of
-    /// planned rows — the evidence layer partitions one monolithic
-    /// plan at segment boundaries (a segment's plan is an exact slice
-    /// of the monolithic one) and tallies each partition separately.
-    pub(crate) fn accumulate_rows(
-        &mut self,
-        spec: &WatermarkSpec,
-        rel: &Relation,
-        attr_idx: usize,
-        rows: &[crate::plan::PlannedRow],
-    ) {
+        let rows = plan.fit();
         self.fit_tuples += rows.len();
         match rel.column(attr_idx) {
             ColumnView::Int(xs) => {

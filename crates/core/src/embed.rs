@@ -15,6 +15,12 @@
 //! watermark bit and writes the corresponding domain value back.
 //! Optionally every alteration is gated by a [`QualityGuard`]
 //! (Section 4.1).
+//!
+//! One fit-decision loop makes those choices for every pass. It feeds
+//! one of two sinks: the write sink stores each alteration into the
+//! target column, asking the guard first, and the patch sink records it
+//! as a [`MarkDelta`] patch against a read-only base — so an embedded
+//! copy and its delta report the same counts by construction.
 
 use std::collections::HashMap;
 
@@ -27,7 +33,7 @@ use crate::quality::{Alteration, CodedAlteration, QualityGuard};
 use crate::spec::{Watermark, WatermarkSpec};
 
 /// Outcome of an embedding pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EmbedReport {
     /// Total tuples examined (`N`).
     pub total_tuples: usize,
@@ -110,6 +116,26 @@ impl crate::session::Outcome for EmbedReport {
     }
 }
 
+/// What embed passes fold into across the segments of a walk (or of a
+/// recipient's segmented delta): the report, plus the `wm_data`
+/// coverage bitmap behind [`EmbedReport::positions_covered`].
+pub(crate) struct EmbedFold {
+    report: EmbedReport,
+    covered: Vec<bool>,
+}
+
+impl EmbedFold {
+    pub(crate) fn new(spec: &WatermarkSpec) -> Self {
+        let report = EmbedReport { positions_total: spec.wm_data_len, ..EmbedReport::default() };
+        EmbedFold { report, covered: vec![false; spec.wm_data_len] }
+    }
+
+    pub(crate) fn finish(mut self) -> EmbedReport {
+        self.report.positions_covered = self.covered.iter().filter(|&&c| c).count();
+        self.report
+    }
+}
+
 /// Watermark encoder for one `(key, categorical attribute)` pair.
 #[derive(Debug, Clone)]
 pub struct Embedder<'a> {
@@ -125,39 +151,15 @@ impl<'a> Embedder<'a> {
         Embedder { spec }
     }
 
-    /// Fully general embedding: explicit attribute indices, pluggable
-    /// ECC, optional guard. Builds a fresh [`MarkPlan`] internally;
-    /// callers that already hold one (or share a
-    /// [`crate::plan::PlanCache`] with a later decode) should use
-    /// [`Embedder::embed_with_plan`].
-    ///
-    /// # Errors
-    ///
-    /// Watermark length mismatch, a key target column, or a domain
-    /// whose value type differs from the target column's.
-    pub fn embed_by_idx(
-        &self,
-        rel: &mut Relation,
-        key_idx: usize,
-        attr_idx: usize,
-        wm: &Watermark,
-        ecc: &dyn ErrorCorrectingCode,
-        guard: Option<&mut QualityGuard>,
-    ) -> Result<EmbedReport, CoreError> {
-        let plan = MarkPlan::build(self.spec, rel, key_idx);
-        self.embed_with_plan(rel, attr_idx, wm, ecc, guard, &plan)
-    }
-
     /// Embedding over a precomputed [`MarkPlan`]: the per-tuple hash
     /// work is already done, so this pass only rewrites values.
     ///
-    /// Byte-identical to [`Embedder::embed_by_idx`] when the plan was
-    /// built from the same spec and relation.
-    ///
     /// # Errors
     ///
-    /// As [`Embedder::embed_by_idx`], plus [`CoreError::InvalidSpec`]
-    /// when the plan does not match this spec/relation.
+    /// Watermark length mismatch, a key target column, a domain whose
+    /// value type differs from the target column's, or
+    /// [`CoreError::InvalidSpec`] when the plan does not match this
+    /// spec/relation.
     pub fn embed_with_plan(
         &self,
         rel: &mut Relation,
@@ -188,6 +190,19 @@ impl<'a> Embedder<'a> {
         guard: Option<&mut QualityGuard>,
         plan: &MarkPlan,
     ) -> Result<EmbedReport, CoreError> {
+        let wm_data = self.wm_data(wm, ecc)?;
+        let mut fold = EmbedFold::new(self.spec);
+        self.embed_pass(rel, attr_idx, &wm_data, guard, plan, 0, &mut fold)?;
+        Ok(fold.finish())
+    }
+
+    /// `wm` expanded by `ecc` into the `wm_data` a pass embeds, once
+    /// its length is checked against the spec.
+    pub(crate) fn wm_data(
+        &self,
+        wm: &Watermark,
+        ecc: &dyn ErrorCorrectingCode,
+    ) -> Result<Vec<bool>, CoreError> {
         if wm.len() != self.spec.wm_len {
             return Err(CoreError::InvalidSpec(format!(
                 "watermark has {} bits but the spec declares {}",
@@ -195,31 +210,17 @@ impl<'a> Embedder<'a> {
                 self.spec.wm_len
             )));
         }
-        let wm_data = ecc.encode(wm, self.spec.wm_data_len);
-        let mut report = EmbedReport {
-            total_tuples: plan.rows(),
-            fit_tuples: plan.fit().len(),
-            altered: 0,
-            unchanged: 0,
-            vetoed: 0,
-            positions_covered: 0,
-            positions_total: self.spec.wm_data_len,
-            touched_rows: Vec::new(),
-        };
-        let mut covered = vec![false; self.spec.wm_data_len];
-        self.embed_pass(rel, attr_idx, &wm_data, guard, plan, 0, &mut covered, &mut report)?;
-        report.positions_covered = covered.iter().filter(|&&c| c).count();
-        Ok(report)
+        Ok(ecc.encode(wm, self.spec.wm_data_len))
     }
 
     /// The write pass over one relation (or one **segment** of a
     /// [`catmark_relation::SegmentedRelation`], with `row_base` the
-    /// segment's first global row): plan-driven value rewriting into
-    /// a caller-owned coverage bitmap and report. The out-of-core
-    /// driver calls this once per segment with shared `covered` /
-    /// `report` state, which is exactly what makes segment streaming
-    /// byte-identical to a monolithic pass — every decision here
-    /// depends only on the tuple's own planned facts and `wm_data`.
+    /// segment's first global row): the fit-decision loop into the
+    /// write sink, folded into `fold`. The segment walk runs this once
+    /// per segment with one shared fold, which is exactly what makes
+    /// segment streaming byte-identical to a monolithic pass — every
+    /// decision depends only on the tuple's own planned facts and
+    /// `wm_data`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn embed_pass(
         &self,
@@ -229,8 +230,7 @@ impl<'a> Embedder<'a> {
         mut guard: Option<&mut QualityGuard>,
         plan: &MarkPlan,
         row_base: usize,
-        covered: &mut [bool],
-        report: &mut EmbedReport,
+        fold: &mut EmbedFold,
     ) -> Result<(), CoreError> {
         // A guarded pass binds the guard to code space once: every
         // constraint that accepts evaluates candidate alterations as
@@ -243,7 +243,7 @@ impl<'a> Embedder<'a> {
         // storage: integer domains write `i64`s, text domains write
         // dictionary codes resolved once per domain value.
         match rel.column_mut(attr_idx).map_err(CoreError::Relation)? {
-            ColumnMut::Int(xs) => {
+            ColumnMut::Int(cells) => {
                 let dom = int_domain(self.spec)?;
                 // Reverse map: stored integer → domain code, so the
                 // old value's code is one hash of an `i64` away (a
@@ -254,44 +254,13 @@ impl<'a> Embedder<'a> {
                 } else {
                     HashMap::new()
                 };
-                for planned in plan.fit() {
-                    let row = planned.row as usize;
-                    let idx = planned.position as usize;
-                    let t = plan.value_index(planned, wm_data[idx]);
-                    let new = dom[t];
-                    let old = xs[row];
-                    if old == new {
-                        report.unchanged += 1;
-                        covered[idx] = true;
-                        continue;
-                    }
-                    if let Some(g) = guard.as_deref_mut() {
-                        let admitted = match dom_code_of.get(&old) {
-                            Some(&old_code) => g.propose_coded(CodedAlteration {
-                                row: row_base + row,
-                                attr: attr_idx,
-                                old: old_code,
-                                new: t as u32,
-                            }),
-                            None => g.propose(Alteration {
-                                row: row_base + row,
-                                attr: attr_idx,
-                                old: Value::Int(old),
-                                new: Value::Int(new),
-                            }),
-                        };
-                        if !admitted {
-                            report.vetoed += 1;
-                            continue;
-                        }
-                    }
-                    xs[row] = new;
-                    report.altered += 1;
-                    covered[idx] = true;
-                    report.touched_rows.push(row_base + row);
-                }
+                let code_of = |old: i64| dom_code_of.get(&old).copied();
+                let value_of = Value::Int;
+                let mut sink =
+                    WriteSink { cells, guard, code_of, value_of, attr: attr_idx, row_base };
+                decide(plan, wm_data, &dom, row_base, fold, &mut sink);
             }
-            ColumnMut::Text(mut tc) => {
+            ColumnMut::Text(mut cells) => {
                 // Intern every domain value up front: the per-row work
                 // is then a pure code compare-and-store.
                 let dom_codes: Result<Vec<u32>, CoreError> = self
@@ -300,7 +269,7 @@ impl<'a> Embedder<'a> {
                     .values()
                     .iter()
                     .map(|v| {
-                        v.as_text().map(|s| tc.intern(s)).ok_or_else(|| {
+                        v.as_text().map(|s| cells.intern(s)).ok_or_else(|| {
                             CoreError::InvalidSpec(format!(
                                 "domain holds {} values but the target column is text",
                                 v.type_name()
@@ -314,99 +283,32 @@ impl<'a> Embedder<'a> {
                 // after the interning above so every domain value has
                 // its dictionary slot. Only guarded passes read it.
                 let mut dom_code_of: Vec<Option<u32>> =
-                    vec![None; if guard.is_some() { tc.dict().len() } else { 0 }];
+                    vec![None; if guard.is_some() { cells.dict().len() } else { 0 }];
                 if guard.is_some() {
                     for (t, &c) in dom_codes.iter().enumerate() {
                         dom_code_of[c as usize] = Some(t as u32);
                     }
                 }
-                for planned in plan.fit() {
-                    let row = planned.row as usize;
-                    let idx = planned.position as usize;
-                    let t = plan.value_index(planned, wm_data[idx]);
-                    let new = dom_codes[t];
-                    let old = tc.code(row);
-                    if old == new {
-                        report.unchanged += 1;
-                        covered[idx] = true;
-                        continue;
-                    }
-                    if let Some(g) = guard.as_deref_mut() {
-                        let admitted = match dom_code_of[old as usize] {
-                            Some(old_code) => g.propose_coded(CodedAlteration {
-                                row: row_base + row,
-                                attr: attr_idx,
-                                old: old_code,
-                                new: t as u32,
-                            }),
-                            None => g.propose(Alteration {
-                                row: row_base + row,
-                                attr: attr_idx,
-                                old: Value::Text(tc.dict().get(old).to_owned()),
-                                new: Value::Text(tc.dict().get(new).to_owned()),
-                            }),
-                        };
-                        if !admitted {
-                            report.vetoed += 1;
-                            continue;
-                        }
-                    }
-                    tc.set(row, new);
-                    report.altered += 1;
-                    covered[idx] = true;
-                    report.touched_rows.push(row_base + row);
-                }
+                let code_of = |old: u32| dom_code_of[old as usize];
+                let (cells, dict) = cells.into_parts();
+                let value_of = |code: u32| Value::Text(dict.get(code).to_owned());
+                let mut sink =
+                    WriteSink { cells, guard, code_of, value_of, attr: attr_idx, row_base };
+                decide(plan, wm_data, &dom_codes, row_base, fold, &mut sink);
             }
         }
         Ok(())
     }
 
     /// Delta extraction over a precomputed plan: the same decisions as
-    /// [`Embedder::embed_with_plan`] on a clone of `rel`, but emitted
-    /// as a [`MarkDelta`] without ever materializing the clone.
+    /// [`Embedder::embed_with_plan`] on a clone of `rel`, emitted as a
+    /// [`MarkDelta`] without ever materializing the clone —
     /// `base.apply_delta(&delta)` rebuilds the copy byte-identically
-    /// (pinned by proptest and golden).
-    ///
-    /// # Errors
-    ///
-    /// As [`Embedder::embed_with_plan`].
-    pub fn extract_delta_with_plan(
-        &self,
-        rel: &Relation,
-        attr_idx: usize,
-        wm: &Watermark,
-        ecc: &dyn ErrorCorrectingCode,
-        plan: &MarkPlan,
-    ) -> Result<(MarkDelta, EmbedReport), CoreError> {
-        if !plan.matches(self.spec, rel) {
-            return Err(CoreError::InvalidSpec(
-                "mark plan was built for a different spec or relation".into(),
-            ));
-        }
-        self.extract_delta_with_plan_trusted(rel, attr_idx, wm, ecc, plan)
-    }
-
-    /// [`Embedder::extract_delta_with_plan`] minus the plan-staleness
-    /// check — the cache-backed fast path, mirroring
-    /// [`Embedder::embed_with_plan_trusted`].
-    pub(crate) fn extract_delta_with_plan_trusted(
-        &self,
-        rel: &Relation,
-        attr_idx: usize,
-        wm: &Watermark,
-        ecc: &dyn ErrorCorrectingCode,
-        plan: &MarkPlan,
-    ) -> Result<(MarkDelta, EmbedReport), CoreError> {
-        let table = self.delta_domain_table(rel, attr_idx)?;
-        self.extract_delta_with_table(rel, attr_idx, wm, ecc, plan, &table)
-    }
-
-    /// [`Embedder::extract_delta_with_plan_trusted`] with the resolved
-    /// domain table supplied by the caller. The table depends only on
-    /// `(domain values, target column)` — never on the spec's keys —
-    /// so batch producers (one table, a thousand recipients) build it
-    /// once with [`Embedder::delta_domain_table`] and reuse it across
-    /// every per-recipient extraction over the same relation.
+    /// (pinned by proptest and golden). The resolved domain `table`
+    /// depends only on `(domain values, target column)` — never on the
+    /// spec's keys — so batch producers (one table, a thousand
+    /// recipients) build it once with [`Embedder::delta_domain_table`]
+    /// and reuse it across every per-recipient extraction over `rel`.
     pub(crate) fn extract_delta_with_table(
         &self,
         rel: &Relation,
@@ -416,37 +318,11 @@ impl<'a> Embedder<'a> {
         plan: &MarkPlan,
         table: &DeltaDomainTable,
     ) -> Result<(MarkDelta, EmbedReport), CoreError> {
-        if wm.len() != self.spec.wm_len {
-            return Err(CoreError::InvalidSpec(format!(
-                "watermark has {} bits but the spec declares {}",
-                wm.len(),
-                self.spec.wm_len
-            )));
-        }
-        let wm_data = ecc.encode(wm, self.spec.wm_data_len);
-        let mut report = EmbedReport {
-            total_tuples: plan.rows(),
-            fit_tuples: plan.fit().len(),
-            altered: 0,
-            unchanged: 0,
-            vetoed: 0,
-            positions_covered: 0,
-            positions_total: self.spec.wm_data_len,
-            touched_rows: Vec::with_capacity(plan.fit().len()),
-        };
-        let mut covered = vec![false; self.spec.wm_data_len];
-        let delta = self.extract_delta_pass_with_table(
-            rel,
-            attr_idx,
-            &wm_data,
-            plan,
-            0,
-            &mut covered,
-            &mut report,
-            table,
-        )?;
-        report.positions_covered = covered.iter().filter(|&&c| c).count();
-        Ok((delta, report))
+        let wm_data = self.wm_data(wm, ecc)?;
+        let mut fold = EmbedFold::new(self.spec);
+        let delta =
+            self.extract_delta_pass_with_table(rel, attr_idx, &wm_data, plan, 0, &mut fold, table)?;
+        Ok((delta, fold.finish()))
     }
 
     /// Resolve the spec's domain against `rel`'s target column once:
@@ -509,28 +385,21 @@ impl<'a> Embedder<'a> {
         }
     }
 
-    /// The read-only twin of [`Embedder::embed_pass`]: walk the plan's
-    /// fit set over one relation (or one segment, with `row_base` its
-    /// first global row) making exactly the decisions the write pass
-    /// would, but record each rewrite as a patch instead of storing
-    /// it. For text columns the write pass interns every domain value
-    /// up front; this pass reproduces that interning *virtually* —
+    /// The patch pass: the fit-decision loop over one relation (or one
+    /// segment, with `row_base` its first global row) into the patch
+    /// sink. For text columns the write pass interns every domain
+    /// value up front; `table` reproduces that interning *virtually* —
     /// domain values absent from the base dictionary become
     /// dictionary-extension entries in domain order, occupying the
     /// codes interning would have assigned — which is what makes the
     /// rebuilt copy's dictionary byte-identical, down to entries no
     /// row references.
     ///
-    /// The domain table is hoisted out as a parameter — the batch hot
-    /// loop builds it once per `(column, domain)` and reuses it for
-    /// every recipient, so the per-recipient work is exactly the fit
-    /// walk: a code compare and a patch push per fit tuple, no
-    /// per-recipient domain resolution, no re-validation of an
-    /// ordering the fit walk guarantees.
-    ///
     /// `table` must have been built by [`Embedder::delta_domain_table`]
     /// against this same `rel` and `attr_idx` (same column type, same
-    /// dictionary) under a spec sharing this spec's domain.
+    /// dictionary) under a spec sharing this spec's domain; the batch
+    /// hot loop builds it once per `(column, domain)` and reuses it
+    /// for every recipient.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn extract_delta_pass_with_table(
         &self,
@@ -539,30 +408,15 @@ impl<'a> Embedder<'a> {
         wm_data: &[bool],
         plan: &MarkPlan,
         row_base: usize,
-        covered: &mut [bool],
-        report: &mut EmbedReport,
+        fold: &mut EmbedFold,
         table: &DeltaDomainTable,
     ) -> Result<MarkDelta, CoreError> {
         let builder = match (rel.column(attr_idx), table) {
-            (ColumnView::Int(xs), DeltaDomainTable::Int(dom)) => {
-                let mut builder = MarkDeltaBuilder::int(attr_idx, rel.len());
-                for planned in plan.fit() {
-                    let row = planned.row as usize;
-                    let idx = planned.position as usize;
-                    let t = plan.value_index(planned, wm_data[idx]);
-                    let new = dom[t];
-                    let old = xs[row];
-                    if old == new {
-                        report.unchanged += 1;
-                        covered[idx] = true;
-                        continue;
-                    }
-                    builder.push_int(row, old, new);
-                    report.altered += 1;
-                    covered[idx] = true;
-                    report.touched_rows.push(row_base + row);
-                }
-                builder
+            (ColumnView::Int(cells), DeltaDomainTable::Int(dom)) => {
+                let builder = MarkDeltaBuilder::int(attr_idx, rel.len());
+                let mut sink = PatchSink { cells, builder, push: MarkDeltaBuilder::push_int };
+                decide(plan, wm_data, dom, row_base, fold, &mut sink);
+                sink.builder
             }
             (
                 ColumnView::Text { codes, dict },
@@ -577,23 +431,10 @@ impl<'a> Embedder<'a> {
                 for entry in extension {
                     builder.extend_dict(entry);
                 }
-                for planned in plan.fit() {
-                    let row = planned.row as usize;
-                    let idx = planned.position as usize;
-                    let t = plan.value_index(planned, wm_data[idx]);
-                    let new = dom_codes[t];
-                    let old = codes[row];
-                    if old == new {
-                        report.unchanged += 1;
-                        covered[idx] = true;
-                        continue;
-                    }
-                    builder.push_code(row, old, new);
-                    report.altered += 1;
-                    covered[idx] = true;
-                    report.touched_rows.push(row_base + row);
-                }
-                builder
+                let mut sink =
+                    PatchSink { cells: codes, builder, push: MarkDeltaBuilder::push_code };
+                decide(plan, wm_data, dom_codes, row_base, fold, &mut sink);
+                sink.builder
             }
             _ => {
                 return Err(CoreError::InvalidSpec(
@@ -605,6 +446,116 @@ impl<'a> Embedder<'a> {
         // plan order, and codes come from the table built against this
         // dictionary — the trusted finish debug-asserts all of it.
         Ok(builder.finish_trusted())
+    }
+}
+
+/// Where the fit-decision loop sends each cell it decides to change.
+trait Sink<C> {
+    /// The cell stored at `row`.
+    fn cell(&self, row: usize) -> C;
+
+    /// Apply or record `row: old → new`, `new` being domain code `t`'s
+    /// cell; `false` when the alteration is vetoed.
+    fn alter(&mut self, row: usize, old: C, new: C, t: u32) -> bool;
+}
+
+/// The fit-decision loop: for every planned fit tuple, the domain code
+/// its watermark bit selects. A cell already holding that value counts
+/// as unchanged; every other one goes to `sink`. Generic over the cell
+/// type, so each column type compiles to its own loop — no per-tuple
+/// dynamic call, no per-tuple `Value`.
+fn decide<C: Copy + PartialEq>(
+    plan: &MarkPlan,
+    wm_data: &[bool],
+    dom: &[C],
+    row_base: usize,
+    fold: &mut EmbedFold,
+    sink: &mut impl Sink<C>,
+) {
+    let report = &mut fold.report;
+    report.total_tuples += plan.rows();
+    report.fit_tuples += plan.fit().len();
+    for planned in plan.fit() {
+        let row = planned.row as usize;
+        let idx = planned.position as usize;
+        let t = plan.value_index(planned, wm_data[idx]);
+        let (old, new) = (sink.cell(row), dom[t]);
+        if old == new {
+            report.unchanged += 1;
+        } else if sink.alter(row, old, new, t as u32) {
+            report.altered += 1;
+            report.touched_rows.push(row_base + row);
+        } else {
+            report.vetoed += 1;
+            continue;
+        }
+        fold.covered[idx] = true;
+    }
+}
+
+/// The write sink: stores each alteration into the target column,
+/// asking the guard first when there is one. The guard judges in code
+/// space; an old value outside the domain (no `code_of`) falls back to
+/// a value-space proposal.
+struct WriteSink<'c, 'g, C, F, V> {
+    cells: &'c mut [C],
+    guard: Option<&'g mut QualityGuard>,
+    code_of: F,
+    value_of: V,
+    attr: usize,
+    row_base: usize,
+}
+
+impl<C, F, V> Sink<C> for WriteSink<'_, '_, C, F, V>
+where
+    C: Copy,
+    F: Fn(C) -> Option<u32>,
+    V: Fn(C) -> Value,
+{
+    fn cell(&self, row: usize) -> C {
+        self.cells[row]
+    }
+
+    fn alter(&mut self, row: usize, old: C, new: C, t: u32) -> bool {
+        if let Some(g) = self.guard.as_deref_mut() {
+            let (global, attr) = (self.row_base + row, self.attr);
+            let admitted = match (self.code_of)(old) {
+                Some(code) => {
+                    g.propose_coded(CodedAlteration { row: global, attr, old: code, new: t })
+                }
+                None => g.propose(Alteration {
+                    row: global,
+                    attr,
+                    old: (self.value_of)(old),
+                    new: (self.value_of)(new),
+                }),
+            };
+            if !admitted {
+                return false;
+            }
+        }
+        self.cells[row] = new;
+        true
+    }
+}
+
+/// The patch sink: records each alteration as a [`MarkDelta`] patch
+/// (`push_int` or `push_code`) against the read-only base column,
+/// never vetoing one.
+struct PatchSink<'r, C, P> {
+    cells: &'r [C],
+    builder: MarkDeltaBuilder,
+    push: P,
+}
+
+impl<C: Copy, P: Fn(&mut MarkDeltaBuilder, usize, C, C)> Sink<C> for PatchSink<'_, C, P> {
+    fn cell(&self, row: usize) -> C {
+        self.cells[row]
+    }
+
+    fn alter(&mut self, row: usize, old: C, new: C, _t: u32) -> bool {
+        (self.push)(&mut self.builder, row, old, new);
+        true
     }
 }
 

@@ -22,7 +22,7 @@ use catmark_relation::{MarkDelta, Relation, SegmentedRelation};
 use crate::decode::Decoder;
 use crate::detect::{detect, Detection};
 use crate::ecc::{ErrorCorrectingCode, MajorityVotingEcc};
-use crate::embed::{EmbedReport, Embedder};
+use crate::embed::{EmbedFold, EmbedReport, Embedder};
 use crate::error::CoreError;
 use crate::plan::{MultiPlanCache, PlanCache};
 use crate::spec::{Watermark, WatermarkSpec};
@@ -312,21 +312,7 @@ impl FingerprintRegistry {
         let specs: Vec<WatermarkSpec> = entries.iter().map(|e| e.0.clone()).collect();
         let wm_data: Vec<Vec<bool>> =
             entries.iter().map(|e| MajorityVotingEcc.encode(&e.1, e.0.wm_data_len)).collect();
-        let mut reports: Vec<EmbedReport> = entries
-            .iter()
-            .map(|e| EmbedReport {
-                total_tuples: seg.len(),
-                fit_tuples: 0,
-                altered: 0,
-                unchanged: 0,
-                vetoed: 0,
-                positions_covered: 0,
-                positions_total: e.0.wm_data_len,
-                touched_rows: Vec::new(),
-            })
-            .collect();
-        let mut covered: Vec<Vec<bool>> =
-            entries.iter().map(|e| vec![false; e.0.wm_data_len]).collect();
+        let mut folds: Vec<EmbedFold> = entries.iter().map(|e| EmbedFold::new(&e.0)).collect();
         let mut deltas: Vec<Vec<MarkDelta>> = vec![Vec::new(); buyers.len()];
         let mut base = 0usize;
         for i in 0..seg.segment_count() {
@@ -344,15 +330,13 @@ impl FingerprintRegistry {
                 // the segment's own dictionary), shared by all buyers.
                 let table = Embedder::engine(&entries[0].0).delta_domain_table(rel, attr_idx)?;
                 for (b, (entry, plan)) in entries.iter().zip(&plans).enumerate() {
-                    reports[b].fit_tuples += plan.fit().len();
                     let delta = Embedder::engine(&entry.0).extract_delta_pass_with_table(
                         rel,
                         attr_idx,
                         &wm_data[b],
                         plan,
                         base,
-                        &mut covered[b],
-                        &mut reports[b],
+                        &mut folds[b],
                         &table,
                     )?;
                     deltas[b].push(delta);
@@ -362,10 +346,7 @@ impl FingerprintRegistry {
             .map_err(CoreError::Relation)??;
             base += rows;
         }
-        for (report, covered) in reports.iter_mut().zip(&covered) {
-            report.positions_covered = covered.iter().filter(|&&c| c).count();
-        }
-        Ok(deltas.into_iter().zip(reports).collect())
+        Ok(deltas.into_iter().zip(folds.into_iter().map(EmbedFold::finish)).collect())
     }
 
     /// Decode `suspect` under every registered buyer's keys, ranked by

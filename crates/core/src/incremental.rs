@@ -8,7 +8,9 @@
 //! manifests tell the drivers **exactly** which segments changed: a
 //! segment whose blob hash matches the last *marked* manifest still
 //! holds its marked bytes, and one whose hash differs must be
-//! re-embedded.
+//! re-embedded. Both drivers run the segment walk of
+//! [`crate::outofcore`] with a skip rule, so a clean segment or a
+//! vote-cache hit is never paged in.
 //!
 //! # Why skipping clean segments is byte-identical
 //!
@@ -25,10 +27,11 @@
 //!
 //! Decoding is a sum of commutative per-position vote increments
 //! resolved once at the end, so a clean segment's votes can be folded
-//! in from a cache ([`VoteCache`], keyed by `(spec identity, blob
-//! hash)`) instead of re-hashing its keys — the resolved
-//! [`DecodeReport`] is identical to the full streaming decode by
-//! commutativity (`VoteAccumulator` merge order never matters).
+//! in from a cache ([`VoteCache`], keyed by `(spec identity, key
+//! column, target column, blob hash)`) instead of re-hashing its keys —
+//! the resolved [`DecodeReport`] is identical to the full streaming
+//! decode by commutativity (`VoteAccumulator` merge order never
+//! matters).
 //!
 //! # Contract
 //!
@@ -41,17 +44,15 @@
 //! row count), the diff is undefined and the drivers fall back to the
 //! full segmented pass.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use catmark_relation::{BlobHash, CacheStats, SegmentedRelation, VersionManifest};
 
-use crate::decode::{DecodeReport, Decoder, VoteAccumulator};
-use crate::detect::detect;
-use crate::ecc::MajorityVotingEcc;
-use crate::embed::{EmbedReport, Embedder};
+use crate::decode::{DecodeReport, VoteAccumulator};
+use crate::embed::EmbedReport;
 use crate::error::CoreError;
-use crate::plan::spec_identity;
-use crate::session::{MarkSession, Verdict};
+use crate::outofcore::Walk;
+use crate::session::MarkSession;
 use crate::spec::Watermark;
 
 /// Outcome of [`MarkSession::embed_incremental`].
@@ -85,19 +86,25 @@ pub struct IncrementalDecodeReport {
     pub cached_segments: usize,
 }
 
-/// Memoized per-segment vote tallies, keyed by `(spec identity, blob
-/// hash)`.
+/// What a segment's vote tally depends on besides the blob's bytes:
+/// the spec's identity and the indices of the key and target columns
+/// the session binds.
+pub(crate) type TallyBinding = (u64, usize, usize);
+
+/// Memoized per-segment vote tallies, keyed by `(spec identity, key
+/// column, target column, blob hash)`.
 ///
 /// A segment blob's votes are a pure function of its bytes under the
-/// spec's keys, so a content hash fully identifies them: any version,
-/// any position in the relation, any time. After each
-/// [`MarkSession::decode_incremental`] pass the cache retains only
-/// the hashes of the manifest just decoded (per spec), bounding it to
-/// one manifest's worth of tallies per spec while keeping the clean
-/// majority warm across churn rounds.
+/// spec's keys and the session's column binding, so that key fully
+/// identifies them: any version, any position in the relation, any
+/// time — and sessions binding different columns over the same blobs
+/// never share a tally. After each [`MarkSession::decode_incremental`]
+/// pass the cache retains only the hashes of the manifest just decoded
+/// (per binding), bounding it to one manifest's worth of tallies per
+/// binding while keeping the clean majority warm across churn rounds.
 #[derive(Debug, Default)]
 pub struct VoteCache {
-    entries: HashMap<(u64, BlobHash), VoteAccumulator>,
+    entries: HashMap<(TallyBinding, BlobHash), VoteAccumulator>,
     stats: CacheStats,
 }
 
@@ -133,8 +140,12 @@ impl VoteCache {
     }
 
     /// Counted lookup.
-    pub(crate) fn lookup(&mut self, spec_id: u64, hash: &BlobHash) -> Option<&VoteAccumulator> {
-        let found = self.entries.get(&(spec_id, *hash));
+    pub(crate) fn lookup(
+        &mut self,
+        key: TallyBinding,
+        hash: &BlobHash,
+    ) -> Option<&VoteAccumulator> {
+        let found = self.entries.get(&(key, *hash));
         if found.is_some() {
             self.stats.hits += 1;
         } else {
@@ -143,48 +154,22 @@ impl VoteCache {
         found
     }
 
-    pub(crate) fn insert(&mut self, spec_id: u64, hash: BlobHash, votes: VoteAccumulator) {
-        self.entries.insert((spec_id, hash), votes);
+    pub(crate) fn insert(&mut self, binding: TallyBinding, hash: BlobHash, votes: VoteAccumulator) {
+        self.entries.insert((binding, hash), votes);
     }
 
-    /// Keep only `spec_id`'s entries for blobs referenced by
-    /// `manifest` (other specs' entries are untouched). Dropped
+    /// Keep only `binding`'s entries for blobs referenced by
+    /// `manifest` (other bindings' entries are untouched). Dropped
     /// entries count as evictions.
-    pub(crate) fn retain_manifest(&mut self, spec_id: u64, manifest: &VersionManifest) {
-        let live: std::collections::HashSet<&BlobHash> =
-            manifest.segments.iter().map(|s| &s.hash).collect();
+    pub(crate) fn retain_manifest(&mut self, binding: TallyBinding, manifest: &VersionManifest) {
+        let live: HashSet<&BlobHash> = manifest.segments.iter().map(|s| &s.hash).collect();
         let before = self.entries.len();
-        self.entries.retain(|(sid, hash), _| *sid != spec_id || live.contains(hash));
+        self.entries.retain(|(b, hash), _| *b != binding || live.contains(hash));
         self.stats.evictions += (before - self.entries.len()) as u64;
     }
 }
 
 impl MarkSession {
-    /// Check that `manifest` describes `seg`'s committed geometry —
-    /// the cheap invariant a stale or foreign manifest trips over.
-    pub(crate) fn check_manifest(
-        seg: &SegmentedRelation,
-        manifest: &VersionManifest,
-    ) -> Result<(), CoreError> {
-        let matches = manifest.segments.len() == seg.segment_count()
-            && (0..seg.segment_count())
-                .all(|i| manifest.segments[i].rows == seg.segment_len(i) as u64);
-        if matches {
-            Ok(())
-        } else {
-            Err(CoreError::InvalidSpec(format!(
-                "manifest v{} ({} segments, {} rows) does not describe this segmented \
-                 relation ({} segments, {} rows); commit the relation and pass the \
-                 resulting manifest",
-                manifest.id,
-                manifest.segments.len(),
-                manifest.rows(),
-                seg.segment_count(),
-                seg.len(),
-            )))
-        }
-    }
-
     /// [`MarkSession::embed_segmented`] that re-embeds **only** the
     /// segments whose content hash changed between the `marked`
     /// manifest (committed right after the previous embed) and the
@@ -207,78 +192,29 @@ impl MarkSession {
         marked: &VersionManifest,
         current: &VersionManifest,
     ) -> Result<IncrementalEmbedReport, CoreError> {
-        let wm_data = self.checked_wm_data(seg, wm)?;
-        Self::check_manifest(seg, current)?;
-        let Some(dirty) = current.dirty_against(marked) else {
-            // Geometry changed: the per-segment diff is undefined, so
-            // run the plain driver (which itself dispatches
-            // sequential/pipelined per policy).
-            let report = self.embed_segmented(seg, wm)?;
-            return Ok(IncrementalEmbedReport {
-                report,
-                dirty_segments: seg.segment_count(),
-                clean_segments: 0,
-                full_fallback: true,
-            });
-        };
-        let spec = self.spec();
-        let key_idx = self.key().index();
-        let attr_idx = self.target().index();
-        let engine = Embedder::engine(spec);
-        let cacheable = Self::segment_plans_cacheable(seg);
-        let mut report = EmbedReport {
-            total_tuples: dirty.iter().map(|&i| seg.segment_len(i)).sum(),
-            fit_tuples: 0,
-            altered: 0,
-            unchanged: 0,
-            vetoed: 0,
-            positions_covered: 0,
-            positions_total: spec.wm_data_len,
-            touched_rows: Vec::new(),
-        };
-        let mut covered = vec![false; spec.wm_data_len];
-        // Walk all segments to keep the global row base exact, but
-        // only dirty ones are paged in and re-embedded.
-        let mut next_dirty = dirty.iter().copied().peekable();
-        let mut base = 0usize;
-        for i in 0..seg.segment_count() {
-            let rows = seg.segment_len(i);
-            if next_dirty.peek() == Some(&i) {
-                next_dirty.next();
-                seg.with_segment_mut(i, |rel| -> Result<(), CoreError> {
-                    let plan = self.segment_plan(rel, key_idx, cacheable)?;
-                    report.fit_tuples += plan.fit().len();
-                    engine.embed_pass(
-                        rel,
-                        attr_idx,
-                        &wm_data,
-                        None,
-                        &plan,
-                        base,
-                        &mut covered,
-                        &mut report,
-                    )
-                })
-                .map_err(CoreError::Relation)??;
-            }
-            base += rows;
-        }
-        report.positions_covered = covered.iter().filter(|&&c| c).count();
+        // A changed geometry leaves the per-segment diff undefined:
+        // the fallback walks every segment, as the plain driver does.
+        let dirty = current.dirty_against(marked);
+        let full_fallback = dirty.is_none();
+        let walk = if full_fallback { Walk::Auto } else { Walk::Sequential };
+        let visited = dirty.as_ref().map(Vec::len);
+        let (report, _) = self.embed_walk(seg, wm, None, walk, Some(current), dirty)?;
+        let dirty_segments = visited.unwrap_or(seg.segment_count());
         Ok(IncrementalEmbedReport {
             report,
-            dirty_segments: dirty.len(),
-            clean_segments: seg.segment_count() - dirty.len(),
-            full_fallback: false,
+            dirty_segments,
+            clean_segments: seg.segment_count() - dirty_segments,
+            full_fallback,
         })
     }
 
-    /// [`MarkSession::decode_segmented`] that folds cached
-    /// per-segment vote tallies for blobs already seen by `cache` and
-    /// accumulates fresh ones only for new blobs. The resolved report
-    /// is identical to the full streaming decode: votes are
-    /// commutative per-position increments, so merge order cannot
-    /// change the resolution. `manifest` must describe `seg`'s
-    /// committed contents.
+    /// [`MarkSession::decode_segmented`] that folds the cached tally of
+    /// every blob `cache` already holds for this session's binding —
+    /// without paging those segments in — and tallies (and caches)
+    /// only new blobs. The resolved report is identical to the full
+    /// streaming decode: votes are commutative per-position
+    /// increments, so merge order cannot change the resolution.
+    /// `manifest` must describe `seg`'s committed contents.
     ///
     /// # Errors
     ///
@@ -291,68 +227,20 @@ impl MarkSession {
         manifest: &VersionManifest,
         cache: &mut VoteCache,
     ) -> Result<IncrementalDecodeReport, CoreError> {
-        self.check_segmented(seg)?;
-        Self::check_manifest(seg, manifest)?;
-        let spec = self.spec();
-        let key_idx = self.key().index();
-        let attr_idx = self.target().index();
-        let spec_id = spec_identity(spec);
-        let cacheable = Self::segment_plans_cacheable(seg);
-        let mut votes = VoteAccumulator::new(spec.wm_data_len);
-        let mut accumulated = 0usize;
-        let mut cached = 0usize;
-        for i in 0..seg.segment_count() {
-            let hash = manifest.segments[i].hash;
-            if let Some(tally) = cache.lookup(spec_id, &hash) {
-                votes.merge(tally);
-                cached += 1;
-                continue;
-            }
-            let mut tally = VoteAccumulator::new(spec.wm_data_len);
-            seg.with_segment(i, |rel| -> Result<(), CoreError> {
-                let plan = self.segment_plan(rel, key_idx, cacheable)?;
-                tally.accumulate(spec, rel, attr_idx, &plan);
-                Ok(())
-            })
-            .map_err(CoreError::Relation)??;
-            votes.merge(&tally);
-            cache.insert(spec_id, hash, tally);
-            accumulated += 1;
-        }
-        cache.retain_manifest(spec_id, manifest);
-        let report = Decoder::engine(spec).resolve(&MajorityVotingEcc, votes)?;
+        let (tallies, _) =
+            self.tally_walk(seg, Walk::Sequential, Some((manifest, cache)), false)?;
         Ok(IncrementalDecodeReport {
-            report,
-            accumulated_segments: accumulated,
-            cached_segments: cached,
+            report: tallies.resolve()?,
+            accumulated_segments: tallies.accumulated,
+            cached_segments: tallies.cached,
         })
-    }
-
-    /// [`MarkSession::detect_segmented`] through the incremental
-    /// decode: the blind decode (vote cache and all) weighed against
-    /// the claimed mark. This is the engine under a service's
-    /// `detect_at`: open a historical version, decode it, judge the
-    /// claim.
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::decode_incremental`].
-    pub fn detect_incremental(
-        &self,
-        seg: &mut SegmentedRelation,
-        claimed: &Watermark,
-        manifest: &VersionManifest,
-        cache: &mut VoteCache,
-    ) -> Result<Verdict, CoreError> {
-        let inc = self.decode_incremental(seg, manifest, cache)?;
-        let detection = detect(&inc.report.watermark, claimed);
-        Ok(Verdict { decode: inc.report, detection })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::detect;
     use catmark_datagen::{ItemScanConfig, SalesGenerator};
     use catmark_relation::{ContentStore, Relation, Value, VersionLog};
 
@@ -410,7 +298,7 @@ mod tests {
         let store = ContentStore::in_memory();
         let mut log = VersionLog::new();
         let mut seg = versioned(&rel, &store);
-        session.embed_segmented_sequential(&mut seg, &wm).unwrap();
+        session.embed_segmented(&mut seg, &wm).unwrap();
         let marked_id = log.commit(&mut seg, &store).unwrap();
 
         churn(&mut seg, &session, 400, 0xC0FFEE);
@@ -420,7 +308,7 @@ mod tests {
 
         // A twin of the updated, pre-re-mark state for the full pass.
         let mut twin = log.open_version(current_id, rel.schema(), &store, None).unwrap();
-        session.embed_segmented_sequential(&mut twin, &wm).unwrap();
+        session.embed_segmented(&mut twin, &wm).unwrap();
 
         let inc = session.embed_incremental(&mut seg, &wm, &marked, &current).unwrap();
         assert!(!inc.full_fallback);
@@ -448,11 +336,11 @@ mod tests {
         let store = ContentStore::in_memory();
         let mut log = VersionLog::new();
         let mut seg = versioned(&rel, &store);
-        session.embed_segmented_sequential(&mut seg, &wm).unwrap();
+        session.embed_segmented(&mut seg, &wm).unwrap();
         let marked_id = log.commit(&mut seg, &store).unwrap();
         let marked = log.get(marked_id).unwrap().clone();
 
-        let full = session.decode_segmented_sequential(&mut seg).unwrap();
+        let full = session.decode_segmented(&mut seg).unwrap();
         let mut cache = VoteCache::new();
         let first = session.decode_incremental(&mut seg, &marked, &mut cache).unwrap();
         assert_eq!(first.report, full, "cold incremental decode diverges");
@@ -475,12 +363,10 @@ mod tests {
         let remarked_id = log.commit(&mut seg, &store).unwrap();
         let remarked = log.get(remarked_id).unwrap().clone();
         let third = session.decode_incremental(&mut seg, &remarked, &mut cache).unwrap();
-        assert_eq!(third.report, session.decode_segmented_sequential(&mut seg).unwrap());
+        assert_eq!(third.report, session.decode_segmented(&mut seg).unwrap());
         assert!(third.cached_segments >= seg.segment_count() - inc.dirty_segments);
         assert!(cache.len() <= seg.segment_count(), "cache retained dead blobs");
-
-        let verdict = session.detect_incremental(&mut seg, &wm, &remarked, &mut cache).unwrap();
-        assert!(verdict.is_significant(1e-3));
+        assert!(detect(&third.report.watermark, &wm).is_significant(1e-3));
     }
 
     #[test]
@@ -489,7 +375,7 @@ mod tests {
         let store = ContentStore::in_memory();
         let mut log = VersionLog::new();
         let mut seg = versioned(&rel, &store);
-        session.embed_segmented_sequential(&mut seg, &wm).unwrap();
+        session.embed_segmented(&mut seg, &wm).unwrap();
         log.commit(&mut seg, &store).unwrap();
 
         // A manifest of the same data under different segmentation.

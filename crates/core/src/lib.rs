@@ -132,7 +132,7 @@ pub use error::CoreError;
 pub use evidence::{verify_evidence, Certified, ClaimSummary, ContestSummary, EvidenceSummary};
 pub use fitness::{FitFacts, FitnessSelector};
 pub use incremental::{IncrementalDecodeReport, IncrementalEmbedReport, VoteCache};
-pub use outofcore::PipelineStats;
+pub use outofcore::{PipelineStats, Walk};
 pub use plan::{MarkPlan, MultiKeyPlan, MultiPlanCache, PlanCache, PlannedRow};
 pub use session::{
     ColumnRef, FingerprintSession, MarkSession, MarkSessionBuilder, MultiAttrSession, Outcome,
@@ -151,6 +151,7 @@ pub(crate) mod testkit {
     use crate::ecc::MajorityVotingEcc;
     use crate::embed::{EmbedReport, Embedder};
     use crate::error::CoreError;
+    use crate::plan::MarkPlan;
     use crate::quality::QualityGuard;
     use crate::spec::{Watermark, WatermarkSpec};
 
@@ -163,7 +164,8 @@ pub(crate) mod testkit {
     ) -> Result<EmbedReport, CoreError> {
         let key_idx = rel.schema().index_of(key_attr)?;
         let attr_idx = rel.schema().index_of(target_attr)?;
-        Embedder::engine(spec).embed_by_idx(rel, key_idx, attr_idx, wm, &MajorityVotingEcc, None)
+        let plan = MarkPlan::build(spec, rel, key_idx);
+        Embedder::engine(spec).embed_with_plan(rel, attr_idx, wm, &MajorityVotingEcc, None, &plan)
     }
 
     pub(crate) fn embed_guarded(
@@ -176,13 +178,14 @@ pub(crate) mod testkit {
     ) -> Result<EmbedReport, CoreError> {
         let key_idx = rel.schema().index_of(key_attr)?;
         let attr_idx = rel.schema().index_of(target_attr)?;
-        Embedder::engine(spec).embed_by_idx(
+        let plan = MarkPlan::build(spec, rel, key_idx);
+        Embedder::engine(spec).embed_with_plan(
             rel,
-            key_idx,
             attr_idx,
             wm,
             &MajorityVotingEcc,
             Some(guard),
+            &plan,
         )
     }
 
@@ -194,6 +197,7 @@ pub(crate) mod testkit {
     ) -> Result<DecodeReport, CoreError> {
         let key_idx = rel.schema().index_of(key_attr)?;
         let attr_idx = rel.schema().index_of(target_attr)?;
-        Decoder::engine(spec).decode_by_idx(rel, key_idx, attr_idx, &MajorityVotingEcc)
+        let plan = MarkPlan::build(spec, rel, key_idx);
+        Decoder::engine(spec).decode_with_plan(rel, attr_idx, &MajorityVotingEcc, &plan)
     }
 }

@@ -1,13 +1,18 @@
-//! Out-of-core watermarking: [`MarkSession`] drivers over a
-//! [`SegmentedRelation`].
+//! Out-of-core watermarking: the segment walk behind every
+//! [`MarkSession`] driver over a [`SegmentedRelation`].
 //!
 //! A relation larger than RAM cannot take the monolithic
-//! embed/decode path — it is never fully resident. These drivers run
-//! the same passes **segment-at-a-time** under the segmented
-//! relation's pager: each segment is paged in (within the configured
-//! resident-byte budget), planned, embedded or vote-counted, and
-//! paged back out, while only small aggregate state (the coverage
-//! bitmap, the per-position vote tallies) crosses segment boundaries.
+//! embed/decode path — it is never fully resident. The segmented,
+//! incremental and certified drivers all run one **segment walk**:
+//! each segment is paged in (within the configured resident-byte
+//! budget), planned, handed to the driver's step — the embed write
+//! pass or a vote tally — and paged back out, while only small
+//! aggregate state (the coverage bitmap, the per-position vote
+//! tallies) crosses segment boundaries. The walk owns what the drivers
+//! share: the binding and manifest checks, the global row base, the
+//! per-segment plan, paging, and the skip rule that leaves clean
+//! segments and vote-cache hits unpaged. A driver supplies its step
+//! and the fold the step feeds.
 //!
 //! # Why streaming is byte-identical
 //!
@@ -27,12 +32,12 @@
 //! Planning only reads the key column, which no pass ever rewrites,
 //! so segment `i + 1`'s plan is computable the moment its bytes are
 //! readable — it does not depend on segment `i`'s outcome. The
-//! pipelined drivers exploit exactly that: a single prefetch worker
+//! pipelined walk exploits exactly that: a single prefetch worker
 //! hashes and plans segment `i + 1` from an **off-pager clone** while
 //! the main thread embeds or vote-counts segment `i`. All mutation,
 //! guard state, reporting, and vote accumulation stay on the main
 //! thread in segment order, so every byte and report matches the
-//! sequential driver exactly.
+//! sequential walk exactly.
 //!
 //! Memory stays bounded: the pager's budget is still enforced as a
 //! hard ceiling on resident segments (`peak_pageable_bytes() <=
@@ -44,16 +49,14 @@
 //! [`PipelineStats::peak_inflight_bytes`] reports the clone's
 //! high-water mark so callers can assert it.
 //!
-//! The `CATMARK_PIPELINE` environment variable overrides dispatch for
-//! the plain `embed_segmented`/`decode_segmented` entry points:
-//! `seq`/`off` forces the sequential reference drivers, `on` forces
-//! the pipeline, and `auto` (the default) pipelines only when the
-//! host has more than one CPU and there is more than one segment.
-//! Both paths are byte-identical; the override is purely about
-//! resource shape.
+//! [`Walk::Auto`], the walk of the plain `embed_segmented` and
+//! `decode_segmented`, pipelines only when the host has more than one
+//! CPU and there is more than one segment. Walks with a skip rule —
+//! the incremental re-mark, the vote-cached and the certified decodes
+//! — stay sequential.
 //!
 //! ```
-//! use catmark_core::{MarkSession, Watermark, WatermarkSpec};
+//! use catmark_core::{detect, MarkSession, Watermark, WatermarkSpec};
 //! use catmark_datagen::{ItemScanConfig, SalesGenerator};
 //! use catmark_relation::SegmentedRelation;
 //!
@@ -83,28 +86,29 @@
 //! let wm = Watermark::from_u64(0b10_0111_0101, 10);
 //! let report = session.embed_segmented(&mut seg, &wm).unwrap();
 //! assert!(report.fit_count() > 0);
-//! let verdict = session.detect_segmented(&mut seg, &wm).unwrap();
-//! assert!(verdict.is_significant(1e-2));
+//! let decoded = session.decode_segmented(&mut seg).unwrap();
+//! assert!(detect(&decoded.watermark, &wm).is_significant(1e-2));
 //! assert!(seg.peak_pageable_bytes() <= rel.resident_bytes() / 4);
 //! # use catmark_core::session::Outcome;
 //! ```
 
+use std::ops::Deref;
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use catmark_relation::{Relation, SegmentedRelation};
+use catmark_relation::{Relation, RelationError, SegmentedRelation, VersionManifest};
 
 use crate::decode::{DecodeReport, Decoder, VoteAccumulator};
-use crate::detect::detect;
-use crate::ecc::{ErrorCorrectingCode, MajorityVotingEcc};
-use crate::embed::{EmbedReport, Embedder};
+use crate::ecc::MajorityVotingEcc;
+use crate::embed::{EmbedFold, EmbedReport, Embedder};
 use crate::error::CoreError;
-use crate::plan::{MarkPlan, PlanCache};
+use crate::incremental::{TallyBinding, VoteCache};
+use crate::plan::{spec_identity, MarkPlan, PlanCache};
 use crate::quality::QualityGuard;
-use crate::session::{MarkSession, Verdict};
-use crate::spec::Watermark;
+use crate::session::MarkSession;
+use crate::spec::{Watermark, WatermarkSpec};
 
-/// Resource counters from one pipelined out-of-core pass.
+/// Resource counters from one segment walk.
 ///
 /// The pipeline's memory contract is `pager budget + one in-flight
 /// segment clone`; [`PipelineStats::peak_inflight_bytes`] is the
@@ -116,198 +120,191 @@ pub struct PipelineStats {
     /// Segments the pass covered.
     pub segments: usize,
     /// Segments whose plan was built ahead by the prefetch worker
-    /// (every segment but the first, unless the worker died).
+    /// (on a pipelined walk every segment but the first, unless the
+    /// worker died).
     pub prefetched: usize,
     /// Largest off-pager segment clone handed to the worker, in
     /// bytes. Zero when nothing was prefetched.
     pub peak_inflight_bytes: usize,
 }
 
-/// How the plain segmented entry points choose between the
-/// sequential reference drivers and the pipelined ones.
+/// How a segmented embed or decode walks its segments. Every walk
+/// gives the same bytes and reports; they differ in resource shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PipelineMode {
-    /// Pipeline when the host has >1 CPU and there are >1 segments.
+pub enum Walk {
+    /// Pipeline when the host has more than one CPU and there is more
+    /// than one segment.
     Auto,
-    /// Always the sequential reference driver.
+    /// Plan and run each segment back to back on the calling thread:
+    /// the reference the pipeline is pinned against.
     Sequential,
-    /// Always the two-stage pipeline.
+    /// Plan each next segment on a prefetch worker while the calling
+    /// thread runs the current one.
     Pipelined,
 }
 
-/// Read `CATMARK_PIPELINE`. Unknown values fall back to auto with a
-/// note on stderr rather than failing a long embed run over an
-/// environment typo.
-fn pipeline_mode() -> PipelineMode {
-    match std::env::var("CATMARK_PIPELINE") {
-        Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "seq" | "sequential" | "off" | "0" => PipelineMode::Sequential,
-            "on" | "pipeline" | "pipelined" | "1" => PipelineMode::Pipelined,
-            "" | "auto" => PipelineMode::Auto,
-            other => {
-                eprintln!("catmark: unknown CATMARK_PIPELINE value {other:?}; using auto");
-                PipelineMode::Auto
-            }
-        },
-        Err(_) => PipelineMode::Auto,
+/// A driver's work on the segments its walk visits.
+trait Step {
+    /// The resident segment as `run` takes it: shared for vote
+    /// tallies, exclusive for the embed pass (a writable page-in marks
+    /// the segment dirty, so the pager re-serializes it on eviction).
+    type Segment<'a>: Deref<Target = Relation>;
+
+    /// Page segment `i` in and run `f` on it.
+    fn page<R>(
+        seg: &mut SegmentedRelation,
+        i: usize,
+        f: impl FnOnce(Self::Segment<'_>) -> R,
+    ) -> Result<R, RelationError>;
+
+    /// The skip rule: settle segment `i` without paging it in and
+    /// return `true`.
+    fn skip(&mut self, _i: usize) -> bool {
+        false
+    }
+
+    /// Run over resident segment `i`, whose first global row is `base`.
+    fn run(
+        &mut self,
+        rel: Self::Segment<'_>,
+        plan: &MarkPlan,
+        i: usize,
+        base: usize,
+    ) -> Result<(), CoreError>;
+}
+
+/// The embed step: the write pass over each segment the walk pages in,
+/// folded into one report. Given the ascending `dirty` segments of an
+/// incremental re-mark, it skips the rest — they already hold their
+/// marked bytes.
+struct EmbedStep<'a> {
+    engine: Embedder<'a>,
+    attr_idx: usize,
+    wm_data: Vec<bool>,
+    guard: Option<&'a mut QualityGuard>,
+    dirty: Option<Vec<usize>>,
+    fold: EmbedFold,
+}
+
+impl Step for EmbedStep<'_> {
+    type Segment<'a> = &'a mut Relation;
+
+    fn page<R>(
+        seg: &mut SegmentedRelation,
+        i: usize,
+        f: impl FnOnce(Self::Segment<'_>) -> R,
+    ) -> Result<R, RelationError> {
+        seg.with_segment_mut(i, |rel| f(rel))
+    }
+
+    fn skip(&mut self, i: usize) -> bool {
+        self.dirty.as_ref().is_some_and(|dirty| dirty.binary_search(&i).is_err())
+    }
+
+    fn run(
+        &mut self,
+        rel: &mut Relation,
+        plan: &MarkPlan,
+        _: usize,
+        base: usize,
+    ) -> Result<(), CoreError> {
+        let guard = self.guard.as_deref_mut();
+        self.engine.embed_pass(rel, self.attr_idx, &self.wm_data, guard, plan, base, &mut self.fold)
     }
 }
 
-impl MarkSession {
-    /// Verify the bound columns still line up with the segmented
-    /// relation's schema.
-    pub(crate) fn check_segmented(&self, seg: &SegmentedRelation) -> Result<(), CoreError> {
-        self.key().still_bound(seg.schema())?;
-        self.target().still_bound(seg.schema())
-    }
+/// Where a decode walk's per-segment tallies go: merged into the
+/// running votes and — on certified walks, for the evidence bundle —
+/// also kept in segment order.
+pub(crate) struct VoteFold {
+    votes: VoteAccumulator,
+    pub(crate) kept: Option<Vec<VoteAccumulator>>,
+}
 
-    /// Shared embed preamble: binding and length validation, then the
-    /// ECC-expanded `wm_data` both embed drivers consume.
-    pub(crate) fn checked_wm_data(
-        &self,
-        seg: &SegmentedRelation,
-        wm: &Watermark,
-    ) -> Result<Vec<bool>, CoreError> {
-        self.check_segmented(seg)?;
-        let spec = self.spec();
-        if wm.len() != spec.wm_len {
-            return Err(CoreError::InvalidSpec(format!(
-                "watermark has {} bits but the spec declares {}",
-                wm.len(),
-                spec.wm_len
-            )));
-        }
-        Ok(MajorityVotingEcc.encode(wm, spec.wm_data_len))
-    }
-
-    /// Whether per-segment plans should go through the session's
-    /// [`PlanCache`]: embedding never touches the key column, so an
-    /// embed → decode round trip can reuse every segment's plan —
-    /// halving the keyed-hash work — as long as the cache can
-    /// actually hold them. Past half the cache capacity the reset
-    /// policy would churn instead of hit, so large segment counts
-    /// build plans directly.
-    pub(crate) fn segment_plans_cacheable(seg: &SegmentedRelation) -> bool {
-        seg.segment_count() <= PlanCache::CAPACITY / 2
-    }
-
-    /// The plan for one resident segment, cached when sensible.
-    pub(crate) fn segment_plan(
-        &self,
-        rel: &Relation,
-        key_idx: usize,
-        cacheable: bool,
-    ) -> Result<Arc<MarkPlan>, CoreError> {
-        if cacheable {
-            self.cache().plan_for(self.spec(), rel, key_idx)
-        } else {
-            Ok(Arc::new(MarkPlan::build(self.spec(), rel, key_idx)))
+impl VoteFold {
+    fn add(&mut self, tally: &VoteAccumulator) {
+        self.votes.merge(tally);
+        if let Some(kept) = &mut self.kept {
+            kept.push(tally.clone());
         }
     }
+}
 
-    /// Whether the plain entry points should pipeline this relation.
-    fn pipeline_enabled(seg: &SegmentedRelation) -> bool {
-        match pipeline_mode() {
-            PipelineMode::Sequential => false,
-            PipelineMode::Pipelined => true,
-            PipelineMode::Auto => {
-                seg.segment_count() > 1
-                    && std::thread::available_parallelism().map_or(1, std::num::NonZero::get) > 1
-            }
-        }
+/// The tally step: count each paged-in segment's votes and fold them.
+/// Over a vote cache, the skip rule folds a blob this binding tallied
+/// before straight from the cache — by reference, never paged in —
+/// and fresh tallies go into the cache.
+pub(crate) struct TallyStep<'a> {
+    spec: &'a WatermarkSpec,
+    attr_idx: usize,
+    cache: Option<(&'a VersionManifest, &'a mut VoteCache, TallyBinding)>,
+    pub(crate) fold: VoteFold,
+    /// Segments tallied fresh.
+    pub(crate) accumulated: usize,
+    /// Segments folded from the cache.
+    pub(crate) cached: usize,
+}
+
+impl TallyStep<'_> {
+    /// Resolve the folded votes exactly as a monolithic decode does.
+    pub(crate) fn resolve(&self) -> Result<DecodeReport, CoreError> {
+        Decoder::engine(self.spec).resolve(&MajorityVotingEcc, &self.fold.votes)
     }
+}
 
-    /// The two-stage pipeline skeleton both pipelined drivers share:
-    /// a prefetch worker plans segment `i + 1` from an off-pager
-    /// clone while the main thread runs `step` (embed or vote
-    /// accumulation) over segment `i` with segment `i`'s plan and
-    /// first global row index.
-    ///
-    /// Correctness leans on two invariants. First, a plan reads only
-    /// the key column, which no pass rewrites, so the clone taken
-    /// *before* segment `i` is mutated still plans segment `i + 1`
-    /// exactly. Second, plan-cache keys are content fingerprints, so
-    /// the worker populates the same entries the sequential driver
-    /// would. The clone channel is a rendezvous (capacity 0): the
-    /// hand-off of clone `i + 1` only completes after the worker has
-    /// finished (and dropped) clone `i`, bounding off-pager memory to
-    /// one segment.
-    fn run_pipelined(
-        &self,
+impl Step for TallyStep<'_> {
+    type Segment<'a> = &'a Relation;
+
+    fn page<R>(
         seg: &mut SegmentedRelation,
-        mut step: impl FnMut(&mut SegmentedRelation, usize, usize, &MarkPlan) -> Result<(), CoreError>,
-    ) -> Result<PipelineStats, CoreError> {
-        let key_idx = self.key().index();
-        let cacheable = Self::segment_plans_cacheable(seg);
-        let n = seg.segment_count();
-        let mut stats = PipelineStats { segments: n, ..PipelineStats::default() };
-        if n <= 1 {
-            // Nothing to overlap; skip the worker entirely.
-            for i in 0..n {
-                let plan = seg
-                    .with_segment(i, |rel| self.segment_plan(rel, key_idx, cacheable))
-                    .map_err(CoreError::Relation)??;
-                step(seg, i, 0, &plan)?;
-            }
-            return Ok(stats);
-        }
-        std::thread::scope(|scope| -> Result<(), CoreError> {
-            let (clone_tx, clone_rx) = mpsc::sync_channel::<Relation>(0);
-            let (plan_tx, plan_rx) = mpsc::sync_channel::<Result<Arc<MarkPlan>, CoreError>>(1);
-            scope.spawn(move || {
-                while let Ok(rel) = clone_rx.recv() {
-                    let plan = self.segment_plan(&rel, key_idx, cacheable);
-                    // Release the clone before signalling readiness for
-                    // the next one — this is what keeps the in-flight
-                    // bound at a single segment.
-                    drop(rel);
-                    if plan_tx.send(plan).is_err() {
-                        break; // the driver hung up (error path)
-                    }
-                }
-            });
-            let mut base = 0usize;
-            for i in 0..n {
-                if i + 1 < n {
-                    let clone =
-                        seg.with_segment(i + 1, Relation::clone).map_err(CoreError::Relation)?;
-                    stats.peak_inflight_bytes =
-                        stats.peak_inflight_bytes.max(clone.resident_bytes());
-                    if clone_tx.send(clone).is_ok() {
-                        stats.prefetched += 1;
-                    }
-                }
-                let rows = seg.segment_len(i);
-                let plan = if i == 0 {
-                    // No plan is in flight yet; the first segment is
-                    // planned inline while the worker starts on the
-                    // second.
-                    seg.with_segment(0, |rel| self.segment_plan(rel, key_idx, cacheable))
-                        .map_err(CoreError::Relation)??
-                } else {
-                    // The worker only stops after this side hangs up,
-                    // so a closed channel here means it panicked;
-                    // propagate (the scope re-raises its panic too).
-                    plan_rx.recv().expect("plan prefetch worker disconnected")?
-                };
-                step(seg, i, base, &plan)?;
-                base += rows;
-            }
-            drop(clone_tx); // stop the worker; the scope joins it
-            Ok(())
-        })?;
-        Ok(stats)
+        i: usize,
+        f: impl FnOnce(Self::Segment<'_>) -> R,
+    ) -> Result<R, RelationError> {
+        seg.with_segment(i, |rel| f(rel))
     }
 
+    fn skip(&mut self, i: usize) -> bool {
+        let Some((manifest, cache, binding)) = &mut self.cache else {
+            return false;
+        };
+        let Some(tally) = cache.lookup(*binding, &manifest.segments[i].hash) else {
+            return false;
+        };
+        self.fold.add(tally);
+        self.cached += 1;
+        true
+    }
+
+    fn run(
+        &mut self,
+        rel: &Relation,
+        plan: &MarkPlan,
+        i: usize,
+        _: usize,
+    ) -> Result<(), CoreError> {
+        let mut tally = VoteAccumulator::new(self.spec.wm_data_len);
+        tally.accumulate(self.spec, rel, self.attr_idx, plan);
+        self.fold.add(&tally);
+        self.accumulated += 1;
+        if let Some((manifest, cache, binding)) = &mut self.cache {
+            cache.insert(*binding, manifest.segments[i].hash, tally);
+        }
+        Ok(())
+    }
+}
+
+/// The walking thread's ends of the prefetch worker's channels.
+struct Prefetch<'s> {
+    clones: mpsc::SyncSender<Relation>,
+    plans: mpsc::Receiver<Result<Arc<MarkPlan>, CoreError>>,
+    stats: &'s mut PipelineStats,
+}
+
+impl MarkSession {
     /// [`MarkSession::embed`] over a [`SegmentedRelation`]: segments
     /// are paged in one at a time, planned, and rewritten in place
     /// under the relation's resident-byte budget. Byte-identical to
     /// embedding the materialized relation in memory.
-    ///
-    /// Dispatches between [`MarkSession::embed_segmented_sequential`]
-    /// and [`MarkSession::embed_segmented_pipelined`] per the
-    /// `CATMARK_PIPELINE` policy (see the module docs); both produce
-    /// identical bytes and reports.
     ///
     /// # Errors
     ///
@@ -318,298 +315,247 @@ impl MarkSession {
         seg: &mut SegmentedRelation,
         wm: &Watermark,
     ) -> Result<EmbedReport, CoreError> {
-        if Self::pipeline_enabled(seg) {
-            self.embed_pipelined_inner(seg, wm, None).map(|(report, _)| report)
-        } else {
-            self.embed_sequential_inner(seg, wm, None)
-        }
+        self.embed_segmented_with(seg, wm, None, Walk::Auto).map(|(report, _)| report)
     }
 
-    /// [`MarkSession::embed_guarded`] over a [`SegmentedRelation`]:
-    /// the guard's state persists across segments and proposals
-    /// arrive in ascending global row order, so admit/veto decisions
-    /// match a monolithic guarded pass. Dispatches like
-    /// [`MarkSession::embed_segmented`]; the guard always runs on the
-    /// driving thread in segment order, pipelined or not.
+    /// [`MarkSession::embed_segmented`] over a chosen [`Walk`], gated
+    /// by `guard` when one is given, plus the walk's resource
+    /// counters. The guard's state persists across segments and it
+    /// sees proposals on the calling thread in ascending global row
+    /// order, so its admit/veto decisions match a monolithic
+    /// [`MarkSession::embed_guarded`] on every walk.
     ///
     /// # Errors
     ///
     /// As [`MarkSession::embed_segmented`].
-    pub fn embed_guarded_segmented(
+    pub fn embed_segmented_with(
         &self,
         seg: &mut SegmentedRelation,
         wm: &Watermark,
-        guard: &mut QualityGuard,
-    ) -> Result<EmbedReport, CoreError> {
-        if Self::pipeline_enabled(seg) {
-            self.embed_pipelined_inner(seg, wm, Some(guard)).map(|(report, _)| report)
-        } else {
-            self.embed_sequential_inner(seg, wm, Some(guard))
-        }
-    }
-
-    /// The sequential reference embed driver: plan and embed each
-    /// segment back to back on one thread. Kept public (alongside the
-    /// pipelined form) as the golden reference the pipeline is pinned
-    /// against.
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::embed_segmented`].
-    pub fn embed_segmented_sequential(
-        &self,
-        seg: &mut SegmentedRelation,
-        wm: &Watermark,
-    ) -> Result<EmbedReport, CoreError> {
-        self.embed_sequential_inner(seg, wm, None)
-    }
-
-    /// Sequential reference form of
-    /// [`MarkSession::embed_guarded_segmented`].
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::embed_segmented`].
-    pub fn embed_guarded_segmented_sequential(
-        &self,
-        seg: &mut SegmentedRelation,
-        wm: &Watermark,
-        guard: &mut QualityGuard,
-    ) -> Result<EmbedReport, CoreError> {
-        self.embed_sequential_inner(seg, wm, Some(guard))
-    }
-
-    /// The pipelined embed driver: plans prefetched one segment
-    /// ahead, mutation sequential on this thread. Byte-identical to
-    /// the sequential form.
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::embed_segmented`].
-    pub fn embed_segmented_pipelined(
-        &self,
-        seg: &mut SegmentedRelation,
-        wm: &Watermark,
-    ) -> Result<EmbedReport, CoreError> {
-        self.embed_pipelined_inner(seg, wm, None).map(|(report, _)| report)
-    }
-
-    /// [`MarkSession::embed_segmented_pipelined`] plus the pipeline's
-    /// resource counters, for callers asserting the memory contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::embed_segmented`].
-    pub fn embed_segmented_pipelined_with_stats(
-        &self,
-        seg: &mut SegmentedRelation,
-        wm: &Watermark,
+        guard: Option<&mut QualityGuard>,
+        walk: Walk,
     ) -> Result<(EmbedReport, PipelineStats), CoreError> {
-        self.embed_pipelined_inner(seg, wm, None)
+        self.embed_walk(seg, wm, guard, walk, None, None)
     }
 
-    /// Guarded pipelined embed with resource counters.
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::embed_segmented`].
-    pub fn embed_guarded_segmented_pipelined_with_stats(
-        &self,
-        seg: &mut SegmentedRelation,
-        wm: &Watermark,
-        guard: &mut QualityGuard,
-    ) -> Result<(EmbedReport, PipelineStats), CoreError> {
-        self.embed_pipelined_inner(seg, wm, Some(guard))
-    }
-
-    fn embed_sequential_inner(
-        &self,
-        seg: &mut SegmentedRelation,
-        wm: &Watermark,
-        mut guard: Option<&mut QualityGuard>,
-    ) -> Result<EmbedReport, CoreError> {
-        let wm_data = self.checked_wm_data(seg, wm)?;
-        let spec = self.spec();
-        let key_idx = self.key().index();
-        let attr_idx = self.target().index();
-        let engine = Embedder::engine(spec);
-        let mut report = EmbedReport {
-            total_tuples: seg.len(),
-            fit_tuples: 0,
-            altered: 0,
-            unchanged: 0,
-            vetoed: 0,
-            positions_covered: 0,
-            positions_total: spec.wm_data_len,
-            touched_rows: Vec::new(),
-        };
-        let mut covered = vec![false; spec.wm_data_len];
-        let mut base = 0usize;
-        let cacheable = Self::segment_plans_cacheable(seg);
-        for i in 0..seg.segment_count() {
-            let rows = seg.segment_len(i);
-            let g = guard.as_deref_mut();
-            seg.with_segment_mut(i, |rel| -> Result<(), CoreError> {
-                let plan = self.segment_plan(rel, key_idx, cacheable)?;
-                report.fit_tuples += plan.fit().len();
-                engine.embed_pass(
-                    rel,
-                    attr_idx,
-                    &wm_data,
-                    g,
-                    &plan,
-                    base,
-                    &mut covered,
-                    &mut report,
-                )
-            })
-            .map_err(CoreError::Relation)??;
-            base += rows;
-        }
-        report.positions_covered = covered.iter().filter(|&&c| c).count();
-        Ok(report)
-    }
-
-    fn embed_pipelined_inner(
-        &self,
-        seg: &mut SegmentedRelation,
-        wm: &Watermark,
-        mut guard: Option<&mut QualityGuard>,
-    ) -> Result<(EmbedReport, PipelineStats), CoreError> {
-        let wm_data = self.checked_wm_data(seg, wm)?;
-        let spec = self.spec();
-        let attr_idx = self.target().index();
-        let engine = Embedder::engine(spec);
-        let mut report = EmbedReport {
-            total_tuples: seg.len(),
-            fit_tuples: 0,
-            altered: 0,
-            unchanged: 0,
-            vetoed: 0,
-            positions_covered: 0,
-            positions_total: spec.wm_data_len,
-            touched_rows: Vec::new(),
-        };
-        let mut covered = vec![false; spec.wm_data_len];
-        let stats = self.run_pipelined(seg, |seg, i, base, plan| {
-            report.fit_tuples += plan.fit().len();
-            let g = guard.as_deref_mut();
-            seg.with_segment_mut(i, |rel| {
-                engine.embed_pass(rel, attr_idx, &wm_data, g, plan, base, &mut covered, &mut report)
-            })
-            .map_err(CoreError::Relation)?
-        })?;
-        report.positions_covered = covered.iter().filter(|&&c| c).count();
-        Ok((report, stats))
-    }
-
-    /// [`MarkSession::decode`] over a [`SegmentedRelation`]: one
-    /// vote-accumulation pass per segment, one resolution at the end.
-    /// Byte-identical to decoding the materialized relation.
-    /// Dispatches like [`MarkSession::embed_segmented`].
+    /// [`MarkSession::decode`] over a [`SegmentedRelation`]: one vote
+    /// tally per segment, one resolution at the end. Byte-identical to
+    /// decoding the materialized relation.
     ///
     /// # Errors
     ///
     /// Binding drift, or [`CoreError::Relation`] when paging fails.
     pub fn decode_segmented(&self, seg: &mut SegmentedRelation) -> Result<DecodeReport, CoreError> {
-        if Self::pipeline_enabled(seg) {
-            self.decode_pipelined_inner(seg).map(|(report, _)| report)
-        } else {
-            self.decode_segmented_sequential(seg)
-        }
+        self.decode_segmented_with(seg, Walk::Auto).map(|(report, _)| report)
     }
 
-    /// The sequential reference decode driver.
+    /// [`MarkSession::decode_segmented`] over a chosen [`Walk`], plus
+    /// the walk's resource counters.
     ///
     /// # Errors
     ///
     /// As [`MarkSession::decode_segmented`].
-    pub fn decode_segmented_sequential(
+    pub fn decode_segmented_with(
         &self,
         seg: &mut SegmentedRelation,
-    ) -> Result<DecodeReport, CoreError> {
-        self.check_segmented(seg)?;
+        walk: Walk,
+    ) -> Result<(DecodeReport, PipelineStats), CoreError> {
+        let (tallies, stats) = self.tally_walk(seg, walk, None, false)?;
+        Ok((tallies.resolve()?, stats))
+    }
+
+    /// The embed driver behind every segmented embed: the embed step
+    /// over a walk of `seg`, re-embedding only the `dirty` segments
+    /// when an incremental re-mark names them.
+    pub(crate) fn embed_walk(
+        &self,
+        seg: &mut SegmentedRelation,
+        wm: &Watermark,
+        guard: Option<&mut QualityGuard>,
+        walk: Walk,
+        manifest: Option<&VersionManifest>,
+        dirty: Option<Vec<usize>>,
+    ) -> Result<(EmbedReport, PipelineStats), CoreError> {
+        let engine = Embedder::engine(self.spec());
+        let wm_data = engine.wm_data(wm, &MajorityVotingEcc)?;
+        let (attr_idx, fold) = (self.target().index(), EmbedFold::new(self.spec()));
+        let mut step = EmbedStep { engine, attr_idx, wm_data, guard, dirty, fold };
+        let stats = self.walk(seg, manifest, walk, &mut step)?;
+        Ok((step.fold.finish(), stats))
+    }
+
+    /// The decode driver behind every segmented decode: the tally step
+    /// over a walk of `seg`. Over a `cache`, the walk checks that the
+    /// manifest describes `seg` and the cache is trimmed to the
+    /// manifest afterwards; `certify` keeps every segment's tally.
+    pub(crate) fn tally_walk<'a>(
+        &'a self,
+        seg: &mut SegmentedRelation,
+        walk: Walk,
+        cache: Option<(&'a VersionManifest, &'a mut VoteCache)>,
+        certify: bool,
+    ) -> Result<(TallyStep<'a>, PipelineStats), CoreError> {
         let spec = self.spec();
+        let binding = (spec_identity(spec), self.key().index(), self.target().index());
+        let manifest = cache.as_ref().map(|(manifest, _)| *manifest);
+        let mut step = TallyStep {
+            spec,
+            attr_idx: self.target().index(),
+            cache: cache.map(|(manifest, cache)| (manifest, cache, binding)),
+            fold: VoteFold {
+                votes: VoteAccumulator::new(spec.wm_data_len),
+                kept: certify.then(Vec::new),
+            },
+            accumulated: 0,
+            cached: 0,
+        };
+        let stats = self.walk(seg, manifest, walk, &mut step)?;
+        if let Some((manifest, cache, binding)) = &mut step.cache {
+            cache.retain_manifest(*binding, manifest);
+        }
+        Ok((step, stats))
+    }
+
+    /// The plan for one resident segment, through the session's
+    /// [`PlanCache`] when `cacheable`: embedding never touches the key
+    /// column, so an embed → decode round trip then reuses every
+    /// segment's plan, halving the keyed-hash work.
+    fn segment_plan(&self, rel: &Relation, cacheable: bool) -> Result<Arc<MarkPlan>, CoreError> {
         let key_idx = self.key().index();
-        let attr_idx = self.target().index();
-        let mut votes = VoteAccumulator::new(spec.wm_data_len);
-        let cacheable = Self::segment_plans_cacheable(seg);
-        for i in 0..seg.segment_count() {
-            seg.with_segment(i, |rel| -> Result<(), CoreError> {
-                // Embedding never rewrites the key column, so after an
-                // embed_segmented these lookups hit the cache: the
-                // round trip hashes each key once, as in-memory does.
-                let plan = self.segment_plan(rel, key_idx, cacheable)?;
-                votes.accumulate(spec, rel, attr_idx, &plan);
-                Ok(())
-            })
-            .map_err(CoreError::Relation)??;
+        if cacheable {
+            self.cache().plan_for(self.spec(), rel, key_idx)
+        } else {
+            Ok(Arc::new(MarkPlan::build(self.spec(), rel, key_idx)))
         }
-        Decoder::engine(spec).resolve(&MajorityVotingEcc, votes)
     }
 
-    /// The pipelined decode driver: plans prefetched one segment
-    /// ahead, vote accumulation sequential on this thread.
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::decode_segmented`].
-    pub fn decode_segmented_pipelined(
+    /// The segment walk: check the bindings (and that `manifest`, when
+    /// given, describes `seg`), visit the segments, and report the
+    /// walk's resource counters. The pipelined form runs the same loop
+    /// beside a prefetch worker.
+    fn walk(
         &self,
         seg: &mut SegmentedRelation,
-    ) -> Result<DecodeReport, CoreError> {
-        self.decode_pipelined_inner(seg).map(|(report, _)| report)
-    }
-
-    /// [`MarkSession::decode_segmented_pipelined`] plus the
-    /// pipeline's resource counters.
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::decode_segmented`].
-    pub fn decode_segmented_pipelined_with_stats(
-        &self,
-        seg: &mut SegmentedRelation,
-    ) -> Result<(DecodeReport, PipelineStats), CoreError> {
-        self.decode_pipelined_inner(seg)
-    }
-
-    fn decode_pipelined_inner(
-        &self,
-        seg: &mut SegmentedRelation,
-    ) -> Result<(DecodeReport, PipelineStats), CoreError> {
-        self.check_segmented(seg)?;
-        let spec = self.spec();
-        let attr_idx = self.target().index();
-        let mut votes = VoteAccumulator::new(spec.wm_data_len);
-        let stats = self.run_pipelined(seg, |seg, i, _base, plan| {
-            seg.with_segment(i, |rel| votes.accumulate(spec, rel, attr_idx, plan))
-                .map_err(CoreError::Relation)
+        manifest: Option<&VersionManifest>,
+        walk: Walk,
+        step: &mut impl Step,
+    ) -> Result<PipelineStats, CoreError> {
+        self.key().still_bound(seg.schema())?;
+        self.target().still_bound(seg.schema())?;
+        if let Some(manifest) = manifest {
+            check_manifest(seg, manifest)?;
+        }
+        // Plans go through the session cache only while it holds every
+        // segment's plan with room to spare: an LRU cache cycled by a
+        // scan longer than its capacity evicts each entry before its
+        // reuse and would miss every time.
+        let cacheable = seg.segment_count() <= PlanCache::CAPACITY / 2;
+        let mut stats = PipelineStats { segments: seg.segment_count(), ..PipelineStats::default() };
+        let cpus = || std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        let pipelined = stats.segments > 1
+            && match walk {
+                Walk::Sequential => false,
+                Walk::Pipelined => true,
+                Walk::Auto => cpus() > 1,
+            };
+        if !pipelined {
+            self.visit(seg, step, cacheable, None)?;
+            return Ok(stats);
+        }
+        std::thread::scope(|scope| {
+            // A rendezvous: clone `i + 1` is handed over only once the
+            // worker has dropped clone `i`, so at most one segment
+            // clone is ever in flight.
+            let (clones, clone_rx) = mpsc::sync_channel::<Relation>(0);
+            let (plan_tx, plans) = mpsc::sync_channel(1);
+            scope.spawn(move || {
+                while let Ok(rel) = clone_rx.recv() {
+                    let plan = self.segment_plan(&rel, cacheable);
+                    drop(rel);
+                    if plan_tx.send(plan).is_err() {
+                        break; // the walk hung up (error path)
+                    }
+                }
+            });
+            // Dropping the prefetch ends when `visit` returns stops the
+            // worker; the scope joins it.
+            self.visit(seg, step, cacheable, Some(Prefetch { clones, plans, stats: &mut stats }))
         })?;
-        let report = Decoder::engine(spec).resolve(&MajorityVotingEcc, votes)?;
-        Ok((report, stats))
+        Ok(stats)
     }
 
-    /// [`MarkSession::detect`] over a [`SegmentedRelation`]: the
-    /// streaming blind decode weighed against the claimed mark.
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::decode_segmented`].
-    pub fn detect_segmented(
+    /// The walk's one loop over segment indices, carrying the global
+    /// row base. Sequential walks apply the skip rule and plan each
+    /// segment inside its page-in. Pipelined walks visit every segment
+    /// (the worker plans ahead of any skip decision): they hand
+    /// segment `i + 1` to the worker, then take segment `i`'s plan.
+    fn visit<S: Step>(
         &self,
         seg: &mut SegmentedRelation,
-        claimed: &Watermark,
-    ) -> Result<Verdict, CoreError> {
-        let decode = self.decode_segmented(seg)?;
-        let detection = detect(&decode.watermark, claimed);
-        Ok(Verdict { decode, detection })
+        step: &mut S,
+        cacheable: bool,
+        mut prefetch: Option<Prefetch<'_>>,
+    ) -> Result<(), CoreError> {
+        let mut base = 0;
+        for i in 0..seg.segment_count() {
+            let rows = seg.segment_len(i);
+            if let Some(Prefetch { clones, plans, stats }) = &mut prefetch {
+                if i + 1 < seg.segment_count() {
+                    let clone = seg.with_segment(i + 1, Relation::clone)?;
+                    stats.peak_inflight_bytes =
+                        stats.peak_inflight_bytes.max(clone.resident_bytes());
+                    if clones.send(clone).is_ok() {
+                        stats.prefetched += 1;
+                    }
+                }
+                let plan = if i == 0 {
+                    // Nothing is in flight yet: plan the first segment
+                    // here while the worker starts on the second.
+                    seg.with_segment(0, |rel| self.segment_plan(rel, cacheable))??
+                } else {
+                    // The worker only stops after this side hangs up, so
+                    // a closed channel means it panicked (the scope
+                    // re-raises that panic too).
+                    plans.recv().expect("plan prefetch worker disconnected")?
+                };
+                S::page(seg, i, |rel| step.run(rel, &plan, i, base))??;
+            } else if !step.skip(i) {
+                S::page(seg, i, |rel| {
+                    let plan = self.segment_plan(&rel, cacheable)?;
+                    step.run(rel, &plan, i, base)
+                })??;
+            }
+            base += rows;
+        }
+        Ok(())
+    }
+}
+
+/// Check that `manifest` describes `seg`'s committed geometry — the
+/// cheap invariant a stale or foreign manifest trips over.
+fn check_manifest(seg: &SegmentedRelation, manifest: &VersionManifest) -> Result<(), CoreError> {
+    let matches = manifest.segments.len() == seg.segment_count()
+        && manifest.segments.iter().enumerate().all(|(i, s)| s.rows == seg.segment_len(i) as u64);
+    if matches {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidSpec(format!(
+            "manifest v{} ({} segments, {} rows) does not describe this segmented \
+             relation ({} segments, {} rows); commit the relation and pass the \
+             resulting manifest",
+            manifest.id,
+            manifest.segments.len(),
+            manifest.rows(),
+            seg.segment_count(),
+            seg.len(),
+        )))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::detect;
     use crate::quality::AlterationBudget;
     use catmark_datagen::{ItemScanConfig, SalesGenerator};
     use catmark_relation::Relation;
@@ -650,17 +596,16 @@ mod tests {
 
         let budget = rel.resident_bytes() / 4;
         let mut seg = segmented(&rel, 250, budget);
-        let seg_report = session.embed_segmented_sequential(&mut seg, &wm).unwrap();
+        let (seg_report, _) =
+            session.embed_segmented_with(&mut seg, &wm, None, Walk::Sequential).unwrap();
         assert_eq!(seg_report, mono_report, "embed reports diverge");
-        let seg_decode = session.decode_segmented_sequential(&mut seg).unwrap();
+        let (seg_decode, _) = session.decode_segmented_with(&mut seg, Walk::Sequential).unwrap();
         assert_eq!(seg_decode, mono_decode, "decode reports diverge");
         assert!(seg.peak_pageable_bytes() <= budget, "budget was not honored");
 
         let back = seg.to_relation().unwrap();
         assert!(mono.iter().zip(back.iter()).all(|(a, b)| a == b), "marked bytes diverge");
-
-        let verdict = session.detect_segmented(&mut seg, &wm).unwrap();
-        assert!(verdict.is_significant(1e-3));
+        assert!(detect(&seg_decode.watermark, &wm).is_significant(1e-3));
     }
 
     #[test]
@@ -669,16 +614,17 @@ mod tests {
         let budget = rel.resident_bytes() / 4;
 
         let mut seq = segmented(&rel, 250, budget);
-        let seq_report = session.embed_segmented_sequential(&mut seq, &wm).unwrap();
-        let seq_decode = session.decode_segmented_sequential(&mut seq).unwrap();
+        let (seq_report, _) =
+            session.embed_segmented_with(&mut seq, &wm, None, Walk::Sequential).unwrap();
+        let (seq_decode, _) = session.decode_segmented_with(&mut seq, Walk::Sequential).unwrap();
         let seq_bytes = seq.to_relation().unwrap();
 
         let mut piped = segmented(&rel, 250, budget);
         let (pipe_report, embed_stats) =
-            session.embed_segmented_pipelined_with_stats(&mut piped, &wm).unwrap();
+            session.embed_segmented_with(&mut piped, &wm, None, Walk::Pipelined).unwrap();
         assert_eq!(pipe_report, seq_report, "pipelined embed report diverges");
         let (pipe_decode, decode_stats) =
-            session.decode_segmented_pipelined_with_stats(&mut piped).unwrap();
+            session.decode_segmented_with(&mut piped, Walk::Pipelined).unwrap();
         assert_eq!(pipe_decode, seq_decode, "pipelined decode report diverges");
         let pipe_bytes = piped.to_relation().unwrap();
         assert!(
@@ -714,42 +660,26 @@ mod tests {
 
         let mut seg = segmented(&rel, 177, rel.resident_bytes() / 3);
         let mut seg_guard = QualityGuard::new(vec![Box::new(AlterationBudget::new(40))]);
-        let seg_report =
-            session.embed_guarded_segmented_sequential(&mut seg, &wm, &mut seg_guard).unwrap();
+        let (seg_report, _) = session
+            .embed_segmented_with(&mut seg, &wm, Some(&mut seg_guard), Walk::Sequential)
+            .unwrap();
         assert_eq!(seg_report, mono_report);
         assert_eq!(mono_guard.log().len(), seg_guard.log().len());
         let back = seg.to_relation().unwrap();
         assert!(mono.iter().zip(back.iter()).all(|(a, b)| a == b));
 
-        // Guard decisions are order-sensitive; the pipelined driver
-        // must reproduce them exactly (the guard runs on the driving
-        // thread either way).
+        // Guard decisions are order-sensitive; the pipelined walk must
+        // reproduce them exactly (the guard runs on the driving thread
+        // either way).
         let mut piped = segmented(&rel, 177, rel.resident_bytes() / 3);
         let mut pipe_guard = QualityGuard::new(vec![Box::new(AlterationBudget::new(40))]);
         let (pipe_report, _) = session
-            .embed_guarded_segmented_pipelined_with_stats(&mut piped, &wm, &mut pipe_guard)
+            .embed_segmented_with(&mut piped, &wm, Some(&mut pipe_guard), Walk::Pipelined)
             .unwrap();
         assert_eq!(pipe_report, mono_report);
         assert_eq!(pipe_guard.log().len(), mono_guard.log().len());
         let piped_back = piped.to_relation().unwrap();
         assert!(mono.iter().zip(piped_back.iter()).all(|(a, b)| a == b));
-    }
-
-    #[test]
-    fn pipeline_env_override_is_consulted() {
-        // Every mode is byte-identical, so this pins that each
-        // override value dispatches and completes with the same
-        // report — the env var changes resource shape, never results.
-        let (rel, session, wm) = fixture(600, 8);
-        let mut reference = segmented(&rel, 97, rel.resident_bytes() / 3);
-        let expect = session.embed_segmented_sequential(&mut reference, &wm).unwrap();
-        for mode in ["seq", "on", "auto", " On ", "not-a-mode"] {
-            std::env::set_var("CATMARK_PIPELINE", mode);
-            let mut seg = segmented(&rel, 97, rel.resident_bytes() / 3);
-            let report = session.embed_segmented(&mut seg, &wm).unwrap();
-            assert_eq!(report, expect, "CATMARK_PIPELINE={mode}");
-        }
-        std::env::remove_var("CATMARK_PIPELINE");
     }
 
     #[test]
@@ -761,19 +691,16 @@ mod tests {
             .build()
             .unwrap();
         let mut seg = SegmentedRelation::builder(other).build();
-        assert!(matches!(
-            session.embed_segmented(&mut seg, &wm),
-            Err(CoreError::ColumnBinding { .. })
-        ));
-        assert!(matches!(session.decode_segmented(&mut seg), Err(CoreError::ColumnBinding { .. })));
-        assert!(matches!(
-            session.embed_segmented_pipelined(&mut seg, &wm),
-            Err(CoreError::ColumnBinding { .. })
-        ));
-        assert!(matches!(
-            session.decode_segmented_pipelined(&mut seg),
-            Err(CoreError::ColumnBinding { .. })
-        ));
+        for walk in [Walk::Auto, Walk::Pipelined] {
+            assert!(matches!(
+                session.embed_segmented_with(&mut seg, &wm, None, walk),
+                Err(CoreError::ColumnBinding { .. })
+            ));
+            assert!(matches!(
+                session.decode_segmented_with(&mut seg, walk),
+                Err(CoreError::ColumnBinding { .. })
+            ));
+        }
         let _ = rel;
     }
 
@@ -782,14 +709,12 @@ mod tests {
         let (rel, session, _) = fixture(200, 10);
         let mut seg = segmented(&rel, 64, usize::MAX);
         let short = Watermark::from_u64(1, 3);
-        assert!(matches!(
-            session.embed_segmented(&mut seg, &short),
-            Err(CoreError::InvalidSpec(_))
-        ));
-        assert!(matches!(
-            session.embed_segmented_pipelined(&mut seg, &short),
-            Err(CoreError::InvalidSpec(_))
-        ));
+        for walk in [Walk::Auto, Walk::Pipelined] {
+            assert!(matches!(
+                session.embed_segmented_with(&mut seg, &short, None, walk),
+                Err(CoreError::InvalidSpec(_))
+            ));
+        }
     }
 
     #[test]
@@ -815,7 +740,7 @@ mod tests {
             .unwrap();
         piped.seal_tail().unwrap();
         let (pipe_report, stats) =
-            session.embed_segmented_pipelined_with_stats(&mut piped, &wm).unwrap();
+            session.embed_segmented_with(&mut piped, &wm, None, Walk::Pipelined).unwrap();
         assert_eq!(pipe_report, mono_report);
         assert_eq!(stats.prefetched, piped.segment_count() - 1);
     }

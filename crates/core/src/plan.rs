@@ -654,7 +654,8 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// Distinct plans memoized before the store resets.
+    /// Distinct plans memoized before the least recently used one is
+    /// evicted.
     pub const CAPACITY: usize = 64;
 
     /// Fresh, empty cache.

@@ -87,11 +87,12 @@ pub fn score_run(
 
     let key_idx = suspect.schema().index_of(key_attr)?;
     let suspect_attr_idx = suspect.schema().index_of(target_attr)?;
-    let decode = Decoder::engine(spec).decode_by_idx(
+    let plan = crate::plan::MarkPlan::build(spec, suspect, key_idx);
+    let decode = Decoder::engine(spec).decode_with_plan_trusted(
         suspect,
-        key_idx,
         suspect_attr_idx,
         &crate::ecc::MajorityVotingEcc,
+        &plan,
     )?;
     let detection = detect(&decode.watermark, wm);
     let carrier_survival = if decode.fit_tuples == 0 {

@@ -1432,4 +1432,50 @@ mod tests {
         assert!(service.add_registry(reg).is_err());
         assert_eq!(service.tenants(), ["acme"]);
     }
+
+    #[test]
+    fn detect_at_keeps_vote_tallies_apart_per_key_column() {
+        // One vote cache serves every detect_at on a table, whatever
+        // columns the request binds. A tally depends on the key
+        // column, so a detect_at keyed on `store` after one keyed on
+        // `visit_nbr` must answer exactly as a fresh daemon does.
+        let schema = Schema::builder()
+            .key_attr("visit_nbr", AttrType::Integer)
+            .attr("store", AttrType::Integer)
+            .categorical_attr("item_nbr", AttrType::Integer)
+            .build()
+            .unwrap();
+        let mut rel = Relation::new(schema);
+        for i in 0..600 {
+            let row = [i * 17 + 3, i * 31 % 997, 10_000 + (i * 7) % 40];
+            rel.push(row.iter().map(|&v| Value::Int(v)).collect()).unwrap();
+        }
+        let update = format!(
+            r#"{{"op":"update","name":"sales","key":"production","key_attr":"visit_nbr","attr":"item_nbr","mark":"101101","csv":{}}}"#,
+            Json::Str(render_csv(&rel).unwrap()).to_text()
+        );
+        let answer = |warm_first: bool| {
+            let config = ServiceConfig { segment_rows: 128, ..ServiceConfig::default() };
+            let mut service = two_tenant_service(config);
+            let mut bound = None;
+            service.handle(&mut bound, &request(r#"{"op":"hello","tenant":"acme"}"#));
+            let (first, _) = service.handle(&mut bound, &request(&update));
+            let version = first.get("marked_version").and_then(Json::as_u64).unwrap();
+            let detect_at = |key_attr: &str| {
+                request(&format!(
+                    r#"{{"op":"detect_at","name":"sales","key":"production","key_attr":"{key_attr}","attr":"item_nbr","version":{version},"claim":"101101"}}"#
+                ))
+            };
+            if warm_first {
+                assert_ok(&service.handle(&mut bound, &detect_at("visit_nbr")).0);
+            }
+            let (resp, _) = service.handle(&mut bound, &detect_at("store"));
+            assert_ok(&resp);
+            resp
+        };
+        let (fresh, warm) = (answer(false), answer(true));
+        for field in ["mark", "fit", "votes", "matched_bits", "accumulated_segments"] {
+            assert_eq!(warm.get(field), fresh.get(field), "{field} differs on a warm table");
+        }
+    }
 }

@@ -83,7 +83,10 @@ fn segmented_bundle(gen: &SalesGenerator, base: &Relation, wm: &Watermark) -> Ve
         .unwrap();
     let v = log.commit(&mut seg, &store).unwrap();
     let manifest = log.get(v).unwrap().clone();
-    session.detect_certified_segmented(&mut seg, wm, &manifest).unwrap().bundle
+    session
+        .detect_certified_incremental(&mut seg, wm, &manifest, &mut VoteCache::new())
+        .unwrap()
+        .bundle
 }
 
 fn fixtures() -> &'static Fixtures {

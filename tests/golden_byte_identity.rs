@@ -196,7 +196,7 @@ fn incremental_remark_matches_the_monolithic_path_on_goldens() {
             .store(Box::new(store.clone()))
             .from_relation(&rel)
             .unwrap();
-        session.embed_segmented_sequential(&mut seg, &wm).unwrap();
+        session.embed_segmented(&mut seg, &wm).unwrap();
         let marked = log.commit(&mut seg, &store).unwrap();
 
         // Churn two segments, mirrored row-for-row onto a monolithic

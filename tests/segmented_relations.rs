@@ -8,7 +8,7 @@
 //! quarter of the columnar footprint, with the enforced ceiling
 //! asserted.
 
-use catmark::core::{MarkSession, Watermark, WatermarkSpec};
+use catmark::core::{detect, MarkSession, Walk, Watermark, WatermarkSpec};
 use catmark::relation::spill::FileStore;
 use catmark::relation::{join, ops, Predicate, Relation, SegmentedRelation, Value};
 use catmark::relation::{AttrType, Schema};
@@ -182,12 +182,12 @@ proptest! {
         assert_same(&mono, &seg.to_relation().unwrap(), "marked relation");
     }
 
-    /// The pipelined out-of-core drivers (plan prefetched one segment
-    /// ahead on a worker thread) are byte-identical to the sequential
-    /// reference drivers over random segment sizes, and their memory
-    /// contract holds: the pager's ceiling is unchanged, and the
-    /// pipeline's only addition is a single in-flight segment clone —
-    /// never larger than the largest segment.
+    /// The pipelined segment walk (plan prefetched one segment ahead
+    /// on a worker thread) is byte-identical to the sequential walk
+    /// over random segment sizes, and its memory contract holds: the
+    /// pager's ceiling is unchanged, and the pipeline's only addition
+    /// is a single in-flight segment clone — never larger than the
+    /// largest segment.
     #[test]
     fn pipelined_drivers_match_sequential_segmented(seed in any::<u64>()) {
         let mut next = rng_from(seed);
@@ -197,15 +197,16 @@ proptest! {
         let empty_tail = next().is_multiple_of(2);
 
         let mut seq = segmented(&rel, segment_rows, empty_tail);
-        let seq_report = session.embed_segmented_sequential(&mut seq, &wm).unwrap();
-        let seq_decode = session.decode_segmented_sequential(&mut seq).unwrap();
+        let (seq_report, _) =
+            session.embed_segmented_with(&mut seq, &wm, None, Walk::Sequential).unwrap();
+        let (seq_decode, _) = session.decode_segmented_with(&mut seq, Walk::Sequential).unwrap();
 
         let mut piped = segmented(&rel, segment_rows, empty_tail);
         let (pipe_report, embed_stats) =
-            session.embed_segmented_pipelined_with_stats(&mut piped, &wm).unwrap();
+            session.embed_segmented_with(&mut piped, &wm, None, Walk::Pipelined).unwrap();
         prop_assert_eq!(&pipe_report, &seq_report);
         let (pipe_decode, decode_stats) =
-            session.decode_segmented_pipelined_with_stats(&mut piped).unwrap();
+            session.decode_segmented_with(&mut piped, Walk::Pipelined).unwrap();
         prop_assert_eq!(&pipe_decode, &seq_decode);
         assert_same(
             &seq.to_relation().unwrap(),
@@ -249,9 +250,9 @@ fn out_of_core_round_trip_through_a_file_store() {
     let mut mono = rel.clone();
     session.embed(&mut mono, &wm).unwrap();
     session.embed_segmented(&mut seg, &wm).unwrap();
-    let verdict = session.detect_segmented(&mut seg, &wm).unwrap();
-    assert!(verdict.is_significant(1e-3));
-    assert_eq!(session.decode_segmented(&mut seg).unwrap(), session.decode(&mono).unwrap());
+    let decoded = session.decode_segmented(&mut seg).unwrap();
+    assert!(detect(&decoded.watermark, &wm).is_significant(1e-3));
+    assert_eq!(decoded, session.decode(&mono).unwrap());
     assert!(seg.peak_pageable_bytes() <= budget, "budget not honored via the file store");
     assert!(seg.spilled_bytes() > 0);
     assert_same(&mono, &seg.to_relation().unwrap(), "file-store marked relation");

@@ -232,11 +232,73 @@ fn file_backed_pile_reopens_every_version() {
     let _ = std::fs::remove_file(&pile);
 }
 
+/// A segment's vote tally depends on which columns a session binds as
+/// key and target, not only on the blob and the spec. Two sessions
+/// over one spec — keyed on `k` and on `p`, both targeting `a` — must
+/// not share tallies through one cache: after the `k` session filled
+/// it, the `p` session decodes and certifies exactly what a fresh
+/// cache gives it.
+#[test]
+fn vote_cache_keeps_column_bindings_apart() {
+    use catmark::core::{MarkSession, VoteCache, Watermark, WatermarkSpec};
+    use catmark::relation::CategoricalDomain;
+
+    let schema = Schema::builder()
+        .key_attr("k", AttrType::Integer)
+        .attr("p", AttrType::Integer)
+        .categorical_attr("a", AttrType::Integer)
+        .build()
+        .unwrap();
+    let tuples = 2_000;
+    let mut next = rng_from(0xB17D);
+    let mut rel = Relation::with_capacity(schema, tuples);
+    for i in 0..tuples as i64 {
+        let (p, a) = ((next() % 1_000_000) as i64, (next() % 9) as i64);
+        rel.push(vec![Value::Int(i * 7 + 3), Value::Int(p), Value::Int(a)]).unwrap();
+    }
+    let spec =
+        WatermarkSpec::builder(CategoricalDomain::new((0..9).map(Value::Int).collect()).unwrap())
+            .master_key("column-bindings")
+            .e(4)
+            .wm_len(8)
+            .expected_tuples(tuples)
+            .build()
+            .unwrap();
+    let bind = |key: &str| {
+        MarkSession::builder(spec.clone()).key_column(key).target_column("a").bind(&rel).unwrap()
+    };
+    let (by_k, by_p) = (bind("k"), bind("p"));
+    let wm = Watermark::from_u64(0b1011_0010, 8);
+    by_k.embed(&mut rel, &wm).unwrap();
+
+    let store = ContentStore::in_memory();
+    let mut log = VersionLog::new();
+    let mut seg = versioned(&rel, tuples / 8, false, &store);
+    let v = log.commit(&mut seg, &store).unwrap();
+    let manifest = log.get(v).unwrap().clone();
+
+    let fresh = by_p.decode_incremental(&mut seg, &manifest, &mut VoteCache::new()).unwrap();
+    let mut shared = VoteCache::new();
+    by_k.decode_incremental(&mut seg, &manifest, &mut shared).unwrap();
+    let after_k = by_p.decode_incremental(&mut seg, &manifest, &mut shared).unwrap();
+    assert_eq!(after_k.cached_segments, 0, "the p session reused the k session's tallies");
+    assert_eq!(after_k.report, fresh.report);
+
+    let shared_bundle =
+        by_p.detect_certified_incremental(&mut seg, &wm, &manifest, &mut shared).unwrap().bundle;
+    let fresh_bundle = by_p
+        .detect_certified_incremental(&mut seg, &wm, &manifest, &mut VoteCache::new())
+        .unwrap()
+        .bundle;
+    assert_eq!(shared_bundle, fresh_bundle);
+}
+
 /// Certified detection over a committed version must produce
 /// byte-identical `CMKEVD1` evidence no matter which execution path
-/// walked the data: segmented streaming, the incremental vote cache
-/// (cold and warm), or a monolithic rebuild of the same version. One
-/// (version, key, spec) triple → one bundle.
+/// walked the data: the incremental vote cache cold or warm, or a cold
+/// reopen of the same version from the pile — and the verdict it
+/// carries is the in-memory detect's. One (version, key, spec) triple
+/// → one bundle.
 mod certified_cross_path {
     use catmark::core::evidence::verify_evidence;
     use catmark::core::{MarkSession, VoteCache, Watermark, WatermarkSpec};
@@ -264,8 +326,8 @@ mod certified_cross_path {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Random relation, random mark, random segment geometry
-        /// (including empty trailing segments): the four certified
-        /// paths agree byte-for-byte and the bundle verifies keylessly.
+        /// (including empty trailing segments): the certified paths
+        /// agree byte-for-byte and the bundle verifies keylessly.
         #[test]
         fn certified_bundles_are_path_independent(seed in any::<u64>()) {
             let mut next = rng_from(seed);
@@ -282,8 +344,6 @@ mod certified_cross_path {
             let v = log.commit(&mut seg, &store).unwrap();
             let manifest = log.get(v).unwrap().clone();
 
-            let segmented =
-                session.detect_certified_segmented(&mut seg, &wm, &manifest).unwrap();
             let mut cache = VoteCache::new();
             let cold = session
                 .detect_certified_incremental(&mut seg, &wm, &manifest, &mut cache)
@@ -291,24 +351,21 @@ mod certified_cross_path {
             let warm = session
                 .detect_certified_incremental(&mut seg, &wm, &manifest, &mut cache)
                 .unwrap();
-            let mono = log
-                .open_version(v, rel.schema(), &store, None)
-                .unwrap()
-                .to_relation()
+            let mut reopened = log.open_version(v, rel.schema(), &store, None).unwrap();
+            let reopened_cold = session
+                .detect_certified_incremental(&mut reopened, &wm, &manifest, &mut VoteCache::new())
                 .unwrap();
-            let monolithic = session.detect_certified_version(&mono, &wm, &manifest).unwrap();
+            let mono = reopened.to_relation().unwrap();
 
-            prop_assert_eq!(&segmented.bundle, &cold.bundle, "segmented vs cold incremental");
             prop_assert_eq!(&cold.bundle, &warm.bundle, "cold vs warm incremental");
-            prop_assert_eq!(&segmented.bundle, &monolithic.bundle, "segmented vs monolithic");
+            prop_assert_eq!(&cold.bundle, &reopened_cold.bundle, "live vs reopened version");
 
             // The certified verdict is the fast path's verdict.
             let fast = session.detect(&mono, &wm).unwrap();
-            prop_assert_eq!(&segmented.outcome, &fast);
-            prop_assert_eq!(&monolithic.outcome, &fast);
+            prop_assert_eq!(&cold.outcome, &fast);
 
             // And the bundle stands alone: no relation, no keys.
-            let summary = verify_evidence(&segmented.bundle).unwrap();
+            let summary = verify_evidence(&cold.bundle).unwrap();
             prop_assert_eq!(summary.segments, seg.segment_count());
             prop_assert!(summary.relation.starts_with(&format!("version {v}")));
         }
@@ -332,8 +389,12 @@ mod certified_cross_path {
             let manifest = log.get(v).unwrap().clone();
 
             let bob = session_over(&rel, "bob-key", tuples);
-            let a = alice.detect_certified_segmented(&mut seg, &wm, &manifest).unwrap();
-            let b = bob.detect_certified_segmented(&mut seg, &wm, &manifest).unwrap();
+            let a = alice
+                .detect_certified_incremental(&mut seg, &wm, &manifest, &mut VoteCache::new())
+                .unwrap();
+            let b = bob
+                .detect_certified_incremental(&mut seg, &wm, &manifest, &mut VoteCache::new())
+                .unwrap();
             let sa = verify_evidence(&a.bundle).unwrap();
             let sb = verify_evidence(&b.bundle).unwrap();
             prop_assert!(sa.key_commitment != sb.key_commitment);
