@@ -175,8 +175,7 @@ pub(crate) fn claim_evidence(
     cache: &PlanCache,
 ) -> Result<(ClaimEvidence, VoteAccumulator), CoreError> {
     let plan = cache.plan_for(&claim.spec, rel, key_idx)?;
-    let mut tally = VoteAccumulator::new(claim.spec.wm_data_len);
-    tally.accumulate(&claim.spec, rel, attr_idx, &plan);
+    let tally = VoteAccumulator::of(&claim.spec, rel, attr_idx, &plan);
     let decode = Decoder::engine(&claim.spec).resolve(&MajorityVotingEcc, &tally)?;
     let detection = detect(&decode.watermark, &claim.watermark);
     let voted = decode.positions_observed.max(1);

@@ -173,9 +173,7 @@ impl<'a> Decoder<'a> {
         ecc: &dyn ErrorCorrectingCode,
         plan: &MarkPlan,
     ) -> Result<DecodeReport, CoreError> {
-        let mut votes = VoteAccumulator::new(self.spec.wm_data_len);
-        votes.accumulate(self.spec, rel, attr_idx, plan);
-        self.resolve(ecc, &votes)
+        self.resolve(ecc, &VoteAccumulator::of(self.spec, rel, attr_idx, plan))
     }
 
     /// Turn accumulated per-position vote tallies into a
@@ -248,11 +246,16 @@ impl<'a> Decoder<'a> {
 /// resolved mark).
 #[derive(Debug, Clone)]
 pub(crate) struct VoteAccumulator {
-    ones: Vec<u32>,
-    zeros: Vec<u32>,
-    fit_tuples: usize,
-    votes_cast: usize,
-    foreign_values: usize,
+    /// Per-position one-votes — what the evidence layer serializes.
+    pub(crate) ones: Vec<u32>,
+    /// Per-position zero-votes.
+    pub(crate) zeros: Vec<u32>,
+    /// Fit tuples seen.
+    pub(crate) fit_tuples: usize,
+    /// Votes cast (fit tuples whose value was a domain member).
+    pub(crate) votes_cast: usize,
+    /// Fit tuples whose value fell outside the domain.
+    pub(crate) foreign_values: usize,
 }
 
 impl VoteAccumulator {
@@ -267,41 +270,43 @@ impl VoteAccumulator {
         }
     }
 
-    /// Cast every fit tuple's vote straight off the target column's
-    /// typed storage: integer rows resolve through the domain map,
-    /// text rows through a per-dictionary-entry translation table
-    /// computed once per (segment's) dictionary. `plan` must have
-    /// been built over `rel` (its rows index `rel` locally).
-    pub(crate) fn accumulate(
-        &mut self,
+    /// The tallies of `rel`: every fit tuple's vote cast straight off
+    /// the target column's typed storage — integer rows resolve
+    /// through the domain map, text rows through a per-dictionary-entry
+    /// translation table computed once per (segment's) dictionary.
+    /// `plan` must have been built over `rel` (its rows index `rel`
+    /// locally).
+    pub(crate) fn of(
         spec: &WatermarkSpec,
         rel: &Relation,
         attr_idx: usize,
         plan: &MarkPlan,
-    ) {
+    ) -> Self {
+        let mut votes = VoteAccumulator::new(spec.wm_data_len);
         let rows = plan.fit();
-        self.fit_tuples += rows.len();
+        votes.fit_tuples = rows.len();
         match rel.column(attr_idx) {
             ColumnView::Int(xs) => {
                 for planned in rows {
                     let Some(t) = spec.domain.code_of(&Value::Int(xs[planned.row as usize])) else {
-                        self.foreign_values += 1;
+                        votes.foreign_values += 1;
                         continue;
                     };
-                    self.tally(planned.position as usize, t);
+                    votes.tally(planned.position as usize, t);
                 }
             }
             ColumnView::Text { codes, dict } => {
                 let table = spec.domain.dict_codes(dict);
                 for planned in rows {
                     let Some(t) = table[codes[planned.row as usize] as usize] else {
-                        self.foreign_values += 1;
+                        votes.foreign_values += 1;
                         continue;
                     };
-                    self.tally(planned.position as usize, t);
+                    votes.tally(planned.position as usize, t);
                 }
             }
         }
+        votes
     }
 
     /// Fold `other`'s tallies into these. Votes are commutative
@@ -320,31 +325,6 @@ impl VoteAccumulator {
         self.fit_tuples += other.fit_tuples;
         self.votes_cast += other.votes_cast;
         self.foreign_values += other.foreign_values;
-    }
-
-    /// Per-position one-votes — what the evidence layer serializes.
-    pub(crate) fn ones(&self) -> &[u32] {
-        &self.ones
-    }
-
-    /// Per-position zero-votes.
-    pub(crate) fn zeros(&self) -> &[u32] {
-        &self.zeros
-    }
-
-    /// Fit tuples seen by this accumulator.
-    pub(crate) fn fit_tuples(&self) -> usize {
-        self.fit_tuples
-    }
-
-    /// Votes cast (fit tuples whose value was a domain member).
-    pub(crate) fn votes_cast(&self) -> usize {
-        self.votes_cast
-    }
-
-    /// Fit tuples whose value fell outside the domain.
-    pub(crate) fn foreign_values(&self) -> usize {
-        self.foreign_values
     }
 
     fn tally(&mut self, position: usize, domain_code: u32) {

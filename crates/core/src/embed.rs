@@ -23,8 +23,11 @@
 //! copy and its delta report the same counts by construction.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
-use catmark_relation::{ColumnMut, ColumnView, MarkDelta, MarkDeltaBuilder, Relation, Value};
+use catmark_relation::{
+    ColumnMut, ColumnView, MarkDelta, MarkDeltaBuilder, Relation, TextColumnMut, Value,
+};
 
 use crate::ecc::ErrorCorrectingCode;
 use crate::error::CoreError;
@@ -244,85 +247,22 @@ impl<'a> Embedder<'a> {
         // dictionary codes resolved once per domain value.
         match rel.column_mut(attr_idx).map_err(CoreError::Relation)? {
             ColumnMut::Int(cells) => {
-                let dom = int_domain(self.spec)?;
-                // Reverse map: stored integer → domain code, so the
-                // old value's code is one hash of an `i64` away (a
-                // foreign old value falls back to the value path).
-                // Only guarded passes read it.
-                let dom_code_of: HashMap<i64, u32> = if guard.is_some() {
-                    dom.iter().enumerate().map(|(t, &v)| (v, t as u32)).collect()
-                } else {
-                    HashMap::new()
-                };
-                let code_of = |old: i64| dom_code_of.get(&old).copied();
-                let value_of = Value::Int;
-                let mut sink =
-                    WriteSink { cells, guard, code_of, value_of, attr: attr_idx, row_base };
+                let dom = domain_as(self.spec, "integer", Value::as_int)?;
+                let mut sink = WriteSink::new(cells, &dom, guard, attr_idx, row_base);
                 decide(plan, wm_data, &dom, row_base, fold, &mut sink);
             }
             ColumnMut::Text(mut cells) => {
                 // Intern every domain value up front: the per-row work
                 // is then a pure code compare-and-store.
-                let dom_codes: Result<Vec<u32>, CoreError> = self
-                    .spec
-                    .domain
-                    .values()
-                    .iter()
-                    .map(|v| {
-                        v.as_text().map(|s| cells.intern(s)).ok_or_else(|| {
-                            CoreError::InvalidSpec(format!(
-                                "domain holds {} values but the target column is text",
-                                v.type_name()
-                            ))
-                        })
-                    })
+                let dom: Vec<u32> = domain_as(self.spec, "text", Value::as_text)?
+                    .into_iter()
+                    .map(|s| cells.intern(s))
                     .collect();
-                let dom_codes = dom_codes?;
-                // Reverse map: dictionary code → domain code (None
-                // for dictionary entries outside the domain). Built
-                // after the interning above so every domain value has
-                // its dictionary slot. Only guarded passes read it.
-                let mut dom_code_of: Vec<Option<u32>> =
-                    vec![None; if guard.is_some() { cells.dict().len() } else { 0 }];
-                if guard.is_some() {
-                    for (t, &c) in dom_codes.iter().enumerate() {
-                        dom_code_of[c as usize] = Some(t as u32);
-                    }
-                }
-                let code_of = |old: u32| dom_code_of[old as usize];
-                let (cells, dict) = cells.into_parts();
-                let value_of = |code: u32| Value::Text(dict.get(code).to_owned());
-                let mut sink =
-                    WriteSink { cells, guard, code_of, value_of, attr: attr_idx, row_base };
-                decide(plan, wm_data, &dom_codes, row_base, fold, &mut sink);
+                let mut sink = WriteSink::new(cells, &dom, guard, attr_idx, row_base);
+                decide(plan, wm_data, &dom, row_base, fold, &mut sink);
             }
         }
         Ok(())
-    }
-
-    /// Delta extraction over a precomputed plan: the same decisions as
-    /// [`Embedder::embed_with_plan`] on a clone of `rel`, emitted as a
-    /// [`MarkDelta`] without ever materializing the clone —
-    /// `base.apply_delta(&delta)` rebuilds the copy byte-identically
-    /// (pinned by proptest and golden). The resolved domain `table`
-    /// depends only on `(domain values, target column)` — never on the
-    /// spec's keys — so batch producers (one table, a thousand
-    /// recipients) build it once with [`Embedder::delta_domain_table`]
-    /// and reuse it across every per-recipient extraction over `rel`.
-    pub(crate) fn extract_delta_with_table(
-        &self,
-        rel: &Relation,
-        attr_idx: usize,
-        wm: &Watermark,
-        ecc: &dyn ErrorCorrectingCode,
-        plan: &MarkPlan,
-        table: &DeltaDomainTable,
-    ) -> Result<(MarkDelta, EmbedReport), CoreError> {
-        let wm_data = self.wm_data(wm, ecc)?;
-        let mut fold = EmbedFold::new(self.spec);
-        let delta =
-            self.extract_delta_pass_with_table(rel, attr_idx, &wm_data, plan, 0, &mut fold, table)?;
-        Ok((delta, fold.finish()))
     }
 
     /// Resolve the spec's domain against `rel`'s target column once:
@@ -355,7 +295,9 @@ impl<'a> Embedder<'a> {
             )));
         }
         match rel.column(attr_idx) {
-            ColumnView::Int(_) => Ok(DeltaDomainTable::Int(int_domain(self.spec)?)),
+            ColumnView::Int(_) => {
+                Ok(DeltaDomainTable::Int(domain_as(self.spec, "integer", Value::as_int)?))
+            }
             ColumnView::Text { dict, .. } => {
                 // Virtual interning: resolve each domain value to its
                 // base code, or to the extension code `tc.intern`
@@ -364,13 +306,7 @@ impl<'a> Embedder<'a> {
                 let mut foreign: HashMap<&str, u32> = HashMap::new();
                 let mut extension: Vec<String> = Vec::new();
                 let mut dom_codes = Vec::with_capacity(self.spec.domain.values().len());
-                for v in self.spec.domain.values() {
-                    let s = v.as_text().ok_or_else(|| {
-                        CoreError::InvalidSpec(format!(
-                            "domain holds {} values but the target column is text",
-                            v.type_name()
-                        ))
-                    })?;
+                for s in domain_as(self.spec, "text", Value::as_text)? {
                     let code = match dict.code_of(s) {
                         Some(code) => code,
                         None => *foreign.entry(s).or_insert_with(|| {
@@ -387,13 +323,16 @@ impl<'a> Embedder<'a> {
 
     /// The patch pass: the fit-decision loop over one relation (or one
     /// segment, with `row_base` its first global row) into the patch
-    /// sink. For text columns the write pass interns every domain
-    /// value up front; `table` reproduces that interning *virtually* —
-    /// domain values absent from the base dictionary become
-    /// dictionary-extension entries in domain order, occupying the
-    /// codes interning would have assigned — which is what makes the
-    /// rebuilt copy's dictionary byte-identical, down to entries no
-    /// row references.
+    /// sink — the same decisions as [`Embedder::embed_pass`] on a clone
+    /// of `rel`, emitted as a [`MarkDelta`] without ever materializing
+    /// the clone; `base.apply_delta(&delta)` rebuilds the copy
+    /// byte-identically (pinned by proptest and golden). For text
+    /// columns the write pass interns every domain value up front;
+    /// `table` reproduces that interning *virtually* — domain values
+    /// absent from the base dictionary become dictionary-extension
+    /// entries in domain order, occupying the codes interning would
+    /// have assigned — which is what makes the rebuilt copy's
+    /// dictionary byte-identical, down to entries no row references.
     ///
     /// `table` must have been built by [`Embedder::delta_domain_table`]
     /// against this same `rel` and `attr_idx` (same column type, same
@@ -401,7 +340,7 @@ impl<'a> Embedder<'a> {
     /// hot loop builds it once per `(column, domain)` and reuses it
     /// for every recipient.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn extract_delta_pass_with_table(
+    pub(crate) fn delta_pass(
         &self,
         rel: &Relation,
         attr_idx: usize,
@@ -493,48 +432,99 @@ fn decide<C: Copy + PartialEq>(
     }
 }
 
+/// A writable target column: raw integers, or dictionary codes stored
+/// through [`TextColumnMut::set`].
+trait Cells<C> {
+    fn get(&self, row: usize) -> C;
+
+    fn set(&mut self, row: usize, cell: C);
+
+    /// The value `cell` stands for, for a guard's value-space proposal.
+    fn value(&self, cell: C) -> Value;
+}
+
+impl Cells<i64> for &mut [i64] {
+    fn get(&self, row: usize) -> i64 {
+        self[row]
+    }
+
+    fn set(&mut self, row: usize, cell: i64) {
+        self[row] = cell;
+    }
+
+    fn value(&self, cell: i64) -> Value {
+        Value::Int(cell)
+    }
+}
+
+impl Cells<u32> for TextColumnMut<'_> {
+    fn get(&self, row: usize) -> u32 {
+        self.code(row)
+    }
+
+    fn set(&mut self, row: usize, cell: u32) {
+        TextColumnMut::set(self, row, cell);
+    }
+
+    fn value(&self, cell: u32) -> Value {
+        Value::Text(self.dict().get(cell).to_owned())
+    }
+}
+
 /// The write sink: stores each alteration into the target column,
 /// asking the guard first when there is one. The guard judges in code
-/// space; an old value outside the domain (no `code_of`) falls back to
-/// a value-space proposal.
-struct WriteSink<'c, 'g, C, F, V> {
-    cells: &'c mut [C],
+/// space; an old value outside the domain (not in `code_of`) falls back
+/// to a value-space proposal.
+struct WriteSink<'g, C, W> {
+    cells: W,
     guard: Option<&'g mut QualityGuard>,
-    code_of: F,
-    value_of: V,
+    /// Stored cell → domain code. Only guarded passes fill it.
+    code_of: HashMap<C, u32>,
     attr: usize,
     row_base: usize,
 }
 
-impl<C, F, V> Sink<C> for WriteSink<'_, '_, C, F, V>
-where
-    C: Copy,
-    F: Fn(C) -> Option<u32>,
-    V: Fn(C) -> Value,
-{
+impl<'g, C: Copy + Eq + Hash, W: Cells<C>> WriteSink<'g, C, W> {
+    /// `dom` maps each domain code to its cell (after any interning).
+    fn new(
+        cells: W,
+        dom: &[C],
+        guard: Option<&'g mut QualityGuard>,
+        attr: usize,
+        row_base: usize,
+    ) -> Self {
+        let code_of = match guard {
+            Some(_) => dom.iter().enumerate().map(|(t, &c)| (c, t as u32)).collect(),
+            None => HashMap::new(),
+        };
+        WriteSink { cells, guard, code_of, attr, row_base }
+    }
+}
+
+impl<C: Copy + Eq + Hash, W: Cells<C>> Sink<C> for WriteSink<'_, C, W> {
     fn cell(&self, row: usize) -> C {
-        self.cells[row]
+        self.cells.get(row)
     }
 
     fn alter(&mut self, row: usize, old: C, new: C, t: u32) -> bool {
         if let Some(g) = self.guard.as_deref_mut() {
             let (global, attr) = (self.row_base + row, self.attr);
-            let admitted = match (self.code_of)(old) {
-                Some(code) => {
+            let admitted = match self.code_of.get(&old) {
+                Some(&code) => {
                     g.propose_coded(CodedAlteration { row: global, attr, old: code, new: t })
                 }
                 None => g.propose(Alteration {
                     row: global,
                     attr,
-                    old: (self.value_of)(old),
-                    new: (self.value_of)(new),
+                    old: self.cells.value(old),
+                    new: self.cells.value(new),
                 }),
             };
             if !admitted {
                 return false;
             }
         }
-        self.cells[row] = new;
+        self.cells.set(row, new);
         true
     }
 }
@@ -581,21 +571,20 @@ pub(crate) enum DeltaDomainTable {
     },
 }
 
-/// The spec's domain as raw integers, for writing straight into an
-/// integer column.
-fn int_domain(spec: &WatermarkSpec) -> Result<Vec<i64>, CoreError> {
-    spec.domain
-        .values()
-        .iter()
-        .map(|v| {
-            v.as_int().ok_or_else(|| {
-                CoreError::InvalidSpec(format!(
-                    "domain holds {} values but the target column is integer",
-                    v.type_name()
-                ))
-            })
-        })
-        .collect()
+/// The spec's domain through `as_t` ([`Value::as_int`] or
+/// [`Value::as_text`]), for a target column of type `column`.
+fn domain_as<'s, T>(
+    spec: &'s WatermarkSpec,
+    column: &str,
+    as_t: impl Fn(&'s Value) -> Option<T>,
+) -> Result<Vec<T>, CoreError> {
+    let type_error = |v: &Value| {
+        let held = v.type_name();
+        CoreError::InvalidSpec(format!(
+            "domain holds {held} values but the target column is {column}"
+        ))
+    };
+    spec.domain.values().iter().map(|v| as_t(v).ok_or_else(|| type_error(v))).collect()
 }
 
 #[cfg(test)]

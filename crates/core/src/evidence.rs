@@ -303,16 +303,17 @@ fn key_commitment(spec: &WatermarkSpec) -> [u8; 32] {
         .expect("sha-256 digests are 32 bytes")
 }
 
-/// Content hash for in-memory runs: SHA-256 over every value's
-/// canonical bytes in row-major order.
-fn whole_relation_hash(rel: &Relation) -> [u8; 32] {
+/// The identity of an in-memory run: the row count plus SHA-256 over
+/// every value's canonical bytes in row-major order.
+fn whole_identity(rel: &Relation) -> RelationIdentity {
     let mut h = HashAlgorithm::Sha256.hasher();
     for tuple in rel.iter() {
         for value in tuple.values() {
             h.update(&value.canonical_bytes());
         }
     }
-    h.finalize_vec().try_into().expect("sha-256 digests are 32 bytes")
+    let hash = h.finalize_vec().try_into().expect("sha-256 digests are 32 bytes");
+    RelationIdentity::Whole { rows: rel.len() as u64, hash }
 }
 
 /// Assemble and frame one bundle.
@@ -324,20 +325,10 @@ fn encode_bundle(
     claim: Option<(&Watermark, &Detection)>,
     contest: Option<&ContestTrace>,
 ) -> Vec<u8> {
-    let identity_bytes = match identity {
-        RelationIdentity::Whole { .. } => 41,
-        RelationIdentity::Versioned { segments, .. } => 13 + 40 * segments.len(),
-    };
-    let tally_bytes = 24 + 8 * spec.wm_data_len;
-    let mut p = Vec::with_capacity(
-        51 + identity_bytes
-            + 4
-            + tallies.len() * tally_bytes
-            + spec.wm_data_len
-            + 12
-            + spec.wm_len
-            + 128,
-    );
+    // An upper bound: per tally its counts plus a segment's identity
+    // entry, the resolved slots and both marks, and slack for the rest.
+    let per_tally = 64 + 8 * spec.wm_data_len;
+    let mut p = Vec::with_capacity(256 + 3 * spec.wm_data_len + tallies.len() * per_tally);
     p.extend_from_slice(&key_commitment(spec));
     p.push(algo_tag(spec.algo));
     push_u64(&mut p, spec.e);
@@ -363,13 +354,13 @@ fn encode_bundle(
     }
     push_u32(&mut p, tallies.len() as u32);
     for tally in tallies {
-        push_u64(&mut p, tally.fit_tuples() as u64);
-        push_u64(&mut p, tally.votes_cast() as u64);
-        push_u64(&mut p, tally.foreign_values() as u64);
-        for &o in tally.ones() {
+        push_u64(&mut p, tally.fit_tuples as u64);
+        push_u64(&mut p, tally.votes_cast as u64);
+        push_u64(&mut p, tally.foreign_values as u64);
+        for &o in &tally.ones {
             push_u32(&mut p, o);
         }
-        for &z in tally.zeros() {
+        for &z in &tally.zeros {
             push_u32(&mut p, z);
         }
     }
@@ -582,13 +573,9 @@ fn parse_bundle(bytes: &[u8]) -> Result<ParsedBundle, CoreError> {
         }
         tallies.push(TallyRecord { fit_tuples, votes_cast, foreign_values, ones, zeros });
     }
-    let mut wm_data = Vec::with_capacity(wm_data_len);
-    for _ in 0..wm_data_len {
-        let slot = r.u8("resolved wm_data")?;
-        if slot > 2 {
-            return Err(invalid(format!("resolved wm_data slot holds {slot}, not 0/1/2")));
-        }
-        wm_data.push(slot);
+    let wm_data = r.take(wm_data_len, "resolved wm_data")?.to_vec();
+    if let Some(slot) = wm_data.iter().find(|&&slot| slot > 2) {
+        return Err(invalid(format!("resolved wm_data slot holds {slot}, not 0/1/2")));
     }
     let positions_observed = r.u32("positions observed")?;
     let positions_erased = r.u32("positions erased")?;
@@ -760,14 +747,12 @@ pub fn verify_evidence(bytes: &[u8]) -> Result<EvidenceSummary, CoreError> {
     // decoded bit; ties fall to the recorded keyed coin.
     for j in 0..b.wm_len {
         let (mut t, mut f_) = (0u64, 0u64);
-        let mut p = j;
-        while p < b.wm_data_len {
-            match b.wm_data[p] {
+        for slot in b.wm_data.iter().skip(j).step_by(b.wm_len) {
+            match slot {
                 1 => t += 1,
                 0 => f_ += 1,
                 _ => {}
             }
-            p += b.wm_len;
         }
         let legal = match t.cmp(&f_) {
             std::cmp::Ordering::Greater => b.decoded[j],
@@ -924,8 +909,14 @@ impl MarkSession {
         claimed: &Watermark,
     ) -> Certified<Verdict> {
         let detection = detect(&decode.watermark, claimed);
-        let claim = Some((claimed, &detection));
-        let bundle = encode_bundle(self.spec(), identity, tallies, &decode, claim, None);
+        let bundle = encode_bundle(
+            self.spec(),
+            identity,
+            tallies,
+            &decode,
+            Some((claimed, &detection)),
+            None,
+        );
         Certified { outcome: Verdict { decode, detection }, bundle }
     }
 
@@ -935,14 +926,10 @@ impl MarkSession {
         &self,
         rel: &Relation,
     ) -> Result<(DecodeReport, VoteAccumulator, RelationIdentity), CoreError> {
-        let spec = self.spec();
         let plan = self.plan(rel)?;
-        let mut tally = VoteAccumulator::new(spec.wm_data_len);
-        tally.accumulate(spec, rel, self.target().index(), &plan);
-        let report = Decoder::engine(spec).resolve(&MajorityVotingEcc, &tally)?;
-        let identity =
-            RelationIdentity::Whole { rows: rel.len() as u64, hash: whole_relation_hash(rel) };
-        Ok((report, tally, identity))
+        let tally = VoteAccumulator::of(self.spec(), rel, self.target().index(), &plan);
+        let report = Decoder::engine(self.spec()).resolve(&MajorityVotingEcc, &tally)?;
+        Ok((report, tally, whole_identity(rel)))
     }
 
     /// Certified [`MarkSession::decode_incremental`], weighed against
@@ -963,7 +950,7 @@ impl MarkSession {
         manifest: &VersionManifest,
         cache: &mut VoteCache,
     ) -> Result<Certified<Verdict>, CoreError> {
-        let (tallies, _) = self.tally_walk(seg, Walk::Sequential, Some((manifest, cache)), true)?;
+        let (tallies, _) = self.tally_walk(seg, Walk::Auto, Some((manifest, cache)), true)?;
         let kept = tallies.fold.kept.as_deref().expect("certified walks keep every tally");
         let segments = manifest.segments.iter().map(|s| (s.hash, s.rows)).collect();
         let identity = RelationIdentity::Versioned { version: manifest.id, segments };
@@ -992,8 +979,7 @@ impl MarkSession {
         let (key_idx, attr_idx) = (self.key().index(), self.target().index());
         let (ev_a, tally_a) = contest::claim_evidence(a, rel, key_idx, attr_idx, self.cache())?;
         let (ev_b, tally_b) = contest::claim_evidence(b, rel, key_idx, attr_idx, self.cache())?;
-        let identity =
-            RelationIdentity::Whole { rows: rel.len() as u64, hash: whole_relation_hash(rel) };
+        let identity = whole_identity(rel);
         let bundle = |claim: &Claim, own: &ClaimEvidence, other: &ClaimEvidence, tally| {
             let present = (own.is_present(alpha), other.is_present(alpha));
             let unanimity = (own.vote_unanimity, other.vote_unanimity);

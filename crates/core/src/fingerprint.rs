@@ -265,18 +265,12 @@ impl FingerprintRegistry {
             None => return Ok(deltas),
         };
         for (entry, plan) in entries.iter().zip(&plans) {
-            let (spec, wm) = (&entry.0, &entry.1);
-            // The cache key already proved content identity, so the
-            // trusted path skips the per-buyer staleness fingerprint.
-            let pair = Embedder::engine(spec).extract_delta_with_table(
-                rel,
-                attr_idx,
-                wm,
-                &MajorityVotingEcc,
-                plan,
-                &table,
-            )?;
-            deltas.push(pair);
+            let (engine, mut fold) = (Embedder::engine(&entry.0), EmbedFold::new(&entry.0));
+            let wm_data = engine.wm_data(&entry.1, &MajorityVotingEcc)?;
+            // The cache key already proved content identity, so there
+            // is no per-buyer staleness fingerprint.
+            let delta = engine.delta_pass(rel, attr_idx, &wm_data, plan, 0, &mut fold, &table)?;
+            deltas.push((delta, fold.finish()));
         }
         Ok(deltas)
     }
@@ -330,16 +324,10 @@ impl FingerprintRegistry {
                 // the segment's own dictionary), shared by all buyers.
                 let table = Embedder::engine(&entries[0].0).delta_domain_table(rel, attr_idx)?;
                 for (b, (entry, plan)) in entries.iter().zip(&plans).enumerate() {
-                    let delta = Embedder::engine(&entry.0).extract_delta_pass_with_table(
-                        rel,
-                        attr_idx,
-                        &wm_data[b],
-                        plan,
-                        base,
-                        &mut folds[b],
-                        &table,
-                    )?;
-                    deltas[b].push(delta);
+                    let (wm_data, fold) = (&wm_data[b], &mut folds[b]);
+                    let engine = Embedder::engine(&entry.0);
+                    deltas[b]
+                        .push(engine.delta_pass(rel, attr_idx, wm_data, plan, base, fold, &table)?);
                 }
                 Ok(())
             })

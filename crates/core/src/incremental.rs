@@ -196,9 +196,8 @@ impl MarkSession {
         // the fallback walks every segment, as the plain driver does.
         let dirty = current.dirty_against(marked);
         let full_fallback = dirty.is_none();
-        let walk = if full_fallback { Walk::Auto } else { Walk::Sequential };
         let visited = dirty.as_ref().map(Vec::len);
-        let (report, _) = self.embed_walk(seg, wm, None, walk, Some(current), dirty)?;
+        let (report, _) = self.embed_walk(seg, wm, None, Walk::Auto, Some(current), dirty)?;
         let dirty_segments = visited.unwrap_or(seg.segment_count());
         Ok(IncrementalEmbedReport {
             report,
@@ -227,8 +226,7 @@ impl MarkSession {
         manifest: &VersionManifest,
         cache: &mut VoteCache,
     ) -> Result<IncrementalDecodeReport, CoreError> {
-        let (tallies, _) =
-            self.tally_walk(seg, Walk::Sequential, Some((manifest, cache)), false)?;
+        let (tallies, _) = self.tally_walk(seg, Walk::Auto, Some((manifest, cache)), false)?;
         Ok(IncrementalDecodeReport {
             report: tallies.resolve()?,
             accumulated_segments: tallies.accumulated,

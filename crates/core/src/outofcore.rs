@@ -157,11 +157,13 @@ trait Step {
         f: impl FnOnce(Self::Segment<'_>) -> R,
     ) -> Result<R, RelationError>;
 
+    /// Whether this step has a skip rule. Such walks stay sequential:
+    /// the prefetch worker would plan segments the rule never pages in.
+    fn skips(&self) -> bool;
+
     /// The skip rule: settle segment `i` without paging it in and
     /// return `true`.
-    fn skip(&mut self, _i: usize) -> bool {
-        false
-    }
+    fn skip(&mut self, i: usize) -> bool;
 
     /// Run over resident segment `i`, whose first global row is `base`.
     fn run(
@@ -195,6 +197,10 @@ impl Step for EmbedStep<'_> {
         f: impl FnOnce(Self::Segment<'_>) -> R,
     ) -> Result<R, RelationError> {
         seg.with_segment_mut(i, |rel| f(rel))
+    }
+
+    fn skips(&self) -> bool {
+        self.dirty.is_some()
     }
 
     fn skip(&mut self, i: usize) -> bool {
@@ -263,6 +269,10 @@ impl Step for TallyStep<'_> {
         seg.with_segment(i, |rel| f(rel))
     }
 
+    fn skips(&self) -> bool {
+        self.cache.is_some()
+    }
+
     fn skip(&mut self, i: usize) -> bool {
         let Some((manifest, cache, binding)) = &mut self.cache else {
             return false;
@@ -282,8 +292,7 @@ impl Step for TallyStep<'_> {
         i: usize,
         _: usize,
     ) -> Result<(), CoreError> {
-        let mut tally = VoteAccumulator::new(self.spec.wm_data_len);
-        tally.accumulate(self.spec, rel, self.attr_idx, plan);
+        let tally = VoteAccumulator::of(self.spec, rel, self.attr_idx, plan);
         self.fold.add(&tally);
         self.accumulated += 1;
         if let Some((manifest, cache, binding)) = &mut self.cache {
@@ -416,19 +425,6 @@ impl MarkSession {
         Ok((step, stats))
     }
 
-    /// The plan for one resident segment, through the session's
-    /// [`PlanCache`] when `cacheable`: embedding never touches the key
-    /// column, so an embed → decode round trip then reuses every
-    /// segment's plan, halving the keyed-hash work.
-    fn segment_plan(&self, rel: &Relation, cacheable: bool) -> Result<Arc<MarkPlan>, CoreError> {
-        let key_idx = self.key().index();
-        if cacheable {
-            self.cache().plan_for(self.spec(), rel, key_idx)
-        } else {
-            Ok(Arc::new(MarkPlan::build(self.spec(), rel, key_idx)))
-        }
-    }
-
     /// The segment walk: check the bindings (and that `manifest`, when
     /// given, describes `seg`), visit the segments, and report the
     /// walk's resource counters. The pipelined form runs the same loop
@@ -445,21 +441,27 @@ impl MarkSession {
         if let Some(manifest) = manifest {
             check_manifest(seg, manifest)?;
         }
-        // Plans go through the session cache only while it holds every
+        // A segment's plan goes through the session cache — embedding
+        // never touches the key column, so an embed → decode round trip
+        // reuses every plan — only while the cache holds every
         // segment's plan with room to spare: an LRU cache cycled by a
         // scan longer than its capacity evicts each entry before its
         // reuse and would miss every time.
         let cacheable = seg.segment_count() <= PlanCache::CAPACITY / 2;
+        let plan_of = &|rel: &Relation| {
+            if cacheable {
+                self.cache().plan_for(self.spec(), rel, self.key().index())
+            } else {
+                Ok(Arc::new(MarkPlan::build(self.spec(), rel, self.key().index())))
+            }
+        };
         let mut stats = PipelineStats { segments: seg.segment_count(), ..PipelineStats::default() };
-        let cpus = || std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        let many_cpus = || std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
         let pipelined = stats.segments > 1
-            && match walk {
-                Walk::Sequential => false,
-                Walk::Pipelined => true,
-                Walk::Auto => cpus() > 1,
-            };
+            && !step.skips()
+            && (walk == Walk::Pipelined || (walk == Walk::Auto && many_cpus()));
         if !pipelined {
-            self.visit(seg, step, cacheable, None)?;
+            visit(seg, step, plan_of, None)?;
             return Ok(stats);
         }
         std::thread::scope(|scope| {
@@ -470,7 +472,7 @@ impl MarkSession {
             let (plan_tx, plans) = mpsc::sync_channel(1);
             scope.spawn(move || {
                 while let Ok(rel) = clone_rx.recv() {
-                    let plan = self.segment_plan(&rel, cacheable);
+                    let plan = plan_of(&rel);
                     drop(rel);
                     if plan_tx.send(plan).is_err() {
                         break; // the walk hung up (error path)
@@ -479,56 +481,54 @@ impl MarkSession {
             });
             // Dropping the prefetch ends when `visit` returns stops the
             // worker; the scope joins it.
-            self.visit(seg, step, cacheable, Some(Prefetch { clones, plans, stats: &mut stats }))
+            visit(seg, step, plan_of, Some(Prefetch { clones, plans, stats: &mut stats }))
         })?;
         Ok(stats)
     }
+}
 
-    /// The walk's one loop over segment indices, carrying the global
-    /// row base. Sequential walks apply the skip rule and plan each
-    /// segment inside its page-in. Pipelined walks visit every segment
-    /// (the worker plans ahead of any skip decision): they hand
-    /// segment `i + 1` to the worker, then take segment `i`'s plan.
-    fn visit<S: Step>(
-        &self,
-        seg: &mut SegmentedRelation,
-        step: &mut S,
-        cacheable: bool,
-        mut prefetch: Option<Prefetch<'_>>,
-    ) -> Result<(), CoreError> {
-        let mut base = 0;
-        for i in 0..seg.segment_count() {
-            let rows = seg.segment_len(i);
-            if let Some(Prefetch { clones, plans, stats }) = &mut prefetch {
-                if i + 1 < seg.segment_count() {
-                    let clone = seg.with_segment(i + 1, Relation::clone)?;
-                    stats.peak_inflight_bytes =
-                        stats.peak_inflight_bytes.max(clone.resident_bytes());
-                    if clones.send(clone).is_ok() {
-                        stats.prefetched += 1;
-                    }
+/// The walk's one loop over segment indices, carrying the global row
+/// base. Sequential walks apply the skip rule and plan each segment
+/// inside its page-in. Pipelined walks (never taken by a step with a
+/// skip rule) hand segment `i + 1` to the worker, then take segment
+/// `i`'s plan.
+fn visit<S: Step>(
+    seg: &mut SegmentedRelation,
+    step: &mut S,
+    plan_of: &impl Fn(&Relation) -> Result<Arc<MarkPlan>, CoreError>,
+    mut prefetch: Option<Prefetch<'_>>,
+) -> Result<(), CoreError> {
+    let mut base = 0;
+    for i in 0..seg.segment_count() {
+        let rows = seg.segment_len(i);
+        if let Some(Prefetch { clones, plans, stats }) = &mut prefetch {
+            if i + 1 < seg.segment_count() {
+                let clone = seg.with_segment(i + 1, Relation::clone)?;
+                stats.peak_inflight_bytes = stats.peak_inflight_bytes.max(clone.resident_bytes());
+                if clones.send(clone).is_ok() {
+                    stats.prefetched += 1;
                 }
-                let plan = if i == 0 {
-                    // Nothing is in flight yet: plan the first segment
-                    // here while the worker starts on the second.
-                    seg.with_segment(0, |rel| self.segment_plan(rel, cacheable))??
-                } else {
-                    // The worker only stops after this side hangs up, so
-                    // a closed channel means it panicked (the scope
-                    // re-raises that panic too).
-                    plans.recv().expect("plan prefetch worker disconnected")?
-                };
-                S::page(seg, i, |rel| step.run(rel, &plan, i, base))??;
-            } else if !step.skip(i) {
-                S::page(seg, i, |rel| {
-                    let plan = self.segment_plan(&rel, cacheable)?;
-                    step.run(rel, &plan, i, base)
-                })??;
             }
-            base += rows;
+            let plan = if i == 0 {
+                // Nothing is in flight yet: plan the first segment here
+                // while the worker starts on the second.
+                seg.with_segment(0, plan_of)??
+            } else {
+                // The worker only stops after this side hangs up, so a
+                // closed channel means it panicked (the scope re-raises
+                // that panic too).
+                plans.recv().expect("plan prefetch worker disconnected")?
+            };
+            S::page(seg, i, |rel| step.run(rel, &plan, i, base))??;
+        } else if !step.skip(i) {
+            S::page(seg, i, |rel| {
+                let plan = plan_of(&rel)?;
+                step.run(rel, &plan, i, base)
+            })??;
         }
-        Ok(())
+        base += rows;
     }
+    Ok(())
 }
 
 /// Check that `manifest` describes `seg`'s committed geometry — the

@@ -497,13 +497,8 @@ impl MarkSession {
     /// Binding drift or attribute-resolution failures.
     pub fn evidence(&self, claim: &Claim, rel: &Relation) -> Result<ClaimEvidence, CoreError> {
         self.check(rel)?;
-        crate::contest::evidence_with_cache(
-            claim,
-            rel,
-            &self.key.name,
-            &self.target.name,
-            &self.cache,
-        )
+        let (key_idx, attr_idx) = (self.key.index, self.target.index);
+        Ok(crate::contest::claim_evidence(claim, rel, key_idx, attr_idx, &self.cache)?.0)
     }
 
     /// Resolve a two-party ownership contest (Section 6's additive

@@ -453,15 +453,6 @@ impl TextColumnMut<'_> {
     }
 }
 
-impl<'a> TextColumnMut<'a> {
-    /// The writable codes beside the dictionary they index, for a
-    /// writer whose codes the dictionary already holds.
-    #[must_use]
-    pub fn into_parts(self) -> (&'a mut [u32], &'a Dictionary) {
-        (self.codes, self.dict)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
