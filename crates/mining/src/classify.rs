@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use catmark_relation::query::dense_codes;
+use catmark_relation::stats::dense_codes;
 use catmark_relation::{Relation, RelationError, Value};
 
 /// A trained categorical classifier: predicts a target attribute from

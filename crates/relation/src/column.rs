@@ -231,13 +231,6 @@ impl Column {
         }
     }
 
-    /// [`Column::gather`] over `u32` row ids — the selection-vector
-    /// form the query engine produces.
-    #[must_use]
-    pub(crate) fn gather_u32(&self, rows: &[u32]) -> Column {
-        self.view().gather_u32(rows)
-    }
-
     /// Keep only rows whose `keep` flag is set.
     pub(crate) fn retain_rows(&mut self, keep: &[bool]) {
         match self {
@@ -363,21 +356,6 @@ impl<'a> ColumnView<'a> {
             ColumnView::Text { codes, dict } => {
                 Column::Text { codes: codes.to_vec(), dict: (*dict).clone() }
             }
-        }
-    }
-
-    /// Gather `rows` (by id, in order) into an owned [`Column`]. Text
-    /// columns carry their dictionary over wholesale — codes stay
-    /// valid, nothing is re-interned — which is what lets the
-    /// code-space join assemble its output by column copies.
-    #[must_use]
-    pub fn gather_u32(&self, rows: &[u32]) -> Column {
-        match self {
-            ColumnView::Int(xs) => Column::Int(rows.iter().map(|&r| xs[r as usize]).collect()),
-            ColumnView::Text { codes, dict } => Column::Text {
-                codes: rows.iter().map(|&r| codes[r as usize]).collect(),
-                dict: (*dict).clone(),
-            },
         }
     }
 }

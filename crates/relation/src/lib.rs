@@ -14,20 +14,14 @@
 //!   ([`relation`]),
 //! * categorical value domains with stable, sortable indexing
 //!   ([`domain`]) — the `{a_1 … a_nA}` sets of the paper,
-//! * selection / projection / sorting / sampling operators ([`ops`]) —
-//!   the raw material of attacks A1/A4/A5,
-//! * joins, grouping and multiset operators ([`join`]) — the queries
-//!   legitimate consumers run, used by quality constraints,
+//! * sampling / projection / sorting / shuffling / union operators
+//!   ([`ops`]) — the raw material of attacks A1/A2/A4/A5,
 //! * occurrence-frequency statistics ([`stats`]) — the
 //!   frequency-transform channel of Section 4.2,
-//! * simple predicates for quality constraints ([`predicate`]) and
-//!   their column-native compiled form ([`query`]) — name resolution,
-//!   literal interning and type folding done once, evaluation over
-//!   flat column slices into reusable selection vectors,
 //! * segmented spill-to-disk storage for relations beyond RAM
 //!   ([`segment`]) — fixed-size columnar segments with segment-local
-//!   dictionaries and shared merge maps, streamed under a resident
-//!   budget through range-addressed byte stores ([`spill`]),
+//!   dictionaries, streamed under a resident budget through
+//!   range-addressed byte stores ([`spill`]),
 //! * content-addressed versioned storage ([`versioned`]) — SHA-256
 //!   keyed blob piles with `CMKVER1` manifest commit logs, so relation
 //!   versions share unchanged segment blobs and any historical version
@@ -61,10 +55,7 @@ pub mod csv;
 pub mod delta;
 pub mod domain;
 pub mod error;
-pub mod join;
 pub mod ops;
-pub mod predicate;
-pub mod query;
 pub mod relation;
 pub mod schema;
 pub mod segment;
@@ -78,8 +69,6 @@ pub use column::{Column, ColumnMut, ColumnView, Dictionary, TextColumnMut};
 pub use delta::{MarkDelta, MarkDeltaBuilder};
 pub use domain::CategoricalDomain;
 pub use error::RelationError;
-pub use predicate::Predicate;
-pub use query::{CompiledPredicate, RowMask, SelectionVector};
 pub use relation::Relation;
 pub use schema::{AttrDef, AttrType, Schema, SchemaBuilder};
 pub use segment::{CacheStats, SegmentedRelation, SegmentedRelationBuilder};

@@ -1,16 +1,16 @@
-//! Relational operators: selection, projection, sampling, sorting,
-//! shuffling and union.
+//! Relational operators: projection, sampling, sorting, shuffling and
+//! union.
 //!
-//! These are the building blocks for both legitimate data use and the
-//! adversary model of Section 2.3 — horizontal partitioning (A1) is a
-//! row sample, vertical partitioning (A5) is a projection, re-sorting
-//! (A4) is a sort or shuffle, subset addition (A2) is a union.
+//! These are the building blocks of the adversary model of Section
+//! 2.3 — horizontal partitioning (A1) is a row sample, vertical
+//! partitioning (A5) is a projection, re-sorting (A4) is a sort or
+//! shuffle, subset addition (A2) is a union.
 //!
 //! All stochastic operators take an explicit seed and use a local
 //! SplitMix64 generator, keeping every experiment reproducible without
 //! pulling an RNG dependency into the substrate.
 
-use crate::{Predicate, Relation, RelationError};
+use crate::{Relation, RelationError};
 
 /// Minimal deterministic PRNG (SplitMix64, public-domain algorithm).
 ///
@@ -85,23 +85,6 @@ pub fn sample_exact(rel: &Relation, count: usize, seed: u64) -> Relation {
     indices.truncate(count);
     indices.sort_unstable(); // preserve original row order
     rel.gather(&indices)
-}
-
-/// Rows satisfying `predicate`, evaluated through the column-native
-/// query engine: the predicate is compiled once (names → column
-/// indices, text literals → dictionary codes), evaluated vectorized
-/// over the column slices, and the surviving rows are gathered by
-/// flat column copies — no per-row tuple is ever materialized.
-///
-/// # Errors
-///
-/// [`RelationError::UnknownAttr`] when the predicate references an
-/// attribute `rel` does not have (reported at compile time, so an
-/// unknown attribute errors even on an empty relation).
-pub fn select(rel: &Relation, predicate: &Predicate) -> Result<Relation, RelationError> {
-    let compiled = crate::CompiledPredicate::compile(predicate, rel)?;
-    let rows = compiled.select(rel).expect("freshly compiled predicate matches its relation");
-    Ok(rel.gather_u32(&rows))
 }
 
 /// Vertical partition: project onto `indices`, with `indices[new_key]`
@@ -318,15 +301,6 @@ mod tests {
             .unwrap();
         let b = Relation::new(other);
         assert!(union(&a, &b).is_err());
-    }
-
-    #[test]
-    fn select_filters_rows() {
-        let rel = sample_relation(30);
-        let pred = Predicate::eq("a", Value::Int(3));
-        let out = select(&rel, &pred).unwrap();
-        assert!(!out.is_empty());
-        assert!(out.column_iter(1).all(|v| v == Value::Int(3)));
     }
 
     #[test]

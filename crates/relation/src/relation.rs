@@ -400,24 +400,6 @@ impl Relation {
         }
     }
 
-    /// [`Relation::gather`] over `u32` row ids — the form produced by
-    /// the query engine's [`crate::SelectionVector`], avoiding a
-    /// widening copy of the selection.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an index is out of bounds.
-    #[must_use]
-    pub fn gather_u32(&self, rows: &[u32]) -> Relation {
-        let columns: Vec<Column> = self.columns.iter().map(|c| c.gather_u32(rows)).collect();
-        Relation {
-            schema: self.schema.clone(),
-            columns,
-            len: rows.len(),
-            key_index: OnceLock::new(),
-        }
-    }
-
     /// Append all rows of `other` (duplicate keys tolerated, first
     /// occurrence indexed). Text codes are remapped through this
     /// relation's dictionaries.

@@ -14,38 +14,25 @@
 //! budget**, evicting least-recently-used segments (re-serializing
 //! them first when dirty).
 //!
-//! # Shared dictionary and merge maps
+//! # Shared dictionaries
 //!
 //! Per text attribute the relation also maintains one small
 //! relation-level [`Dictionary`] that every segment's local entries
-//! are interned into, plus a per-segment **merge map** `local code →
-//! shared code`. Global operators that need one code space across
-//! segments — duplicate elimination, group-bys — translate through
-//! the merge map (a `u32` indexed load per row) instead of
-//! materializing strings, and the shared dictionary stays resident
-//! even when every segment is spilled.
+//! are interned into, in first-seen order. It stays resident even
+//! when every segment is spilled, and [`crate::VersionLog`] persists
+//! it verbatim in `CMKVER1` manifests, so the interning order is part
+//! of the manifest bytes.
 //!
-//! # Segment-at-a-time operators
+//! # Segment-at-a-time access
 //!
-//! The streaming operators ([`SegmentedRelation::select`],
-//! [`SegmentedRelation::hash_join`], [`SegmentedRelation::distinct`],
-//! [`SegmentedRelation::group_count`],
-//! [`SegmentedRelation::group_count_distinct`]) visit one segment at
-//! a time — compile/evaluate/gather per segment, carry only small
-//! aggregate state across segments — and produce output logically
-//! identical to their whole-relation counterparts in [`crate::ops`]
-//! and [`crate::join`]. The out-of-core embed/decode drivers in
-//! `catmark-core` use the same [`SegmentedRelation::with_segment`] /
-//! [`SegmentedRelation::with_segment_mut`] primitives.
+//! The out-of-core embed/decode drivers in `catmark-core` visit one
+//! segment at a time through [`SegmentedRelation::with_segment`] /
+//! [`SegmentedRelation::with_segment_mut`];
+//! [`SegmentedRelation::to_relation`] materializes the whole relation
+//! when a caller needs it in memory.
 
-use std::collections::{HashMap, HashSet};
-
-use crate::join::GroupCount;
 use crate::spill::{encode_segment, read_segment, MemStore, SegmentStore, SpillHandle};
-use crate::{
-    ColumnView, CompiledPredicate, Dictionary, Predicate, Relation, RelationError, Schema,
-    SelectionVector, Value,
-};
+use crate::{ColumnView, Dictionary, Relation, RelationError, Schema, Value};
 
 /// Default rows per segment when the builder does not override it.
 const DEFAULT_SEGMENT_ROWS: usize = 8_192;
@@ -131,7 +118,7 @@ impl SegmentedRelationBuilder {
     /// starts cold (non-resident, clean, sealed) behind its existing
     /// [`SpillHandle`], and the relation-level shared dictionaries are
     /// restored verbatim so shared codes stay stable across reopens.
-    /// Merge maps rebuild lazily as segments page in.
+    /// Segments intern into them again as they page in.
     ///
     /// # Errors
     ///
@@ -160,8 +147,7 @@ impl SegmentedRelationBuilder {
                 sealed: true,
                 content_fp: None,
                 last_touch: 0,
-                merged: vec![0; arity],
-                merge: vec![Vec::new(); arity],
+                interned: vec![0; arity],
             });
             seg.len += rows;
         }
@@ -196,8 +182,8 @@ impl SegmentedRelationBuilder {
 }
 
 /// One segment's bookkeeping: row count, residency, spill handle,
-/// dirtiness, and the per-attribute merge maps into the shared
-/// dictionaries.
+/// dirtiness, and how much of each local dictionary the shared
+/// dictionaries already hold.
 #[derive(Debug)]
 struct Slot {
     rows: usize,
@@ -213,11 +199,9 @@ struct Slot {
     /// mutable pass turned out to be a no-op.
     content_fp: Option<u128>,
     last_touch: u64,
-    /// Per attribute: local dictionary entries already merged into
+    /// Per attribute: local dictionary entries already interned into
     /// the shared dictionary (text attributes only; 0 for integers).
-    merged: Vec<usize>,
-    /// Per attribute: local code → shared code (empty for integers).
-    merge: Vec<Vec<u32>>,
+    interned: Vec<usize>,
 }
 
 /// Hit/miss/eviction counters for a bounded cache — the pager here,
@@ -251,7 +235,7 @@ pub struct SegmentedRelation {
     store: Box<dyn SegmentStore>,
     slots: Vec<Slot>,
     /// Per attribute: the relation-level dictionary text segments
-    /// merge into (`None` for integer attributes).
+    /// intern into (`None` for integer attributes).
     shared: Vec<Option<Dictionary>>,
     len: usize,
     peak_pageable: usize,
@@ -365,7 +349,7 @@ impl SegmentedRelation {
             slot.bytes = rel.resident_bytes();
         }
         self.len += 1;
-        self.refresh_merge(tail);
+        self.intern_shared(tail);
         if self.slots[tail].rows >= self.segment_rows {
             self.seal_slot(tail)?;
         }
@@ -409,8 +393,8 @@ impl SegmentedRelation {
 
     /// Run `f` over segment `seg` as a mutable [`Relation`] (the
     /// out-of-core embed path), marking it dirty — it re-serializes
-    /// on its next eviction — and refreshing its merge maps for any
-    /// newly interned dictionary entries. Sealed segments are
+    /// on its next eviction — and interning any new dictionary
+    /// entries into the shared dictionaries. Sealed segments are
     /// re-compacted afterwards: bulk writers (the embedder interns
     /// the whole domain up front) can leave local dictionaries full
     /// of unreferenced entries, which would otherwise defeat the
@@ -431,14 +415,11 @@ impl SegmentedRelation {
         slot.dirty = true;
         if slot.sealed {
             compact_dictionaries(rel);
-            // Compaction re-codes rows; merge maps must be rebuilt.
-            for (merged, merge) in slot.merged.iter_mut().zip(&mut slot.merge) {
-                *merged = 0;
-                merge.clear();
-            }
+            // Compaction re-codes rows: re-intern from the start.
+            slot.interned.fill(0);
         }
         slot.bytes = rel.resident_bytes();
-        self.refresh_merge(seg);
+        self.intern_shared(seg);
         self.enforce_budget(Some(seg))?;
         self.note_usage();
         Ok(out)
@@ -504,14 +485,6 @@ impl SegmentedRelation {
         self.shared[attr_idx].as_ref()
     }
 
-    /// Segment `seg`'s merge map for text attribute `attr_idx`:
-    /// position `c` holds the shared code of local code `c`.
-    #[must_use]
-    pub fn merge_map(&self, seg: usize, attr_idx: usize) -> Option<&[u32]> {
-        let map = &self.slots[seg].merge[attr_idx];
-        (!map.is_empty() || self.shared[attr_idx].is_some()).then_some(map.as_slice())
-    }
-
     /// Current total resident footprint: the pageable decoded
     /// segments plus the always-resident overhead.
     #[must_use]
@@ -526,19 +499,14 @@ impl SegmentedRelation {
         self.slots.iter().filter(|s| s.resident.is_some()).map(|s| s.bytes).sum()
     }
 
-    /// The always-resident, non-pageable state: shared dictionaries,
-    /// merge maps, and slot metadata. O(distinct categorical values +
-    /// segments), independent of how many rows each segment holds.
+    /// The always-resident, non-pageable state: shared dictionaries
+    /// and slot metadata. O(distinct categorical values + segments),
+    /// independent of how many rows each segment holds.
     #[must_use]
     pub fn resident_overhead_bytes(&self) -> usize {
         let shared: usize =
             self.shared.iter().flatten().map(Dictionary::resident_bytes).sum::<usize>();
-        let merge: usize = self
-            .slots
-            .iter()
-            .map(|s| s.merge.iter().map(|m| m.capacity() * 4).sum::<usize>())
-            .sum();
-        shared + merge + self.slots.capacity() * std::mem::size_of::<Slot>()
+        shared + self.slots.capacity() * std::mem::size_of::<Slot>()
     }
 
     /// High-water mark of [`SegmentedRelation::pageable_bytes`]
@@ -592,195 +560,6 @@ impl SegmentedRelation {
     }
 
     // ------------------------------------------------------------------
-    // Streaming operators (segment-at-a-time, logically identical to
-    // their whole-relation counterparts).
-    // ------------------------------------------------------------------
-
-    /// Segment-streaming [`crate::ops::select`]: compile the predicate
-    /// per segment (truth tables index segment-local dictionaries),
-    /// evaluate vectorized into one reused [`SelectionVector`], gather
-    /// survivors, and append.
-    ///
-    /// # Errors
-    ///
-    /// [`RelationError::UnknownAttr`] for unknown attributes (reported
-    /// even when no segment exists), or paging errors.
-    pub fn select(&mut self, predicate: &Predicate) -> Result<Relation, RelationError> {
-        if self.slots.is_empty() {
-            let empty = Relation::new(self.schema.clone());
-            CompiledPredicate::compile(predicate, &empty)?;
-            return Ok(empty);
-        }
-        let mut out = Relation::new(self.schema.clone());
-        let mut sel = SelectionVector::new();
-        for seg in 0..self.slots.len() {
-            let part = self.with_segment(seg, |rel| -> Result<Relation, RelationError> {
-                let compiled = CompiledPredicate::compile(predicate, rel)?;
-                compiled
-                    .select_into(rel, &mut sel)
-                    .expect("freshly compiled predicate matches its segment");
-                Ok(rel.gather_u32(sel.rows()))
-            })??;
-            out.append(&part)?;
-        }
-        Ok(out)
-    }
-
-    /// Segment-streaming [`crate::join::hash_join`] with this relation
-    /// as the probe side: the (in-memory) `right` build side is probed
-    /// one left segment at a time, so only one segment of the probe
-    /// side is ever resident.
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::join::hash_join`], plus paging errors.
-    pub fn hash_join(
-        &mut self,
-        right: &Relation,
-        left_attr: &str,
-        right_attr: &str,
-    ) -> Result<Relation, RelationError> {
-        let empty = Relation::new(self.schema.clone());
-        let mut out = crate::join::hash_join(&empty, right, left_attr, right_attr)?;
-        for seg in 0..self.slots.len() {
-            let part = self.with_segment(seg, |rel| {
-                crate::join::hash_join(rel, right, left_attr, right_attr)
-            })??;
-            out.append(&part)?;
-        }
-        Ok(out)
-    }
-
-    /// Segment-streaming [`crate::join::distinct`]: rows are compared
-    /// in the **shared** code space (integer bits, or the merge-mapped
-    /// shared dictionary code), so the seen-set carried across
-    /// segments is a set of small integer keys, never strings.
-    ///
-    /// # Errors
-    ///
-    /// Paging errors.
-    pub fn distinct(&mut self) -> Result<Relation, RelationError> {
-        let arity = self.schema.arity();
-        let mut seen: HashSet<Box<[u64]>> = HashSet::new();
-        let mut out = Relation::new(self.schema.clone());
-        let mut scratch: Vec<u64> = vec![0; arity];
-        for seg in 0..self.slots.len() {
-            self.make_resident(seg)?;
-            let slot = &self.slots[seg];
-            let rel = slot.resident.as_ref().expect("resident");
-            let mut keep: Vec<u32> = Vec::new();
-            for row in 0..rel.len() {
-                for (attr, slotv) in scratch.iter_mut().enumerate() {
-                    *slotv = match rel.column(attr) {
-                        ColumnView::Int(xs) => xs[row] as u64,
-                        ColumnView::Text { codes, .. } => {
-                            u64::from(slot.merge[attr][codes[row] as usize])
-                        }
-                    };
-                }
-                if !seen.contains(scratch.as_slice()) {
-                    seen.insert(scratch.clone().into_boxed_slice());
-                    keep.push(row as u32);
-                }
-            }
-            let part = rel.gather_u32(&keep);
-            out.append(&part)?;
-        }
-        Ok(out)
-    }
-
-    /// Segment-streaming [`crate::join::group_count`]: counts
-    /// accumulate per shared code (text) or raw value (integer) across
-    /// segments; `Value`s materialize once per distinct group at the
-    /// end.
-    ///
-    /// # Errors
-    ///
-    /// [`RelationError::UnknownAttr`], or paging errors.
-    pub fn group_count(&mut self, attr: &str) -> Result<Vec<GroupCount>, RelationError> {
-        let idx = self.schema.index_of(attr)?;
-        let mut int_counts: HashMap<i64, u64> = HashMap::new();
-        let mut text_counts: Vec<u64> = Vec::new();
-        for seg in 0..self.slots.len() {
-            self.make_resident(seg)?;
-            let slot = &self.slots[seg];
-            let rel = slot.resident.as_ref().expect("resident");
-            match rel.column(idx) {
-                ColumnView::Int(xs) => {
-                    for &x in xs {
-                        *int_counts.entry(x).or_insert(0) += 1;
-                    }
-                }
-                ColumnView::Text { codes, .. } => {
-                    let merge = &slot.merge[idx];
-                    for &c in codes {
-                        let shared = merge[c as usize] as usize;
-                        if shared >= text_counts.len() {
-                            text_counts.resize(shared + 1, 0);
-                        }
-                        text_counts[shared] += 1;
-                    }
-                }
-            }
-        }
-        let mut groups: Vec<GroupCount> = int_counts
-            .into_iter()
-            .map(|(v, count)| GroupCount { value: Value::Int(v), count })
-            .collect();
-        if let Some(dict) = self.shared[idx].as_ref() {
-            groups.extend(text_counts.iter().enumerate().filter(|&(_, &c)| c > 0).map(
-                |(code, &count)| GroupCount {
-                    value: Value::Text(dict.get(code as u32).to_owned()),
-                    count,
-                },
-            ));
-        }
-        groups.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.value.cmp(&b.value)));
-        Ok(groups)
-    }
-
-    /// Segment-streaming [`crate::join::group_count_distinct`]: both
-    /// columns reduce to `u64` keys in the shared code space, and only
-    /// the per-group key sets cross segment boundaries.
-    ///
-    /// # Errors
-    ///
-    /// [`RelationError::UnknownAttr`], or paging errors.
-    pub fn group_count_distinct(
-        &mut self,
-        group_attr: &str,
-        distinct_attr: &str,
-    ) -> Result<Vec<GroupCount>, RelationError> {
-        let g_idx = self.schema.index_of(group_attr)?;
-        let d_idx = self.schema.index_of(distinct_attr)?;
-        let mut sets: HashMap<u64, HashSet<u64>> = HashMap::new();
-        for seg in 0..self.slots.len() {
-            self.make_resident(seg)?;
-            let slot = &self.slots[seg];
-            let rel = slot.resident.as_ref().expect("resident");
-            let key_of = |attr: usize, row: usize| match rel.column(attr) {
-                ColumnView::Int(xs) => xs[row] as u64,
-                ColumnView::Text { codes, .. } => u64::from(slot.merge[attr][codes[row] as usize]),
-            };
-            for row in 0..rel.len() {
-                sets.entry(key_of(g_idx, row)).or_default().insert(key_of(d_idx, row));
-            }
-        }
-        let value_of = |key: u64| match self.shared[g_idx].as_ref() {
-            None => Value::Int(key as i64),
-            Some(dict) => {
-                Value::Text(dict.get(u32::try_from(key).expect("shared code")).to_owned())
-            }
-        };
-        let mut groups: Vec<GroupCount> = sets
-            .into_iter()
-            .map(|(key, set)| GroupCount { value: value_of(key), count: set.len() as u64 })
-            .collect();
-        groups.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.value.cmp(&b.value)));
-        Ok(groups)
-    }
-
-    // ------------------------------------------------------------------
     // Pager internals.
     // ------------------------------------------------------------------
 
@@ -802,12 +581,11 @@ impl SegmentedRelation {
             sealed: false,
             content_fp: None,
             last_touch: self.tick(),
-            merged: vec![0; arity],
-            merge: vec![Vec::new(); arity],
+            interned: vec![0; arity],
         };
         self.slots.push(slot);
         let seg = self.slots.len() - 1;
-        self.refresh_merge(seg);
+        self.intern_shared(seg);
         if seal {
             self.seal_slot(seg)?;
         } else {
@@ -818,8 +596,9 @@ impl SegmentedRelation {
     }
 
     /// Seal segment `seg`: compact its text dictionaries to the
-    /// entries its rows reference, rebuild its merge maps, serialize
-    /// it to the store, and re-enforce the budget.
+    /// entries its rows reference, intern them into the shared
+    /// dictionaries, serialize it to the store, and re-enforce the
+    /// budget.
     fn seal_slot(&mut self, seg: usize) -> Result<(), RelationError> {
         {
             let slot = &mut self.slots[seg];
@@ -827,13 +606,10 @@ impl SegmentedRelation {
             compact_dictionaries(rel);
             slot.bytes = rel.resident_bytes();
             slot.sealed = true;
-            // Compaction re-codes rows; merge maps must be rebuilt.
-            for (merged, merge) in slot.merged.iter_mut().zip(&mut slot.merge) {
-                *merged = 0;
-                merge.clear();
-            }
+            // Compaction re-codes rows: re-intern from the start.
+            slot.interned.fill(0);
         }
-        self.refresh_merge(seg);
+        self.intern_shared(seg);
         self.write_back(seg)?;
         self.enforce_budget(Some(seg))?;
         self.note_usage();
@@ -881,10 +657,10 @@ impl SegmentedRelation {
         slot.bytes = rel.resident_bytes();
         slot.resident = Some(rel);
         slot.last_touch = touch;
-        // Reopened slots (see `open_spilled`) page in with empty merge
-        // maps; extending them here is a no-op on the normal path
-        // (`merged` already covers the local dictionary).
-        self.refresh_merge(seg);
+        // Reopened slots (see `open_spilled`) page in with nothing
+        // interned yet; on the normal path this is a no-op
+        // (`interned` already covers the local dictionary).
+        self.intern_shared(seg);
         self.enforce_budget(Some(seg))?;
         self.note_usage();
         Ok(())
@@ -933,20 +709,19 @@ impl SegmentedRelation {
         Ok(true)
     }
 
-    /// Extend segment `seg`'s merge maps over local dictionary
-    /// entries interned since the last refresh.
-    fn refresh_merge(&mut self, seg: usize) {
+    /// Intern segment `seg`'s local dictionary entries added since
+    /// the last call into the shared dictionaries, in local-code
+    /// order.
+    fn intern_shared(&mut self, seg: usize) {
         let slot = &mut self.slots[seg];
         let Some(rel) = slot.resident.as_ref() else { return };
         for attr in 0..self.schema.arity() {
             let ColumnView::Text { dict, .. } = rel.column(attr) else { continue };
             let shared = self.shared[attr].get_or_insert_with(Dictionary::new);
-            let from = slot.merged[attr];
-            if from >= dict.len() {
-                continue;
+            for c in slot.interned[attr]..dict.len() {
+                shared.intern(dict.get(c as u32));
             }
-            slot.merge[attr].extend((from..dict.len()).map(|c| shared.intern(dict.get(c as u32))));
-            slot.merged[attr] = dict.len();
+            slot.interned[attr] = dict.len();
         }
     }
 
@@ -1119,7 +894,6 @@ mod tests {
         assert_eq!(seg.len(), 20);
         let back = seg.to_relation().unwrap();
         assert_eq!(back.len(), 20);
-        assert!(seg.select(&Predicate::True).unwrap().len() == 20);
     }
 
     #[test]
@@ -1134,12 +908,10 @@ mod tests {
             assert_eq!(dict.len(), 2, "segment-local dictionary not compacted");
         })
         .unwrap();
-        // Shared dictionary covers the union; merge maps translate.
+        // The shared dictionary covers the union.
         seg.with_segment(0, |_| ()).unwrap();
         assert_eq!(seg.shared_dict(2).unwrap().len(), 5);
         assert!(seg.shared_dict(0).is_none(), "integer attributes have no dictionary");
-        let map = seg.merge_map(0, 2).unwrap();
-        assert!(!map.is_empty());
     }
 
     #[test]
@@ -1191,60 +963,6 @@ mod tests {
                 "segment {i} lost its write"
             );
         }
-    }
-
-    #[test]
-    fn streaming_ops_match_monolithic_ops() {
-        let rel = sample(157);
-        for rows in [1, 10, 64, 157, 200] {
-            let mut seg = segmented(&rel, rows);
-            let pred = Predicate::eq("c", "boston").or(Predicate::Gt("a".into(), Value::Int(4)));
-            let mono = crate::ops::select(&rel, &pred).unwrap();
-            let stream = seg.select(&pred).unwrap();
-            assert!(mono.iter().zip(stream.iter()).all(|(a, b)| a == b));
-            assert_eq!(mono.len(), stream.len());
-
-            let mono =
-                crate::join::distinct(&crate::ops::project(&rel, &[1, 2], 0, false).unwrap());
-            let mut seg2 = segmented(&crate::ops::project(&rel, &[1, 2], 0, false).unwrap(), rows);
-            let stream = seg2.distinct().unwrap();
-            assert_eq!(mono.len(), stream.len());
-            assert!(mono.iter().zip(stream.iter()).all(|(a, b)| a == b));
-
-            assert_eq!(seg.group_count("c").unwrap(), crate::join::group_count(&rel, "c").unwrap());
-            assert_eq!(
-                seg.group_count_distinct("c", "a").unwrap(),
-                crate::join::group_count_distinct(&rel, "c", "a").unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_join_matches_monolithic_join() {
-        let rel = sample(90);
-        let mut right = Relation::new(
-            Schema::builder()
-                .key_attr("a", AttrType::Integer)
-                .categorical_attr("label", AttrType::Text)
-                .build()
-                .unwrap(),
-        );
-        for i in 0..5 {
-            right.push(vec![Value::Int(i), Value::Text(format!("g{i}"))]).unwrap();
-        }
-        let mono = crate::join::hash_join(&rel, &right, "a", "a").unwrap();
-        let mut seg = segmented(&rel, 13);
-        let stream = seg.hash_join(&right, "a", "a").unwrap();
-        assert_eq!(mono.len(), stream.len());
-        assert!(mono.iter().zip(stream.iter()).all(|(a, b)| a == b));
-        assert!(seg.hash_join(&right, "nope", "a").is_err());
-    }
-
-    #[test]
-    fn select_on_empty_segmented_relation_still_validates_attrs() {
-        let mut seg = SegmentedRelation::builder(schema()).build();
-        assert!(seg.select(&Predicate::eq("missing", 1)).is_err());
-        assert_eq!(seg.select(&Predicate::True).unwrap().len(), 0);
     }
 
     #[test]

@@ -179,6 +179,39 @@ impl FrequencyHistogram {
     }
 }
 
+/// One column's rows as dense `u32` codes plus the code → value
+/// table — the bridge that lets counting loops (classifier training,
+/// rule counting) run over small integers and materialize a [`Value`]
+/// once per *distinct* value.
+///
+/// Text columns reuse their dictionary codes directly (the table may
+/// carry entries no row references, with zero occurrences); integer
+/// columns get first-occurrence dense ids.
+#[must_use]
+pub fn dense_codes(rel: &Relation, attr_idx: usize) -> (Vec<u32>, Vec<Value>) {
+    match rel.column(attr_idx) {
+        crate::ColumnView::Int(xs) => {
+            let mut ids: std::collections::HashMap<i64, u32> = std::collections::HashMap::new();
+            let mut values = Vec::new();
+            let codes = xs
+                .iter()
+                .map(|&x| {
+                    *ids.entry(x).or_insert_with(|| {
+                        values.push(Value::Int(x));
+                        (values.len() - 1) as u32
+                    })
+                })
+                .collect();
+            (codes, values)
+        }
+        crate::ColumnView::Text { codes, dict } => {
+            let values =
+                (0..dict.len()).map(|c| Value::Text(dict.get(c as u32).to_owned())).collect();
+            (codes.to_vec(), values)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,6 +286,17 @@ mod tests {
         let h = FrequencyHistogram::from_counts(&domain, vec![0, 0, 0]).unwrap();
         assert_eq!(h.frequency(0), 0.0);
         assert_eq!(h.entropy_bits(), 0.0);
+    }
+
+    #[test]
+    fn dense_codes_number_each_distinct_value_once() {
+        let (rel, _) = fixture();
+        let (codes, values) = dense_codes(&rel, 1);
+        assert_eq!(codes, [0, 0, 0, 1, 1, 2]);
+        assert_eq!(values, ["x", "y", "z"].map(|v| Value::Text(v.into())));
+        let (codes, values) = dense_codes(&rel, 0);
+        assert_eq!(codes, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(values[5], Value::Int(5));
     }
 
     #[test]

@@ -49,15 +49,12 @@
 //! yields [`CoreError::TenantIsolation`] from the registry itself —
 //! the daemon has no code path that touches foreign key material.
 //!
-//! # Large relations
+//! # Segment sizing
 //!
-//! When [`ServiceConfig::segment_rows`] is non-zero, relations larger
-//! than that threshold are streamed through the segmented out-of-core
-//! pipeline ([`MarkSession::embed_segmented`] /
-//! [`MarkSession::decode_segmented`]) under the shared
-//! [`ServiceConfig::budget_bytes`] pager budget, so one daemon serving
-//! many tenants keeps a bounded resident footprint no matter how big
-//! the payloads get.
+//! Versioned tables are stored as segments of 1024 rows, and
+//! `detect_at` pages them in under the [`ServiceConfig::budget_bytes`]
+//! pager budget. `embed` and `decode` carry their relation inline as
+//! CSV, so it is parsed whole and marked or decoded in memory.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
@@ -77,17 +74,13 @@ use crate::wire::{read_frame, write_frame};
 /// Tuning knobs for a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Stream relations with more rows than this through the
-    /// segmented out-of-core pipeline; `0` keeps everything
-    /// in-memory.
-    pub segment_rows: usize,
-    /// Shared resident-byte budget for segmented streaming.
+    /// Resident-byte budget of the segment pager on versioned tables.
     pub budget_bytes: usize,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig { segment_rows: 0, budget_bytes: 64 << 20 }
+        ServiceConfig { budget_bytes: 64 << 20 }
     }
 }
 
@@ -95,9 +88,8 @@ impl Default for ServiceConfig {
 /// target column.
 type SessionKey = (String, String, String, String);
 
-/// Segment granularity for versioned tables when
-/// [`ServiceConfig::segment_rows`] is `0` (in-memory streaming):
-/// content addressing needs *some* segmentation to localize churn.
+/// Segment granularity for versioned tables: content addressing needs
+/// *some* segmentation to localize churn.
 const VERSION_SEGMENT_ROWS: usize = 1024;
 
 /// One versioned relation held by the daemon: a content-addressed
@@ -296,57 +288,26 @@ impl Service {
     fn embed_op(&mut self, bound: &str, request: &Json) -> Result<Json, String> {
         let attr = str_field(request, "attr")?;
         let mut rel = parse_csv(str_field(request, "csv")?, attr)?;
-        let (segment_rows, budget_bytes) = (self.config.segment_rows, self.config.budget_bytes);
         let (session, _) = self.session_for(bound, request, &rel)?;
         let mark = parse_mark(str_field(request, "mark")?, session.spec().wm_len)?;
-        let mut paged = CacheStats::default();
-        let (report, segmented) = if segment_rows > 0 && rel.len() > segment_rows {
-            let mut seg = SegmentedRelation::builder(rel.schema().clone())
-                .segment_rows(segment_rows)
-                .budget_bytes(budget_bytes)
-                .from_relation(&rel)
-                .map_err(|e| e.to_string())?;
-            let report = session.embed_segmented(&mut seg, &mark).map_err(|e| e.to_string())?;
-            rel = seg.to_relation().map_err(|e| e.to_string())?;
-            paged.absorb(seg.cache_stats());
-            (report, true)
-        } else {
-            (session.embed(&mut rel, &mark).map_err(|e| e.to_string())?, false)
-        };
-        self.pager.absorb(paged);
+        let report = session.embed(&mut rel, &mark).map_err(|e| e.to_string())?;
         Ok(ok_response(vec![
             ("csv", Json::Str(render_csv(&rel)?)),
             ("total", Json::Num(report.total_tuples as f64)),
             ("fit", Json::Num(report.fit_tuples as f64)),
             ("altered", Json::Num(report.altered as f64)),
-            ("segmented", Json::Bool(segmented)),
         ]))
     }
 
     fn decode_op(&mut self, bound: &str, request: &Json) -> Result<Json, String> {
         let attr = str_field(request, "attr")?;
         let rel = parse_csv(str_field(request, "csv")?, attr)?;
-        let (segment_rows, budget_bytes) = (self.config.segment_rows, self.config.budget_bytes);
         let (session, _) = self.session_for(bound, request, &rel)?;
-        let mut paged = CacheStats::default();
-        let (report, segmented) = if segment_rows > 0 && rel.len() > segment_rows {
-            let mut seg = SegmentedRelation::builder(rel.schema().clone())
-                .segment_rows(segment_rows)
-                .budget_bytes(budget_bytes)
-                .from_relation(&rel)
-                .map_err(|e| e.to_string())?;
-            let report = session.decode_segmented(&mut seg).map_err(|e| e.to_string())?;
-            paged.absorb(seg.cache_stats());
-            (report, true)
-        } else {
-            (session.decode(&rel).map_err(|e| e.to_string())?, false)
-        };
-        self.pager.absorb(paged);
+        let report = session.decode(&rel).map_err(|e| e.to_string())?;
         let mut fields = vec![
             ("mark", Json::Str(report.watermark.to_string())),
             ("fit", Json::Num(report.fit_tuples as f64)),
             ("votes", Json::Num(report.votes_cast as f64)),
-            ("segmented", Json::Bool(segmented)),
         ];
         if let Some(claim) = request.get("claim").and_then(Json::as_str) {
             let claimed = parse_mark(claim, report.watermark.len())?;
@@ -434,15 +395,6 @@ impl Service {
         Ok(ok_response(vec![("results", Json::Arr(ranked))]))
     }
 
-    /// Segment granularity for versioned tables.
-    fn versioned_segment_rows(&self) -> usize {
-        if self.config.segment_rows > 0 {
-            self.config.segment_rows
-        } else {
-            VERSION_SEGMENT_ROWS
-        }
-    }
-
     /// Daemon-wide cache observability, aggregated across every warm
     /// session, fingerprint registry, versioned table, and the
     /// segment pager.
@@ -480,7 +432,6 @@ impl Service {
         let attr = str_field(request, "attr")?;
         let name = str_field(request, "name")?.to_string();
         let rel = parse_csv(str_field(request, "csv")?, attr)?;
-        let seg_rows = self.versioned_segment_rows();
         let budget = self.config.budget_bytes;
         let (_, cache_key) = self.session_for(bound, request, &rel)?;
         let session = self.sessions.get(&cache_key).expect("bound above");
@@ -500,7 +451,7 @@ impl Service {
             ));
         }
         let mut seg = SegmentedRelation::builder(rel.schema().clone())
-            .segment_rows(seg_rows)
+            .segment_rows(VERSION_SEGMENT_ROWS)
             .budget_bytes(budget)
             .store(Box::new(table.store.clone()))
             .from_relation(&rel)
@@ -1016,7 +967,6 @@ mod tests {
         let (resp, _) = service.handle(&mut bound, &request(&embed));
         assert_ok(&resp);
         assert!(resp.get("fit").and_then(Json::as_u64).unwrap() > 0);
-        assert_eq!(resp.get("segmented").and_then(Json::as_bool), Some(false));
         let marked = resp.get("csv").and_then(Json::as_str).unwrap().to_string();
 
         let decode = format!(
@@ -1027,34 +977,6 @@ mod tests {
         assert_ok(&resp);
         assert_eq!(resp.get("mark").and_then(Json::as_str), Some("101101"));
         assert_eq!(resp.get("matched_bits").and_then(Json::as_u64), Some(6));
-    }
-
-    #[test]
-    fn segmented_and_in_memory_paths_agree() {
-        let data = csv();
-        let embed = |service: &mut Service| {
-            let mut bound = None;
-            service.handle(&mut bound, &request(r#"{"op":"hello","tenant":"acme"}"#));
-            let req = format!(
-                r#"{{"op":"embed","key":"production","key_attr":"visit_nbr","attr":"item_nbr","mark":"101101","csv":{}}}"#,
-                Json::Str(data.clone()).to_text()
-            );
-            let (resp, _) = service.handle(&mut bound, &request(&req));
-            assert_ok(&resp);
-            resp
-        };
-        let in_memory = embed(&mut two_tenant_service(ServiceConfig::default()));
-        let segmented = embed(&mut two_tenant_service(ServiceConfig {
-            segment_rows: 128,
-            ..ServiceConfig::default()
-        }));
-        assert_eq!(in_memory.get("segmented").and_then(Json::as_bool), Some(false));
-        assert_eq!(segmented.get("segmented").and_then(Json::as_bool), Some(true));
-        // Byte-identical output is the out-of-core pipeline's contract.
-        assert_eq!(
-            in_memory.get("csv").and_then(Json::as_str),
-            segmented.get("csv").and_then(Json::as_str)
-        );
     }
 
     #[test]
@@ -1269,20 +1191,20 @@ mod tests {
 
     #[test]
     fn versioned_updates_remark_incrementally_and_detect_at_any_version() {
-        let mut service =
-            two_tenant_service(ServiceConfig { segment_rows: 128, ..ServiceConfig::default() });
+        let mut service = two_tenant_service(ServiceConfig::default());
         let mut bound = None;
         service.handle(&mut bound, &request(r#"{"op":"hello","tenant":"acme"}"#));
 
         // First update: full embed, two committed versions (pre-mark
-        // and marked).
+        // and marked). 3200 rows make four 1024-row segments.
         let update = |csv: String| {
             format!(
                 r#"{{"op":"update","name":"sales","key":"production","key_attr":"visit_nbr","attr":"item_nbr","mark":"101101","csv":{}}}"#,
                 Json::Str(csv).to_text()
             )
         };
-        let (first, _) = service.handle(&mut bound, &request(&update(csv())));
+        let data = render_csv(&sample_relation(3_200)).unwrap();
+        let (first, _) = service.handle(&mut bound, &request(&update(data)));
         assert_ok(&first);
         assert_eq!(first.get("full_fallback").and_then(Json::as_bool), Some(false));
         assert_eq!(first.get("clean_segments").and_then(Json::as_u64), Some(0));
@@ -1302,8 +1224,8 @@ mod tests {
         assert!(second.get("clean_segments").and_then(Json::as_u64).unwrap() >= 3);
         let marked_v2 = second.get("marked_version").and_then(Json::as_u64).unwrap();
 
-        // The incremental re-mark is byte-identical to the plain
-        // (full) segmented embed of the same churned state.
+        // The incremental re-mark is byte-identical to a plain
+        // in-memory embed of the same churned state.
         let embed = format!(
             r#"{{"op":"embed","key":"production","key_attr":"visit_nbr","attr":"item_nbr","mark":"101101","csv":{}}}"#,
             Json::Str(churned_csv).to_text()
@@ -1375,8 +1297,7 @@ mod tests {
 
     #[test]
     fn detect_at_emits_evidence_and_verify_evidence_judges_it_keylessly() {
-        let mut service =
-            two_tenant_service(ServiceConfig { segment_rows: 128, ..ServiceConfig::default() });
+        let mut service = two_tenant_service(ServiceConfig::default());
         let mut bound = None;
         service.handle(&mut bound, &request(r#"{"op":"hello","tenant":"acme"}"#));
         let update = format!(
@@ -1455,8 +1376,7 @@ mod tests {
             Json::Str(render_csv(&rel).unwrap()).to_text()
         );
         let answer = |warm_first: bool| {
-            let config = ServiceConfig { segment_rows: 128, ..ServiceConfig::default() };
-            let mut service = two_tenant_service(config);
+            let mut service = two_tenant_service(ServiceConfig::default());
             let mut bound = None;
             service.handle(&mut bound, &request(r#"{"op":"hello","tenant":"acme"}"#));
             let (first, _) = service.handle(&mut bound, &request(&update));

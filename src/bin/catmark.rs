@@ -11,12 +11,14 @@
 //! catmark rules  --input data.csv --attrs dept,aisle [--min-support 0.05]
 //!                [--min-confidence 0.8] [--max-len 2] [--top 20]
 //! catmark serve  --registries acme.reg,globex.reg [--socket /tmp/catmark.sock]
-//!                [--workers N] [--segment-rows N] [--budget-bytes N]
+//!                [--workers N] [--budget-bytes N]
 //! catmark gc     --store pile.cmk --log versions.cmk [--keep 3,4]
 //! ```
 //!
-//! CSV schemas are inferred from the header row plus type sniffing
-//! (a column is Integer when every sampled value parses as `i64`).
+//! Each command takes only the flags listed for it; any other flag is
+//! a usage error. CSV schemas are inferred from the header row plus
+//! type sniffing (a column is Integer when every sampled value parses
+//! as `i64`).
 //! The key file format is documented in `catmark::core::keyfile`.
 
 use std::collections::HashMap;
@@ -81,6 +83,9 @@ fn main() -> ExitCode {
     }
 }
 
+/// A command's implementation over its parsed flags.
+type Command = fn(&HashMap<String, String>) -> Result<String, CliError>;
+
 /// Dispatch and execute; returns what should be printed to stdout.
 fn run(args: &[String]) -> Result<String, CliError> {
     let Some(command) = args.first() else {
@@ -90,18 +95,21 @@ fn run(args: &[String]) -> Result<String, CliError> {
         // Takes a positional bundle path, not --flag pairs.
         return verify_evidence_cmd(&args[1..]);
     }
-    let flags = parse_flags(&args[1..])?;
-    match command.as_str() {
-        "keygen" => keygen(&flags),
-        "embed" => embed(&flags),
-        "decode" => decode(&flags),
-        "inspect" => inspect(&flags),
-        "rules" => rules(&flags),
-        "serve" => serve(&flags),
-        "gc" => gc(&flags),
-        "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
-        other => Err(CliError::Usage(format!("unknown command {other:?}\n\n{USAGE}"))),
-    }
+    let (handler, known): (Command, &[&str]) = match command.as_str() {
+        "keygen" => (
+            keygen,
+            &["master", "domain-from", "attr", "e", "wm-len", "tuples", "wm-data-len", "erasure"],
+        ),
+        "embed" => (embed, &["key", "input", "key-attr", "attr", "mark", "output"]),
+        "decode" => (decode, &["key", "input", "key-attr", "attr", "claim", "evidence"]),
+        "inspect" => (inspect, &["key"]),
+        "rules" => (rules, &["input", "attrs", "min-support", "min-confidence", "max-len", "top"]),
+        "serve" => (serve, &["registries", "socket", "workers", "budget-bytes"]),
+        "gc" => (gc, &["store", "log", "keep"]),
+        "help" | "--help" | "-h" => return Ok(USAGE.to_owned()),
+        other => return Err(CliError::Usage(format!("unknown command {other:?}\n\n{USAGE}"))),
+    };
+    handler(&parse_flags(command, &args[1..], known)?)
 }
 
 const USAGE: &str = "usage:
@@ -117,17 +125,26 @@ const USAGE: &str = "usage:
   catmark rules   --input <csv> --attrs <a,b,…> [--min-support 0.05]
                   [--min-confidence 0.8] [--max-len 2] [--top 20]
   catmark serve   --registries <file,…> [--socket <path>] [--workers N]
-                  [--segment-rows N] [--budget-bytes N]
+                  [--budget-bytes N]
   catmark gc      --store <pile> --log <version-log> [--keep <id,…>]
 ";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
+/// Parse `--flag value` pairs for `command`, which takes only the
+/// flags named in `known`.
+fn parse_flags(
+    command: &str,
+    args: &[String],
+    known: &[&str],
+) -> Result<HashMap<String, String>, CliError> {
     let mut flags = HashMap::new();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         let name = flag
             .strip_prefix("--")
             .ok_or_else(|| CliError::Usage(format!("expected --flag, got {flag:?}")))?;
+        if !known.contains(&name) {
+            return Err(CliError::Usage(format!("{command} does not take --{name}\n\n{USAGE}")));
+        }
         let value =
             iter.next().ok_or_else(|| CliError::Usage(format!("--{name} needs a value")))?;
         if flags.insert(name.to_owned(), value.clone()).is_some() {
@@ -173,10 +190,9 @@ where
 }
 
 /// Like [`parsed_flag`], but an *explicitly passed* `0` is a usage
-/// error (exit 2): zero would silently turn streaming off
-/// (`--segment-rows`), starve the pager (`--budget-bytes`), or leave
-/// the daemon with no threads (`--workers`). Omit the flag to get the
-/// default instead.
+/// error (exit 2): zero would starve the pager (`--budget-bytes`) or
+/// leave the daemon with no threads (`--workers`). Omit the flag to
+/// get the default instead.
 fn positive_flag(
     flags: &HashMap<String, String>,
     name: &str,
@@ -311,14 +327,7 @@ fn decode(flags: &HashMap<String, String>) -> Result<String, CliError> {
 fn verify_evidence_cmd(args: &[String]) -> Result<String, CliError> {
     let path = match args {
         [single] if !single.starts_with("--") => single.clone(),
-        _ => {
-            let flags = parse_flags(args)?;
-            let path = require(&flags, "bundle")?.to_owned();
-            if flags.len() > 1 {
-                return Err(CliError::Usage("verify-evidence takes only a bundle path".into()));
-            }
-            path
-        }
+        _ => require(&parse_flags("verify-evidence", args, &["bundle"])?, "bundle")?.to_owned(),
     };
     let bytes = std::fs::read(&path).map_err(|e| CliError::Run(format!("{path}: {e}")))?;
     let summary = catmark::core::evidence::verify_evidence(&bytes).map_err(CliError::run)?;
@@ -424,10 +433,9 @@ fn serve(flags: &HashMap<String, String>) -> Result<String, CliError> {
     if paths.is_empty() {
         return Err(CliError::Usage("--registries needs at least one file".into()));
     }
-    let segment_rows: usize = positive_flag(flags, "segment-rows", 0)?;
     let budget_bytes: usize = positive_flag(flags, "budget-bytes", 64 << 20)?;
     let workers: usize = positive_flag(flags, "workers", catmark::service::default_workers())?;
-    let mut service = Service::new(ServiceConfig { segment_rows, budget_bytes });
+    let mut service = Service::new(ServiceConfig { budget_bytes });
     for path in paths {
         let mut text = String::new();
         File::open(path)
@@ -572,25 +580,53 @@ mod tests {
 
     #[test]
     fn flag_parsing() {
-        let args: Vec<String> =
-            ["--key", "k.txt", "--attr", "item"].iter().map(|s| (*s).to_string()).collect();
-        let flags = parse_flags(&args).unwrap();
+        let known = ["key", "attr", "lonely", "a"];
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| (*s).to_string()).collect();
+            parse_flags("test", &args, &known)
+        };
+        let flags = parse(&["--key", "k.txt", "--attr", "item"]).unwrap();
         assert_eq!(flags["key"], "k.txt");
         assert_eq!(flags["attr"], "item");
-        assert!(parse_flags(&["--lonely".to_owned()]).is_err());
-        assert!(parse_flags(&["naked".to_owned(), "v".to_owned()]).is_err());
-        let dup: Vec<String> = ["--a", "1", "--a", "2"].iter().map(|s| (*s).to_string()).collect();
-        assert!(parse_flags(&dup).is_err());
+        assert!(parse(&["--lonely"]).is_err());
+        assert!(parse(&["naked", "v"]).is_err());
+        assert!(parse(&["--a", "1", "--a", "2"]).is_err());
+        assert!(matches!(parse(&["--other", "1"]), Err(CliError::Usage(_))));
     }
 
     #[test]
-    fn serve_rejects_zero_segment_rows_with_a_usage_error() {
-        let args: Vec<String> = ["serve", "--registries", "acme.reg", "--segment-rows", "0"]
+    fn misspelled_flags_are_usage_errors() {
+        // Rejected before any file is read: the paths need not exist.
+        let args: Vec<String> = [
+            "decode",
+            "--key",
+            "k.catmark",
+            "--input",
+            "marked.csv",
+            "--key-attr",
+            "visit_nbr",
+            "--attr",
+            "item_nbr",
+            "--claim",
+            "1011001110",
+            "--evidnce",
+            "run.evd",
+        ]
+        .iter()
+        .map(|s| (*s).to_string())
+        .collect();
+        let err = run(&args).unwrap_err();
+        assert!(matches!(&err, CliError::Usage(msg) if msg.contains("--evidnce")), "{err:?}");
+        assert_eq!(err.exit_code(), ExitCode::from(2));
+        // Serve validates its flags the same way: a truncated
+        // --budget-bytes is not silently dropped.
+        let args: Vec<String> = ["serve", "--registries", "acme.reg", "--budget", "1024"]
             .iter()
             .map(|s| (*s).to_string())
             .collect();
         let err = run(&args).unwrap_err();
-        assert!(matches!(&err, CliError::Usage(msg) if msg.contains("--segment-rows")), "{err:?}");
+        let expected = "serve does not take --budget\n";
+        assert!(matches!(&err, CliError::Usage(msg) if msg.starts_with(expected)), "{err:?}");
     }
 
     #[test]

@@ -2,16 +2,15 @@
 //! invisible re-packaging of a [`Relation`]. For random data, random
 //! segment sizes (including size 1, sizes that leave tuples straddling
 //! segment edges, and sizes larger than the relation) and explicit
-//! empty trailing segments, every streaming operator and the
-//! out-of-core embed/decode drivers must produce output identical to
-//! their whole-relation counterparts — under a resident-byte budget a
-//! quarter of the columnar footprint, with the enforced ceiling
-//! asserted.
+//! empty trailing segments, the out-of-core embed/decode drivers must
+//! produce output identical to their whole-relation counterparts —
+//! under a resident-byte budget a quarter of the columnar footprint,
+//! with the enforced ceiling asserted.
 
 use catmark::core::{detect, MarkSession, Walk, Watermark, WatermarkSpec};
 use catmark::relation::spill::FileStore;
-use catmark::relation::{join, ops, Predicate, Relation, SegmentedRelation, Value};
 use catmark::relation::{AttrType, Schema};
+use catmark::relation::{Relation, SegmentedRelation, Value};
 use proptest::prelude::*;
 
 /// Deterministic xorshift closure for structure generation.
@@ -97,63 +96,6 @@ fn marked_fixture(tuples: usize) -> (Relation, MarkSession, Watermark) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Streaming select/join/distinct/group-bys over random segment
-    /// sizes equal the monolithic operators — including segment sizes
-    /// of 1 (every tuple straddles an edge) and sizes larger than the
-    /// relation (a single segment).
-    #[test]
-    fn streaming_ops_are_segmentation_invariant(seed in any::<u64>()) {
-        let mut next = rng_from(seed);
-        let tuples = 40 + (next() % 160) as usize;
-        let rel = relation_for(next(), tuples);
-        let segment_rows = 1 + (next() % (tuples as u64 + 20)) as usize;
-        let empty_tail = next().is_multiple_of(2);
-        let mut seg = segmented(&rel, segment_rows, empty_tail);
-
-        let pred = Predicate::eq("c", TEXT_POOL[(next() % 4) as usize])
-            .or(Predicate::Gt("a".into(), Value::Int((next() % 5) as i64 - 1)));
-        assert_same(&ops::select(&rel, &pred).unwrap(), &seg.select(&pred).unwrap(), "select");
-
-        let mut right = Relation::new(
-            Schema::builder()
-                .key_attr("a", AttrType::Integer)
-                .categorical_attr("tag", AttrType::Text)
-                .build()
-                .unwrap(),
-        );
-        for i in -2..7i64 {
-            if next().is_multiple_of(3) { continue; }
-            right.push(vec![Value::Int(i), Value::Text(format!("t{i}"))]).unwrap();
-        }
-        assert_same(
-            &join::hash_join(&rel, &right, "a", "a").unwrap(),
-            &seg.hash_join(&right, "a", "a").unwrap(),
-            "hash_join",
-        );
-
-        // Distinct over a projection with repeated rows.
-        let proj = ops::project(&rel, &[1, 2], 0, false).unwrap();
-        let mut seg_proj = segmented(&proj, segment_rows, empty_tail);
-        assert_same(&join::distinct(&proj), &seg_proj.distinct().unwrap(), "distinct");
-
-        prop_assert_eq!(seg.group_count("c").unwrap(), join::group_count(&rel, "c").unwrap());
-        prop_assert_eq!(seg.group_count("a").unwrap(), join::group_count(&rel, "a").unwrap());
-        prop_assert_eq!(
-            seg.group_count_distinct("c", "a").unwrap(),
-            join::group_count_distinct(&rel, "c", "a").unwrap()
-        );
-
-        // The pager's exact contract: the working set never exceeds
-        // the budget except for the one pinned segment in flight
-        // (random segmentation may make a single segment bigger than
-        // the whole quarter budget).
-        let budget = (rel.resident_bytes() / 4).max(1);
-        let ceiling = budget.max(seg.peak_segment_bytes());
-        prop_assert!(seg.peak_pageable_bytes() <= ceiling,
-            "peak {} > ceiling {}", seg.peak_pageable_bytes(), ceiling);
-        assert_same(&rel, &seg.to_relation().unwrap(), "round trip");
-    }
 
     /// Out-of-core embed + decode over random segment sizes is
     /// byte-identical to the in-memory session path — reports, marked
@@ -261,7 +203,8 @@ fn out_of_core_round_trip_through_a_file_store() {
 }
 
 /// Tuples pushed one by one (the streaming ingest path) land in the
-/// same segments `from_relation` produces, and ops agree.
+/// same segments `from_relation` produces, with the same rows and the
+/// same shared dictionaries.
 #[test]
 fn push_and_from_relation_agree() {
     let rel = relation_for(42, 137);
@@ -275,10 +218,11 @@ fn push_and_from_relation_agree() {
         .from_relation(&rel)
         .unwrap();
     assert_eq!(pushed.segment_count(), gathered.segment_count());
-    assert_same(&pushed.to_relation().unwrap(), &gathered.to_relation().unwrap(), "ingest paths");
+    assert_same(&rel, &pushed.to_relation().unwrap(), "pushed segments");
+    assert_same(&rel, &gathered.to_relation().unwrap(), "gathered segments");
     assert_eq!(
-        pushed.group_count("c").unwrap(),
-        join::group_count(&rel, "c").unwrap(),
-        "pushed segments disagree with monolithic group-by"
+        pushed.shared_dict(2).unwrap().entries(),
+        gathered.shared_dict(2).unwrap().entries(),
+        "ingest paths intern the shared dictionary in different orders"
     );
 }

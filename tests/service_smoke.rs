@@ -211,17 +211,7 @@ fn unix_socket_daemon_serves_and_cleans_up() {
     let sock_str = sock.to_str().unwrap().to_owned();
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_catmark"))
-        .args([
-            "serve",
-            "--registries",
-            &format!("{acme_reg},{globex_reg}"),
-            "--socket",
-            &sock_str,
-            // Force the segmented out-of-core path under a small
-            // pager budget: 800 rows over 256-row segments.
-            "--segment-rows",
-            "256",
-        ])
+        .args(["serve", "--registries", &format!("{acme_reg},{globex_reg}"), "--socket", &sock_str])
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::inherit())
@@ -257,11 +247,6 @@ fn unix_socket_daemon_serves_and_cleans_up() {
     ]);
     let resp = request(embed.to_text());
     assert_ok(&resp);
-    assert_eq!(
-        resp.get("segmented").and_then(Json::as_bool),
-        Some(true),
-        "800 rows over a 256-row threshold must stream segmented: {resp:?}"
-    );
     let marked = field(&resp, "csv").to_owned();
 
     let decode = Json::obj(vec![
