@@ -97,6 +97,27 @@ fn marked_fixture(tuples: usize) -> (Relation, MarkSession, Watermark) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// Re-packaging is invisible: over random segment sizes — including
+    /// 1 (every tuple straddles an edge) and sizes larger than the
+    /// relation — and optional empty trailing segments, the segments
+    /// materialize to the source rows, and the pager's working set
+    /// never exceeds the budget except for the one pinned segment in
+    /// flight (random segmentation may make a single segment bigger
+    /// than the whole quarter budget).
+    #[test]
+    fn round_trip_is_segmentation_invariant(seed in any::<u64>()) {
+        let mut next = rng_from(seed);
+        let tuples = 40 + (next() % 160) as usize;
+        let rel = relation_for(next(), tuples);
+        let segment_rows = 1 + (next() % (tuples as u64 + 20)) as usize;
+        let mut seg = segmented(&rel, segment_rows, next().is_multiple_of(2));
+        assert_same(&rel, &seg.to_relation().unwrap(), "round trip");
+        let budget = (rel.resident_bytes() / 4).max(1);
+        let ceiling = budget.max(seg.peak_segment_bytes());
+        prop_assert!(seg.peak_pageable_bytes() <= ceiling,
+            "peak {} > ceiling {}", seg.peak_pageable_bytes(), ceiling);
+    }
+
     /// Out-of-core embed + decode over random segment sizes is
     /// byte-identical to the in-memory session path — reports, marked
     /// bytes, and decoded bits — with the quarter budget enforced.
