@@ -232,6 +232,36 @@ fn file_backed_pile_reopens_every_version() {
     let _ = std::fs::remove_file(&pile);
 }
 
+/// A two-version file pile and `CMKVER1` log with a text column,
+/// checked in under `tests/golden/`. They were written by a commit log
+/// whose manifests carried a relation-level dictionary section (tag 1)
+/// for every text attribute: `relation_for(0x601D, 40)` cut into
+/// 10-row segments and committed, then row 10's `c` set to "saffron"
+/// and committed again. They are fixed bytes, never regenerated; the
+/// test opens copies so the checked-in files stay untouched.
+#[test]
+fn pre_change_pile_and_log_reopen() {
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let pile = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("versioned_text.pile");
+    std::fs::copy(golden.join("versioned_text.pile"), &pile).unwrap();
+    let log =
+        VersionLog::decode(&std::fs::read(golden.join("versioned_text.log")).unwrap()).unwrap();
+    let store = ContentStore::open_file(&pile).unwrap();
+
+    let v0 = relation_for(0x601D, 40);
+    let mut v1 = v0.clone();
+    v1.update_value(10, 2, Value::Text("saffron".into())).unwrap();
+    assert_eq!(log.manifests().len(), 2);
+    for (id, expected) in [(0, &v0), (1, &v1)] {
+        let mut reopened = log.open_version(id, v0.schema(), &store, None).unwrap();
+        assert_same(expected, &reopened.to_relation().unwrap(), "pre-change version");
+    }
+    let (m0, m1) = (log.get(0).unwrap(), log.get(1).unwrap());
+    assert_eq!(m1.dirty_against(m0), Some(vec![1]));
+    assert_eq!(store.unique_blobs(), 5);
+    let _ = std::fs::remove_file(&pile);
+}
+
 /// A segment's vote tally depends on which columns a session binds as
 /// key and target, not only on the blob and the spec. Two sessions
 /// over one spec — keyed on `k` and on `p`, both targeting `a` — must
