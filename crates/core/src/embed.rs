@@ -321,9 +321,8 @@ impl<'a> Embedder<'a> {
         }
     }
 
-    /// The patch pass: the fit-decision loop over one relation (or one
-    /// segment, with `row_base` its first global row) into the patch
-    /// sink — the same decisions as [`Embedder::embed_pass`] on a clone
+    /// The patch pass: the fit-decision loop over one relation into
+    /// the patch sink — the same decisions as [`Embedder::embed_pass`] on a clone
     /// of `rel`, emitted as a [`MarkDelta`] without ever materializing
     /// the clone; `base.apply_delta(&delta)` rebuilds the copy
     /// byte-identically (pinned by proptest and golden). For text
@@ -339,14 +338,12 @@ impl<'a> Embedder<'a> {
     /// dictionary) under a spec sharing this spec's domain; the batch
     /// hot loop builds it once per `(column, domain)` and reuses it
     /// for every recipient.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn delta_pass(
         &self,
         rel: &Relation,
         attr_idx: usize,
         wm_data: &[bool],
         plan: &MarkPlan,
-        row_base: usize,
         fold: &mut EmbedFold,
         table: &DeltaDomainTable,
     ) -> Result<MarkDelta, CoreError> {
@@ -354,7 +351,7 @@ impl<'a> Embedder<'a> {
             (ColumnView::Int(cells), DeltaDomainTable::Int(dom)) => {
                 let builder = MarkDeltaBuilder::int(attr_idx, rel.len());
                 let mut sink = PatchSink { cells, builder, push: MarkDeltaBuilder::push_int };
-                decide(plan, wm_data, dom, row_base, fold, &mut sink);
+                decide(plan, wm_data, dom, 0, fold, &mut sink);
                 sink.builder
             }
             (
@@ -372,7 +369,7 @@ impl<'a> Embedder<'a> {
                 }
                 let mut sink =
                     PatchSink { cells: codes, builder, push: MarkDeltaBuilder::push_code };
-                decide(plan, wm_data, dom_codes, row_base, fold, &mut sink);
+                decide(plan, wm_data, dom_codes, 0, fold, &mut sink);
                 sink.builder
             }
             _ => {

@@ -17,11 +17,11 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use catmark_crypto::SecretKey;
-use catmark_relation::{MarkDelta, Relation, SegmentedRelation};
+use catmark_relation::{MarkDelta, Relation};
 
 use crate::decode::Decoder;
 use crate::detect::{detect, Detection};
-use crate::ecc::{ErrorCorrectingCode, MajorityVotingEcc};
+use crate::ecc::MajorityVotingEcc;
 use crate::embed::{EmbedFold, EmbedReport, Embedder};
 use crate::error::CoreError;
 use crate::plan::{MultiPlanCache, PlanCache};
@@ -269,72 +269,10 @@ impl FingerprintRegistry {
             let wm_data = engine.wm_data(&entry.1, &MajorityVotingEcc)?;
             // The cache key already proved content identity, so there
             // is no per-buyer staleness fingerprint.
-            let delta = engine.delta_pass(rel, attr_idx, &wm_data, plan, 0, &mut fold, &table)?;
+            let delta = engine.delta_pass(rel, attr_idx, &wm_data, plan, &mut fold, &table)?;
             deltas.push((delta, fold.finish()));
         }
         Ok(deltas)
-    }
-
-    /// The out-of-core variant of [`FingerprintRegistry::mark_deltas`]:
-    /// stream each segment through the pager budget once per batch and
-    /// emit one [`MarkDelta`] *per segment* per buyer (patch rows and
-    /// dictionary codes are segment-local, matching the segment's own
-    /// dictionary). Each buyer's reports aggregate across segments
-    /// exactly like the segmented embed drivers, so `fit`/`altered`/
-    /// coverage match the monolithic path.
-    ///
-    /// # Errors
-    ///
-    /// Attribute-resolution, paging, or embedding failures.
-    pub fn mark_deltas_segmented(
-        &mut self,
-        seg: &mut SegmentedRelation,
-        buyers: &[&str],
-        key_attr: &str,
-        target_attr: &str,
-    ) -> Result<Vec<(Vec<MarkDelta>, EmbedReport)>, CoreError> {
-        if buyers.is_empty() {
-            return Ok(Vec::new());
-        }
-        let key_idx = seg.schema().index_of(key_attr)?;
-        let attr_idx = seg.schema().index_of(target_attr)?;
-        for buyer in buyers {
-            self.register(buyer);
-        }
-        let entries: Vec<Arc<(WatermarkSpec, Watermark)>> =
-            buyers.iter().map(|b| self.derived_entry(b)).collect();
-        let specs: Vec<WatermarkSpec> = entries.iter().map(|e| e.0.clone()).collect();
-        let wm_data: Vec<Vec<bool>> =
-            entries.iter().map(|e| MajorityVotingEcc.encode(&e.1, e.0.wm_data_len)).collect();
-        let mut folds: Vec<EmbedFold> = entries.iter().map(|e| EmbedFold::new(&e.0)).collect();
-        let mut deltas: Vec<Vec<MarkDelta>> = vec![Vec::new(); buyers.len()];
-        let mut base = 0usize;
-        for i in 0..seg.segment_count() {
-            let rows = seg.segment_len(i);
-            seg.with_segment(i, |rel| -> Result<(), CoreError> {
-                // Per-segment plans are built directly: recipient
-                // batches would thrash the shared caches at one entry
-                // per (segment, buyer set).
-                let plans: Vec<Arc<crate::plan::MarkPlan>> = if specs.len() == 1 {
-                    vec![Arc::new(crate::plan::MarkPlan::build(&specs[0], rel, key_idx))]
-                } else {
-                    crate::plan::MultiKeyPlan::build(&specs, rel, key_idx).plans().to_vec()
-                };
-                // One domain resolution per segment (the table keys on
-                // the segment's own dictionary), shared by all buyers.
-                let table = Embedder::engine(&entries[0].0).delta_domain_table(rel, attr_idx)?;
-                for (b, (entry, plan)) in entries.iter().zip(&plans).enumerate() {
-                    let (wm_data, fold) = (&wm_data[b], &mut folds[b]);
-                    let engine = Embedder::engine(&entry.0);
-                    deltas[b]
-                        .push(engine.delta_pass(rel, attr_idx, wm_data, plan, base, fold, &table)?);
-                }
-                Ok(())
-            })
-            .map_err(CoreError::Relation)??;
-            base += rows;
-        }
-        Ok(deltas.into_iter().zip(folds.into_iter().map(EmbedFold::finish)).collect())
     }
 
     /// Decode `suspect` under every registered buyer's keys, ranked by
@@ -558,44 +496,6 @@ mod tests {
             );
             // The delta is a small fraction of the materialized copy.
             assert!(delta.serialized_len() * 4 < copy.resident_bytes(), "buyer {buyer}");
-        }
-    }
-
-    #[test]
-    fn segmented_deltas_match_the_monolithic_path() {
-        use catmark_relation::SegmentedRelation;
-        let (mut seg_reg, rel) = registry();
-        let (mut mono_reg, _) = registry();
-        let buyers = ["acme", "globex", "initech"];
-        let mut seg = SegmentedRelation::builder(rel.schema().clone())
-            .segment_rows(1_000)
-            .from_relation(&rel)
-            .unwrap();
-        let segmented =
-            seg_reg.mark_deltas_segmented(&mut seg, &buyers, "visit_nbr", "item_nbr").unwrap();
-        let copies = mono_reg.mark_copies(&rel, &buyers, "visit_nbr", "item_nbr").unwrap();
-        for ((buyer, (seg_deltas, s_report)), (copy, c_report)) in
-            buyers.iter().zip(&segmented).zip(&copies)
-        {
-            assert_eq!(s_report, c_report, "buyer {buyer}: segmented report diverges");
-            assert_eq!(seg_deltas.len(), seg.segment_count());
-            // Rebuild the copy segment by segment and compare rows.
-            let mut rebuilt = Vec::new();
-            for (i, delta) in seg_deltas.iter().enumerate() {
-                let patched =
-                    seg.with_segment(i, |segment| segment.apply_delta(delta)).unwrap().unwrap();
-                for row in 0..patched.len() {
-                    rebuilt.push(patched.tuple(row).unwrap().values().to_vec());
-                }
-            }
-            assert_eq!(rebuilt.len(), copy.len(), "buyer {buyer}");
-            for (row, values) in rebuilt.iter().enumerate() {
-                assert_eq!(
-                    values.as_slice(),
-                    copy.tuple(row).unwrap().values(),
-                    "buyer {buyer} row {row}"
-                );
-            }
         }
     }
 

@@ -47,7 +47,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use catmark_relation::{CategoricalDomain, MarkDelta, Relation, Schema, SegmentedRelation};
+use catmark_relation::{CategoricalDomain, MarkDelta, Relation, Schema};
 
 use crate::contest::{Claim, ClaimEvidence, ContestOutcome};
 use crate::decode::{DecodeReport, Decoder};
@@ -704,21 +704,6 @@ impl FingerprintSession {
         buyers: &[&str],
     ) -> Result<Vec<(MarkDelta, EmbedReport)>, CoreError> {
         self.registry.mark_deltas(rel, buyers, &self.key.name, &self.target.name)
-    }
-
-    /// Stream per-segment [`MarkDelta`]s for a batch of buyers under
-    /// the pager budget — see
-    /// [`FingerprintRegistry::mark_deltas_segmented`].
-    ///
-    /// # Errors
-    ///
-    /// Attribute-resolution, paging, or embedding failures.
-    pub fn mark_deltas_segmented(
-        &mut self,
-        seg: &mut SegmentedRelation,
-        buyers: &[&str],
-    ) -> Result<Vec<(Vec<MarkDelta>, EmbedReport)>, CoreError> {
-        self.registry.mark_deltas_segmented(seg, buyers, &self.key.name, &self.target.name)
     }
 
     /// Decode `suspect` under every registered buyer's keys, strongest

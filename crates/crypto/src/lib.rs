@@ -39,7 +39,6 @@
 pub mod backend;
 pub mod digest;
 pub mod hex;
-pub mod hmac;
 pub mod keyed;
 pub mod md5;
 pub mod sha1;

@@ -19,13 +19,15 @@
 //! * occurrence-frequency statistics ([`stats`]) — the
 //!   frequency-transform channel of Section 4.2,
 //! * segmented spill-to-disk storage for relations beyond RAM
-//!   ([`segment`]) — fixed-size columnar segments with segment-local
-//!   dictionaries, streamed under a resident budget through
-//!   range-addressed byte stores ([`spill`]),
+//!   ([`segment`]) — fixed-size, self-contained columnar segments with
+//!   segment-local dictionaries (a segment's blob depends only on its
+//!   rows), streamed under a resident budget through range-addressed
+//!   byte stores ([`spill`]),
 //! * content-addressed versioned storage ([`versioned`]) — SHA-256
-//!   keyed blob piles with `CMKVER1` manifest commit logs, so relation
-//!   versions share unchanged segment blobs and any historical version
-//!   reopens for detection,
+//!   keyed blob piles with `CMKVER1` manifest commit logs (ordered blob
+//!   hashes, no dictionary state), so relation versions share
+//!   unchanged segment blobs and any historical version reopens for
+//!   detection,
 //! * delta-encoded marked copies ([`delta`]) — ordered patch records
 //!   (plus dictionary extensions) turning a shared base into any
 //!   recipient's fingerprinted copy without materializing a clone,

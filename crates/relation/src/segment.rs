@@ -4,24 +4,18 @@
 //! A [`SegmentedRelation`] is a relation split into fixed-size row
 //! **segments**. Each segment is a complete columnar [`Relation`]
 //! chunk with *segment-local* dictionaries (compacted at seal time to
-//! the entries its rows actually reference), so a segment is fully
-//! self-describing and can be serialized, dropped from memory, and
-//! read back in isolation. Cold segments spill to a
+//! the entries its rows actually reference, in the order they first
+//! appear), so a segment is fully self-describing and can be
+//! serialized, dropped from memory, and read back in isolation: its
+//! blob depends only on its rows, never on the relation it was cut
+//! from or on any other segment. Cold segments spill to a
 //! [`SegmentStore`] (a file for real
 //! out-of-core runs, an in-memory arena for hermetic tests) in the
 //! range-addressable format of [`crate::spill`], and a small pager
 //! keeps the **resident working set under a configurable byte
 //! budget**, evicting least-recently-used segments (re-serializing
-//! them first when dirty).
-//!
-//! # Shared dictionaries
-//!
-//! Per text attribute the relation also maintains one small
-//! relation-level [`Dictionary`] that every segment's local entries
-//! are interned into, in first-seen order. It stays resident even
-//! when every segment is spilled, and [`crate::VersionLog`] persists
-//! it verbatim in `CMKVER1` manifests, so the interning order is part
-//! of the manifest bytes.
+//! them first when dirty). Nothing but per-segment bookkeeping stays
+//! resident when every segment is spilled.
 //!
 //! # Segment-at-a-time access
 //!
@@ -73,11 +67,10 @@ impl SegmentedRelationBuilder {
     /// least-recently-used sealed segments to stay under it; the
     /// segment currently being read or written and the open tail are
     /// pinned, so the budget is honored whenever it can hold one
-    /// segment. The always-resident state — shared dictionaries
-    /// (O(distinct categorical values)) and per-segment bookkeeping
-    /// (O(segments)) — is *not* pageable and is reported separately
-    /// by [`SegmentedRelation::resident_overhead_bytes`]; it vanishes
-    /// relative to the data as relations grow, exactly like a
+    /// segment. The always-resident per-segment bookkeeping
+    /// (O(segments), independent of rows and distinct values) is *not*
+    /// pageable and is reported separately by
+    /// [`SegmentedRelation::resident_overhead_bytes`], like a
     /// database's catalog memory next to its buffer pool.
     #[must_use]
     pub fn budget_bytes(mut self, bytes: usize) -> Self {
@@ -96,17 +89,14 @@ impl SegmentedRelationBuilder {
     /// Finish building an empty segmented relation.
     #[must_use]
     pub fn build(self) -> SegmentedRelation {
-        let arity = self.schema.arity();
         SegmentedRelation {
             schema: self.schema,
             segment_rows: self.segment_rows,
             budget: self.budget,
             store: self.store,
             slots: Vec::new(),
-            shared: vec![None; arity],
             len: 0,
             peak_pageable: 0,
-            peak_resident: 0,
             peak_segment: 0,
             clock: 0,
             stats: CacheStats::default(),
@@ -116,27 +106,10 @@ impl SegmentedRelationBuilder {
     /// Reopen a segmented relation from already-spilled segments — the
     /// versioned-store path (see [`crate::versioned`]): every slot
     /// starts cold (non-resident, clean, sealed) behind its existing
-    /// [`SpillHandle`], and the relation-level shared dictionaries are
-    /// restored verbatim so shared codes stay stable across reopens.
-    /// Segments intern into them again as they page in.
-    ///
-    /// # Errors
-    ///
-    /// [`RelationError::InvalidSchema`] when `shared` does not match
-    /// the schema arity.
-    pub fn open_spilled(
-        self,
-        segments: &[(SpillHandle, usize)],
-        shared: Vec<Option<Dictionary>>,
-    ) -> Result<SegmentedRelation, RelationError> {
-        if shared.len() != self.schema.arity() {
-            return Err(RelationError::InvalidSchema(
-                "shared dictionary state does not match the schema arity".into(),
-            ));
-        }
-        let arity = self.schema.arity();
+    /// [`SpillHandle`].
+    #[must_use]
+    pub fn open_spilled(self, segments: &[(SpillHandle, usize)]) -> SegmentedRelation {
         let mut seg = self.build();
-        seg.shared = shared;
         for &(handle, rows) in segments {
             seg.slots.push(Slot {
                 rows,
@@ -147,11 +120,10 @@ impl SegmentedRelationBuilder {
                 sealed: true,
                 content_fp: None,
                 last_touch: 0,
-                interned: vec![0; arity],
             });
             seg.len += rows;
         }
-        Ok(seg)
+        seg
     }
 
     /// Partition `rel` into sealed segments (spilling each beyond the
@@ -181,9 +153,8 @@ impl SegmentedRelationBuilder {
     }
 }
 
-/// One segment's bookkeeping: row count, residency, spill handle,
-/// dirtiness, and how much of each local dictionary the shared
-/// dictionaries already hold.
+/// One segment's bookkeeping: row count, residency, spill handle and
+/// dirtiness.
 #[derive(Debug)]
 struct Slot {
     rows: usize,
@@ -199,9 +170,6 @@ struct Slot {
     /// mutable pass turned out to be a no-op.
     content_fp: Option<u128>,
     last_touch: u64,
-    /// Per attribute: local dictionary entries already interned into
-    /// the shared dictionary (text attributes only; 0 for integers).
-    interned: Vec<usize>,
 }
 
 /// Hit/miss/eviction counters for a bounded cache — the pager here,
@@ -234,12 +202,8 @@ pub struct SegmentedRelation {
     budget: Option<usize>,
     store: Box<dyn SegmentStore>,
     slots: Vec<Slot>,
-    /// Per attribute: the relation-level dictionary text segments
-    /// intern into (`None` for integer attributes).
-    shared: Vec<Option<Dictionary>>,
     len: usize,
     peak_pageable: usize,
-    peak_resident: usize,
     peak_segment: usize,
     clock: u64,
     stats: CacheStats,
@@ -305,12 +269,6 @@ impl SegmentedRelation {
         self.budget
     }
 
-    /// First global row index of segment `seg`.
-    #[must_use]
-    pub fn segment_base(&self, seg: usize) -> usize {
-        self.slots[..seg].iter().map(|s| s.rows).sum()
-    }
-
     /// Rows in segment `seg`.
     #[must_use]
     pub fn segment_len(&self, seg: usize) -> usize {
@@ -349,7 +307,6 @@ impl SegmentedRelation {
             slot.bytes = rel.resident_bytes();
         }
         self.len += 1;
-        self.intern_shared(tail);
         if self.slots[tail].rows >= self.segment_rows {
             self.seal_slot(tail)?;
         }
@@ -393,9 +350,8 @@ impl SegmentedRelation {
 
     /// Run `f` over segment `seg` as a mutable [`Relation`] (the
     /// out-of-core embed path), marking it dirty — it re-serializes
-    /// on its next eviction — and interning any new dictionary
-    /// entries into the shared dictionaries. Sealed segments are
-    /// re-compacted afterwards: bulk writers (the embedder interns
+    /// on its next eviction. Sealed segments are re-compacted
+    /// afterwards: bulk writers (the embedder interns
     /// the whole domain up front) can leave local dictionaries full
     /// of unreferenced entries, which would otherwise defeat the
     /// resident budget segment by segment.
@@ -415,33 +371,11 @@ impl SegmentedRelation {
         slot.dirty = true;
         if slot.sealed {
             compact_dictionaries(rel);
-            // Compaction re-codes rows: re-intern from the start.
-            slot.interned.fill(0);
         }
         slot.bytes = rel.resident_bytes();
-        self.intern_shared(seg);
         self.enforce_budget(Some(seg))?;
         self.note_usage();
         Ok(out)
-    }
-
-    /// Stream every segment in row order through `f` (called with the
-    /// segment's first global row index and its relation view).
-    ///
-    /// # Errors
-    ///
-    /// Paging errors, or whatever `f` returns.
-    pub fn for_each_segment(
-        &mut self,
-        mut f: impl FnMut(usize, &Relation) -> Result<(), RelationError>,
-    ) -> Result<(), RelationError> {
-        let mut base = 0;
-        for seg in 0..self.slots.len() {
-            let rows = self.slots[seg].rows;
-            self.with_segment(seg, |rel| f(base, rel))??;
-            base += rows;
-        }
-        Ok(())
     }
 
     /// Materialize the whole relation in memory (verification and
@@ -478,13 +412,6 @@ impl SegmentedRelation {
         Ok(())
     }
 
-    /// The shared relation-level dictionary of text attribute
-    /// `attr_idx` (`None` for integer attributes).
-    #[must_use]
-    pub fn shared_dict(&self, attr_idx: usize) -> Option<&Dictionary> {
-        self.shared[attr_idx].as_ref()
-    }
-
     /// Current total resident footprint: the pageable decoded
     /// segments plus the always-resident overhead.
     #[must_use]
@@ -499,14 +426,12 @@ impl SegmentedRelation {
         self.slots.iter().filter(|s| s.resident.is_some()).map(|s| s.bytes).sum()
     }
 
-    /// The always-resident, non-pageable state: shared dictionaries
-    /// and slot metadata. O(distinct categorical values + segments),
-    /// independent of how many rows each segment holds.
+    /// The always-resident, non-pageable state: per-segment
+    /// bookkeeping. O(segments), independent of how many rows or
+    /// distinct values each segment holds.
     #[must_use]
     pub fn resident_overhead_bytes(&self) -> usize {
-        let shared: usize =
-            self.shared.iter().flatten().map(Dictionary::resident_bytes).sum::<usize>();
-        shared + self.slots.capacity() * std::mem::size_of::<Slot>()
+        self.slots.capacity() * std::mem::size_of::<Slot>()
     }
 
     /// High-water mark of [`SegmentedRelation::pageable_bytes`]
@@ -516,13 +441,6 @@ impl SegmentedRelation {
     #[must_use]
     pub fn peak_pageable_bytes(&self) -> usize {
         self.peak_pageable
-    }
-
-    /// High-water mark of [`SegmentedRelation::resident_bytes`]
-    /// (pageable working set plus overhead) at the same boundaries.
-    #[must_use]
-    pub fn peak_resident_bytes(&self) -> usize {
-        self.peak_resident
     }
 
     /// Largest single decoded segment observed, in bytes. The pager's
@@ -571,7 +489,6 @@ impl SegmentedRelation {
     }
 
     fn new_slot(&mut self, rel: Relation, seal: bool) -> Result<(), RelationError> {
-        let arity = self.schema.arity();
         let slot = Slot {
             rows: rel.len(),
             bytes: rel.resident_bytes(),
@@ -581,11 +498,9 @@ impl SegmentedRelation {
             sealed: false,
             content_fp: None,
             last_touch: self.tick(),
-            interned: vec![0; arity],
         };
         self.slots.push(slot);
         let seg = self.slots.len() - 1;
-        self.intern_shared(seg);
         if seal {
             self.seal_slot(seg)?;
         } else {
@@ -596,20 +511,14 @@ impl SegmentedRelation {
     }
 
     /// Seal segment `seg`: compact its text dictionaries to the
-    /// entries its rows reference, intern them into the shared
-    /// dictionaries, serialize it to the store, and re-enforce the
-    /// budget.
+    /// entries its rows reference, serialize it to the store, and
+    /// re-enforce the budget.
     fn seal_slot(&mut self, seg: usize) -> Result<(), RelationError> {
-        {
-            let slot = &mut self.slots[seg];
-            let rel = slot.resident.as_mut().expect("sealing requires residency");
-            compact_dictionaries(rel);
-            slot.bytes = rel.resident_bytes();
-            slot.sealed = true;
-            // Compaction re-codes rows: re-intern from the start.
-            slot.interned.fill(0);
-        }
-        self.intern_shared(seg);
+        let slot = &mut self.slots[seg];
+        let rel = slot.resident.as_mut().expect("sealing requires residency");
+        compact_dictionaries(rel);
+        slot.bytes = rel.resident_bytes();
+        slot.sealed = true;
         self.write_back(seg)?;
         self.enforce_budget(Some(seg))?;
         self.note_usage();
@@ -657,10 +566,6 @@ impl SegmentedRelation {
         slot.bytes = rel.resident_bytes();
         slot.resident = Some(rel);
         slot.last_touch = touch;
-        // Reopened slots (see `open_spilled`) page in with nothing
-        // interned yet; on the normal path this is a no-op
-        // (`interned` already covers the local dictionary).
-        self.intern_shared(seg);
         self.enforce_budget(Some(seg))?;
         self.note_usage();
         Ok(())
@@ -709,22 +614,6 @@ impl SegmentedRelation {
         Ok(true)
     }
 
-    /// Intern segment `seg`'s local dictionary entries added since
-    /// the last call into the shared dictionaries, in local-code
-    /// order.
-    fn intern_shared(&mut self, seg: usize) {
-        let slot = &mut self.slots[seg];
-        let Some(rel) = slot.resident.as_ref() else { return };
-        for attr in 0..self.schema.arity() {
-            let ColumnView::Text { dict, .. } = rel.column(attr) else { continue };
-            let shared = self.shared[attr].get_or_insert_with(Dictionary::new);
-            for c in slot.interned[attr]..dict.len() {
-                shared.intern(dict.get(c as u32));
-            }
-            slot.interned[attr] = dict.len();
-        }
-    }
-
     fn tick(&mut self) -> u64 {
         self.clock += 1;
         self.clock
@@ -733,7 +622,6 @@ impl SegmentedRelation {
     /// Sample the resident footprints into the high-water marks.
     fn note_usage(&mut self) {
         self.peak_pageable = self.peak_pageable.max(self.pageable_bytes());
-        self.peak_resident = self.peak_resident.max(self.resident_bytes());
         let largest =
             self.slots.iter().filter(|s| s.resident.is_some()).map(|s| s.bytes).max().unwrap_or(0);
         self.peak_segment = self.peak_segment.max(largest);
@@ -742,19 +630,23 @@ impl SegmentedRelation {
 
 /// Rebuild every text column's dictionary to hold exactly the entries
 /// its rows reference, in first-occurrence order — what makes a
-/// sealed segment's dictionary *segment-local* even when the segment
-/// was gathered out of a relation with a big shared dictionary.
+/// sealed segment's dictionary *segment-local*, and its blob a
+/// function of its rows alone, even when the segment was gathered out
+/// of a relation whose dictionary orders the same values differently.
 fn compact_dictionaries(rel: &mut Relation) {
     let arity = rel.schema().arity();
     for attr in 0..arity {
         let ColumnView::Text { codes, dict } = rel.column(attr) else { continue };
-        // Skip when already compact: every entry referenced at least
-        // once and codes dense over the dictionary.
-        let mut referenced = vec![false; dict.len()];
-        for &c in codes {
-            referenced[c as usize] = true;
-        }
-        if referenced.iter().all(|&r| r) {
+        // Skip when already compact: codes first appear in the order
+        // 0, 1, 2, … and every entry is used.
+        let mut seen = 0u32;
+        let in_order = codes.iter().all(|&c| {
+            if c == seen {
+                seen += 1;
+            }
+            c < seen
+        });
+        if in_order && seen as usize == dict.len() {
             continue;
         }
         let mut remap: Vec<u32> = vec![u32::MAX; dict.len()];
@@ -898,20 +790,24 @@ mod tests {
 
     #[test]
     fn sealed_segments_have_local_dictionaries() {
-        let rel = sample(100); // 5 distinct cities, spread evenly
-        let mut seg = segmented(&rel, 5);
-        // Each 5-row segment sees exactly 5 distinct cities… but a
-        // 2-row segment of the same data must hold only its own 2.
+        // A 2-row segment of 5-city data holds only its own 2 cities.
         let mut tiny = segmented(&sample(2), 5);
         tiny.with_segment(0, |r| {
             let (_, dict) = r.column(2).as_text().unwrap();
             assert_eq!(dict.len(), 2, "segment-local dictionary not compacted");
         })
         .unwrap();
-        // The shared dictionary covers the union.
-        seg.with_segment(0, |_| ()).unwrap();
-        assert_eq!(seg.shared_dict(2).unwrap().len(), 5);
-        assert!(seg.shared_dict(0).is_none(), "integer attributes have no dictionary");
+        // Rows 7..14 use all 5 cities, starting at "chicago": the
+        // segment orders them as it first sees them, not as the
+        // relation it was cut from does.
+        let mut seg = segmented(&sample(100), 7);
+        seg.with_segment(1, |r| {
+            let (codes, dict) = r.column(2).as_text().unwrap();
+            let entries: Vec<&str> = dict.entries().iter().map(|e| &**e).collect();
+            assert_eq!(entries, ["chicago", "dallas", "el paso", "boston", "austin"]);
+            assert_eq!(codes, [0, 1, 2, 3, 4, 0, 1]);
+        })
+        .unwrap();
     }
 
     #[test]
@@ -924,14 +820,15 @@ mod tests {
             .budget_bytes(budget)
             .from_relation(&rel)
             .unwrap();
-        seg.for_each_segment(|_, _| Ok(())).unwrap();
+        for i in 0..seg.segment_count() {
+            seg.with_segment(i, |_| ()).unwrap();
+        }
         assert!(
             seg.peak_pageable_bytes() <= budget,
             "peak {} exceeds budget {budget}",
             seg.peak_pageable_bytes()
         );
         assert!(seg.pageable_bytes() <= budget);
-        assert!(seg.peak_resident_bytes() >= seg.peak_pageable_bytes());
         assert!(seg.spilled_bytes() > 0, "cold segments must have spilled");
         // The data is still intact after all that paging.
         let back = seg.to_relation().unwrap();

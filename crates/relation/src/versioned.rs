@@ -4,8 +4,8 @@
 //! a *pile*: every sealed segment blob is keyed by its SHA-256
 //! content hash, and a commit log of **manifests** (the `CMKVER1`
 //! wire format) records each relation version as an ordered list of
-//! blob hashes plus the relation-level shared-dictionary state. Two
-//! consequences fall out:
+//! blob hashes. A segment blob depends only on its rows, so a manifest
+//! needs no other state. Two consequences fall out:
 //!
 //! * **Structural sharing.** An updated relation shares every
 //!   unchanged segment blob with its ancestors — committing a version
@@ -50,10 +50,15 @@
 //! [24..32)  segment_rows u64 LE
 //! [32..36)  arity u32 LE
 //! [36..40)  segment count u32 LE
-//! ...       per attribute: tag u8 (0 = no dictionary, 1 = shared
-//!           dictionary: entry count u32, entries as (len u32, utf-8))
+//! ...       per attribute: tag u8 (0 = no dictionary, 1 = dictionary:
+//!           entry count u32, entries as (len u32, utf-8))
 //! ...       per segment: blob hash (32 bytes), rows u64 LE
 //! ```
+//!
+//! Writers emit tag 0 for every attribute. Logs written while
+//! manifests still persisted a relation-level dictionary carry tag 1
+//! for text attributes; readers check those entries' lengths and
+//! UTF-8 and skip them. Any other tag is an error.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -63,7 +68,7 @@ use catmark_crypto::HashAlgorithm;
 
 use crate::segment::SegmentedRelation;
 use crate::spill::{MemStore, SegmentStore, SpillHandle};
-use crate::{Dictionary, FileStore, RelationError, Schema};
+use crate::{FileStore, RelationError, Schema};
 
 /// SHA-256 content hash of one segment blob.
 pub type BlobHash = [u8; 32];
@@ -317,8 +322,8 @@ pub struct SegmentRef {
 }
 
 /// One committed relation version: an ordered list of segment blob
-/// hashes plus the shared-dictionary state the pager needs to reopen
-/// the relation with stable shared codes.
+/// hashes and the attribute count of the schema it was committed
+/// under.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VersionManifest {
     /// This version's id (position in the commit log).
@@ -327,11 +332,10 @@ pub struct VersionManifest {
     pub parent: Option<u64>,
     /// Rows per sealed segment at commit time.
     pub segment_rows: u64,
+    /// Attributes in the schema at commit time.
+    pub arity: u32,
     /// The segments, in row order.
     pub segments: Vec<SegmentRef>,
-    /// Per attribute: the relation-level shared dictionary entries in
-    /// interning order (`None` for integer attributes).
-    pub shared: Vec<Option<Vec<String>>>,
 }
 
 impl VersionManifest {
@@ -372,21 +376,9 @@ impl VersionManifest {
         out.extend_from_slice(&self.id.to_le_bytes());
         out.extend_from_slice(&self.parent.unwrap_or(NO_PARENT).to_le_bytes());
         out.extend_from_slice(&self.segment_rows.to_le_bytes());
-        out.extend_from_slice(&(self.shared.len() as u32).to_le_bytes());
+        out.extend_from_slice(&self.arity.to_le_bytes());
         out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
-        for dict in &self.shared {
-            match dict {
-                None => out.push(0),
-                Some(entries) => {
-                    out.push(1);
-                    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                    for entry in entries {
-                        out.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-                        out.extend_from_slice(entry.as_bytes());
-                    }
-                }
-            }
-        }
+        out.resize(out.len() + self.arity as usize, 0);
         for seg in &self.segments {
             out.extend_from_slice(&seg.hash);
             out.extend_from_slice(&seg.rows.to_le_bytes());
@@ -452,8 +444,8 @@ impl VersionLog {
 
     /// Commit the current state of `seg` as a new version: flush it
     /// (sealing the tail and writing back dirty segments — deduped by
-    /// the content store), then record the ordered blob hashes and
-    /// shared-dictionary state. The parent is the previous head.
+    /// the content store), then record the ordered blob hashes. The
+    /// parent is the previous head.
     ///
     /// # Errors
     ///
@@ -475,19 +467,14 @@ impl VersionLog {
             })?;
             segments.push(SegmentRef { hash, rows: seg.segment_len(i) as u64 });
         }
-        let shared = (0..seg.schema().arity())
-            .map(|attr| {
-                seg.shared_dict(attr).map(|d| d.entries().iter().map(|e| e.to_string()).collect())
-            })
-            .collect();
         let id = self.manifests.len() as u64;
         let parent = self.manifests.last().map(|m| m.id);
         self.manifests.push(VersionManifest {
             id,
             parent,
             segment_rows: seg.segment_rows() as u64,
+            arity: seg.schema().arity() as u32,
             segments,
-            shared,
         });
         Ok(id)
     }
@@ -509,7 +496,7 @@ impl VersionLog {
         budget: Option<usize>,
     ) -> Result<SegmentedRelation, RelationError> {
         let manifest = self.get(id).ok_or_else(|| spill_err(format!("unknown version {id}")))?;
-        if manifest.shared.len() != schema.arity() {
+        if manifest.arity as usize != schema.arity() {
             return Err(RelationError::InvalidSchema(
                 "manifest arity does not match the schema".into(),
             ));
@@ -524,26 +511,13 @@ impl VersionLog {
             })?;
             segments.push((handle, seg.rows as usize));
         }
-        let shared = manifest
-            .shared
-            .iter()
-            .map(|dict| {
-                dict.as_ref().map(|entries| {
-                    let mut d = Dictionary::new();
-                    for entry in entries {
-                        d.intern(entry);
-                    }
-                    d
-                })
-            })
-            .collect();
         let mut builder = SegmentedRelation::builder(schema.clone())
             .segment_rows(manifest.segment_rows.max(1) as usize)
             .store(Box::new(store.clone()));
         if let Some(bytes) = budget {
             builder = builder.budget_bytes(bytes);
         }
-        builder.open_spilled(&segments, shared)
+        Ok(builder.open_spilled(&segments))
     }
 
     /// Serialize the whole log as concatenated `CMKVER1` records.
@@ -556,7 +530,9 @@ impl VersionLog {
         out
     }
 
-    /// Decode a log serialized by [`VersionLog::encode`].
+    /// Decode a log serialized by [`VersionLog::encode`], or by a
+    /// writer that still persisted dictionary sections (see the
+    /// [module docs](self)).
     ///
     /// # Errors
     ///
@@ -574,27 +550,24 @@ impl VersionLog {
                 p => Some(p),
             };
             let segment_rows = cur.u64()?;
-            let arity = cur.u32()? as usize;
+            let arity = cur.u32()?;
             let nsegs = cur.u32()? as usize;
-            let mut shared = Vec::with_capacity(arity);
             for _ in 0..arity {
                 match cur.take(1)?[0] {
-                    0 => shared.push(None),
+                    0 => {}
                     1 => {
-                        let count = cur.u32()? as usize;
-                        let mut entries = Vec::with_capacity(count);
-                        for _ in 0..count {
+                        for _ in 0..cur.u32()? {
                             let len = cur.u32()? as usize;
-                            let s = std::str::from_utf8(cur.take(len)?)
+                            std::str::from_utf8(cur.take(len)?)
                                 .map_err(|_| spill_err("dictionary entry is not utf-8"))?;
-                            entries.push(s.to_string());
                         }
-                        shared.push(Some(entries));
                     }
-                    tag => return Err(spill_err(format!("bad shared-dictionary tag {tag:#x}"))),
+                    tag => return Err(spill_err(format!("bad dictionary tag {tag:#x}"))),
                 }
             }
-            let mut segments = Vec::with_capacity(nsegs);
+            // A segment entry is 40 bytes: a corrupt count must not
+            // reserve more than the input could hold.
+            let mut segments = Vec::with_capacity(nsegs.min(bytes.len() / 40));
             for _ in 0..nsegs {
                 let hash: BlobHash = cur.take(32)?.try_into().expect("32 bytes");
                 let rows = cur.u64()?;
@@ -603,7 +576,7 @@ impl VersionLog {
             if id as usize != manifests.len() {
                 return Err(spill_err("manifest ids must be dense and in order"));
             }
-            manifests.push(VersionManifest { id, parent, segment_rows, segments, shared });
+            manifests.push(VersionManifest { id, parent, segment_rows, arity, segments });
         }
         Ok(VersionLog { manifests })
     }
@@ -673,8 +646,16 @@ mod tests {
         let mut back = log.open_version(v0, rel.schema(), &store, None).unwrap();
         let round = back.to_relation().unwrap();
         assert!(rel.iter().zip(round.iter()).all(|(a, b)| a == b));
-        // The reopened relation restores the shared dictionaries verbatim.
-        assert_eq!(back.shared_dict(2).unwrap().entries(), seg.shared_dict(2).unwrap().entries());
+        // A schema with another attribute count is refused.
+        let narrower = Schema::builder()
+            .key_attr("k", AttrType::Integer)
+            .categorical_attr("a", AttrType::Integer)
+            .build()
+            .unwrap();
+        assert!(matches!(
+            log.open_version(v0, &narrower, &store, None),
+            Err(RelationError::InvalidSchema(_))
+        ));
     }
 
     #[test]
@@ -715,6 +696,35 @@ mod tests {
         assert_eq!(decoded, log);
         assert!(VersionLog::decode(b"CMKVERX_garbage.....................").is_err());
         assert_eq!(VersionLog::decode(b"").unwrap(), VersionLog::new());
+        // A header claiming u32::MAX segments fails as truncated.
+        let mut huge = log.encode()[..43].to_vec();
+        huge[36..40].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(VersionLog::decode(&huge).is_err());
+    }
+
+    #[test]
+    fn dictionary_sections_are_checked_and_skipped() {
+        let rel = sample(45);
+        let (mut seg, store) = versioned(&rel, 20);
+        let mut log = VersionLog::new();
+        log.commit(&mut seg, &store).unwrap();
+        let encoded = log.encode();
+        assert_eq!(&encoded[40..43], &[0, 0, 0], "every attribute is written as tag 0");
+        // The same record with a tag-1 section on the text attribute.
+        let with_section = |tag: u8, entry: &[u8]| {
+            let mut out = encoded[..42].to_vec();
+            out.push(tag);
+            out.extend_from_slice(&1u32.to_le_bytes());
+            out.extend_from_slice(&(entry.len() as u32).to_le_bytes());
+            out.extend_from_slice(entry);
+            out.extend_from_slice(&encoded[43..]);
+            out
+        };
+        assert_eq!(VersionLog::decode(&with_section(1, b"boston")).unwrap(), log);
+        assert!(VersionLog::decode(&with_section(1, b"\xff\xfe")).is_err(), "not utf-8");
+        assert!(VersionLog::decode(&with_section(2, b"boston")).is_err(), "unknown tag");
+        let truncated = with_section(1, b"boston");
+        assert!(VersionLog::decode(&truncated[..50]).is_err());
     }
 
     #[test]

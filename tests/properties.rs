@@ -592,55 +592,6 @@ proptest! {
         prop_assert_eq!(rebuilt.column(1), reference.column(1));
     }
 
-    /// Segmented delta extraction (out-of-core, per-segment patch
-    /// lists) agrees with monolithic extraction for any segment size
-    /// and buyer batch shape.
-    #[test]
-    fn segmented_delta_extraction_matches_monolithic(
-        segment_rows in 64usize..=512,
-        n_buyers in 1usize..=5,
-        master in any::<u64>(),
-    ) {
-        use catmark::core::fingerprint::FingerprintRegistry;
-        use catmark::relation::SegmentedRelation;
-        let (rel, domain) = relation_for(0x5E6, 2_000);
-        let spec = WatermarkSpec::builder(domain)
-            .master_key(SecretKey::from_u64(master))
-            .e(4)
-            .wm_len(8)
-            .wm_data_len(64)
-            .erasure(catmark::core::decode::ErasurePolicy::Abstain)
-            .build()
-            .unwrap();
-        let buyers: Vec<String> = (0..n_buyers).map(|i| format!("buyer-{i}")).collect();
-        let buyer_refs: Vec<&str> = buyers.iter().map(String::as_str).collect();
-        let mut registry = FingerprintRegistry::new(spec);
-        let monolithic =
-            registry.mark_deltas(&rel, &buyer_refs, "visit_nbr", "item_nbr").unwrap();
-        let mut seg = SegmentedRelation::builder(rel.schema().clone())
-            .segment_rows(segment_rows)
-            .from_relation(&rel)
-            .unwrap();
-        let segmented = registry
-            .mark_deltas_segmented(&mut seg, &buyer_refs, "visit_nbr", "item_nbr")
-            .unwrap();
-        for ((delta, report), (seg_deltas, seg_report)) in monolithic.iter().zip(&segmented) {
-            prop_assert_eq!(report, seg_report);
-            // Per-segment patches rebuild the same copy the
-            // monolithic delta rebuilds.
-            let expected = rel.apply_delta(delta).unwrap();
-            let mut rows = Vec::new();
-            for (i, d) in seg_deltas.iter().enumerate() {
-                let rebuilt = seg.with_segment(i, |segment| segment.apply_delta(d)).unwrap().unwrap();
-                rows.extend(rebuilt.iter().map(|t| t.values().to_vec()));
-            }
-            prop_assert_eq!(rows.len(), expected.len());
-            for (row, tuple) in rows.iter().zip(expected.iter()) {
-                prop_assert_eq!(row.as_slice(), tuple.values());
-            }
-        }
-    }
-
     /// The frequency histogram always sums to 1 on non-empty columns
     /// and L1 distance is bounded by 2.
     #[test]

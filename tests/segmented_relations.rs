@@ -224,8 +224,10 @@ fn out_of_core_round_trip_through_a_file_store() {
 }
 
 /// Tuples pushed one by one (the streaming ingest path) land in the
-/// same segments `from_relation` produces, with the same rows and the
-/// same shared dictionaries.
+/// same segments `from_relation` produces, with the same rows, and
+/// each segment codes its text column the same way on both paths: a
+/// segment's dictionary follows its own rows, not the order of the
+/// relation it was cut from.
 #[test]
 fn push_and_from_relation_agree() {
     let rel = relation_for(42, 137);
@@ -241,9 +243,41 @@ fn push_and_from_relation_agree() {
     assert_eq!(pushed.segment_count(), gathered.segment_count());
     assert_same(&rel, &pushed.to_relation().unwrap(), "pushed segments");
     assert_same(&rel, &gathered.to_relation().unwrap(), "gathered segments");
-    assert_eq!(
-        pushed.shared_dict(2).unwrap().entries(),
-        gathered.shared_dict(2).unwrap().entries(),
-        "ingest paths intern the shared dictionary in different orders"
-    );
+    for i in 0..pushed.segment_count() {
+        let a = pushed.with_segment(i, Relation::clone).unwrap();
+        let b = gathered.with_segment(i, Relation::clone).unwrap();
+        let ((a_codes, a_dict), (b_codes, b_dict)) =
+            (a.column(2).as_text().unwrap(), b.column(2).as_text().unwrap());
+        assert_eq!(a_codes, b_codes, "segment {i}: text codes differ");
+        assert_eq!(a_dict.entries(), b_dict.entries(), "segment {i}: dictionaries differ");
+    }
+}
+
+/// Nothing that grows with the data stays resident: with a distinct
+/// text key per row, paging through every segment under a budget of an
+/// eighth of the relation leaves only per-segment bookkeeping pinned.
+#[test]
+fn resident_overhead_stays_bounded_for_text_keys() {
+    let schema = Schema::builder()
+        .key_attr("k", AttrType::Text)
+        .categorical_attr("a", AttrType::Integer)
+        .build()
+        .unwrap();
+    let tuples = 100_000;
+    let mut rel = Relation::with_capacity(schema, tuples);
+    for i in 0..tuples as i64 {
+        rel.push(vec![Value::Text(format!("key-{i:06}")), Value::Int(i % 9)]).unwrap();
+    }
+    let budget = rel.resident_bytes() / 8;
+    let mut seg = SegmentedRelation::builder(rel.schema().clone())
+        .segment_rows(1024)
+        .budget_bytes(budget)
+        .from_relation(&rel)
+        .unwrap();
+    for i in 0..seg.segment_count() {
+        seg.with_segment(i, |_| ()).unwrap();
+    }
+    assert!(seg.peak_pageable_bytes() <= budget);
+    let overhead = seg.resident_overhead_bytes();
+    assert!(overhead <= 64 * 1024, "{overhead} B stay resident (budget {budget} B)");
 }

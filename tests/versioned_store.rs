@@ -238,7 +238,8 @@ fn file_backed_pile_reopens_every_version() {
 /// for every text attribute: `relation_for(0x601D, 40)` cut into
 /// 10-row segments and committed, then row 10's `c` set to "saffron"
 /// and committed again. They are fixed bytes, never regenerated; the
-/// test opens copies so the checked-in files stay untouched.
+/// test opens copies so the checked-in files stay untouched. Current
+/// readers skip those sections, and current writers emit tag 0.
 #[test]
 fn pre_change_pile_and_log_reopen() {
     let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
@@ -259,7 +260,52 @@ fn pre_change_pile_and_log_reopen() {
     let (m0, m1) = (log.get(0).unwrap(), log.get(1).unwrap());
     assert_eq!(m1.dirty_against(m0), Some(vec![1]));
     assert_eq!(store.unique_blobs(), 5);
+
+    // Re-encoding drops the sections: 40 header bytes, one tag byte
+    // per attribute, then 4 segments of (hash, rows).
+    let reencoded = log.encode();
+    let record = 40 + 3 + 4 * 40;
+    assert_eq!(reencoded.len(), 2 * record);
+    for r in reencoded.chunks(record) {
+        assert_eq!(&r[40..43], &[0, 0, 0], "every attribute is written as tag 0");
+    }
+    assert_eq!(VersionLog::decode(&reencoded).unwrap(), log);
     let _ = std::fs::remove_file(&pile);
+}
+
+/// A segment blob depends only on the segment's rows. Following the
+/// daemon's `update` storage steps (CSV → `read_csv_inferred` →
+/// 1024-row segments → commit), a churn confined to segment 0 of an
+/// 8192-row table moves the order in which its 50 text values first
+/// appear in the whole CSV; only segment 0 may come out dirty, and the
+/// pile gains exactly one blob.
+#[test]
+fn churn_in_segment_zero_dirties_only_segment_zero() {
+    use catmark::relation::csv::read_csv_inferred;
+
+    let mut next = rng_from(0xC5_u64);
+    let items: Vec<u64> = (0..8_192).map(|_| next() % 50).collect();
+    let csv = |items: &[u64]| {
+        let mut text = String::from("id,item\n");
+        for (i, item) in items.iter().enumerate() {
+            text.push_str(&format!("{i},item-{item}\n"));
+        }
+        text
+    };
+    let mut churned = items.clone();
+    for item in &mut churned[..100] {
+        *item = (*item + 1) % 50;
+    }
+    let store = ContentStore::in_memory();
+    let mut log = VersionLog::new();
+    for items in [&items, &churned] {
+        let rel = read_csv_inferred(&csv(items), &["item"]).unwrap();
+        let mut seg = versioned(&rel, 1024, false, &store);
+        log.commit(&mut seg, &store).unwrap();
+    }
+    let (m0, m1) = (log.get(0).unwrap(), log.get(1).unwrap());
+    assert_eq!(m1.dirty_against(m0), Some(vec![0]));
+    assert_eq!(store.unique_blobs(), 9);
 }
 
 /// A segment's vote tally depends on which columns a session binds as
