@@ -378,6 +378,7 @@ impl VersionManifest {
         out.extend_from_slice(&self.segment_rows.to_le_bytes());
         out.extend_from_slice(&self.arity.to_le_bytes());
         out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
+        // Tag 0 ("no dictionary") for every attribute.
         out.resize(out.len() + self.arity as usize, 0);
         for seg in &self.segments {
             out.extend_from_slice(&seg.hash);
