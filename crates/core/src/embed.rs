@@ -322,11 +322,11 @@ impl<'a> Embedder<'a> {
     }
 
     /// The patch pass: the fit-decision loop over one relation into
-    /// the patch sink — the same decisions as [`Embedder::embed_pass`] on a clone
-    /// of `rel`, emitted as a [`MarkDelta`] without ever materializing
-    /// the clone; `base.apply_delta(&delta)` rebuilds the copy
-    /// byte-identically (pinned by proptest and golden). For text
-    /// columns the write pass interns every domain value up front;
+    /// the patch sink — the same decisions as [`Embedder::embed_pass`]
+    /// on a clone of `rel`, emitted as a [`MarkDelta`] without ever
+    /// materializing the clone; `base.apply_delta(&delta)` rebuilds
+    /// the copy byte-identically (pinned by proptest and golden). For
+    /// text columns the write pass interns every domain value up front;
     /// `table` reproduces that interning *virtually* — domain values
     /// absent from the base dictionary become dictionary-extension
     /// entries in domain order, occupying the codes interning would
