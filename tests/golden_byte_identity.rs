@@ -547,3 +547,102 @@ fn certified_detection_bundles_match_goldens() {
         "corrupted.evd must be EvidenceInvalid, got {err}"
     );
 }
+
+/// The relation behind `tests/golden/csv_edge.csv`: a text key with a
+/// duplicate, fields that need quoting (commas, quotes, newlines),
+/// empty strings, leading spaces, non-ASCII text and the `i64`
+/// extremes.
+fn csv_edge_relation() -> Relation {
+    use catmark::relation::{AttrType, Schema, Value};
+    let schema = Schema::builder()
+        .key_attr("name", AttrType::Text)
+        .categorical_attr("city", AttrType::Text)
+        .attr("n", AttrType::Integer)
+        .build()
+        .unwrap();
+    let mut rel = Relation::new(schema);
+    for (name, city, n) in [
+        ("alice", "san, jose", i64::MIN),
+        ("bob", "o\"hare", i64::MAX),
+        ("carol", "line\nbreak", 0),
+        ("", "", -1),
+        ("  dave", " leading space", 42),
+        ("zoë", "München", 7),
+        ("alice", "chicago", 1),
+        ("\"quoted\"", "a,\"b\",\nc", -42),
+        ("trailing ", "\"", 1_000_000),
+    ] {
+        rel.push_unchecked_key(vec![
+            Value::Text(name.into()),
+            Value::Text(city.into()),
+            Value::Int(n),
+        ])
+        .unwrap();
+    }
+    rel
+}
+
+fn csv_bytes(rel: &Relation) -> Vec<u8> {
+    let mut out = Vec::new();
+    catmark::relation::csv::write_csv(rel, &mut out).unwrap();
+    out
+}
+
+/// `(name, fnv, len)` of `write_csv` output: the 120k-row sales
+/// relation with and without its text column, an empty relation, and
+/// header-only input read back and written again.
+const CSV_GOLDENS: &[(&str, u64, usize)] = &[
+    ("sales_120k", 0xf1c2_7cea_d1ef_2210, 1_680_019),
+    ("sales_city_120k", 0x833e_0620_b6aa_def6, 2_810_245),
+    ("empty", 0x97b7_a258_d8e5_e69b, 12),
+    ("header_only", 0x6d99_fca0_0661_026d, 19),
+];
+
+fn csv_golden_input(name: &str) -> Vec<u8> {
+    use catmark::relation::{AttrType, Schema};
+    let sales = |with_city| {
+        SalesGenerator::new(ItemScanConfig { tuples: 120_000, with_city, ..Default::default() })
+            .generate()
+    };
+    match name {
+        "sales_120k" => csv_bytes(&sales(false)),
+        "sales_city_120k" => csv_bytes(&sales(true)),
+        "empty" => csv_bytes(&Relation::new(csv_edge_relation().schema().clone())),
+        "header_only" => {
+            let schema = Schema::builder()
+                .key_attr("visit_nbr", AttrType::Integer)
+                .categorical_attr("item_nbr", AttrType::Integer)
+                .build()
+                .unwrap();
+            let input = b"visit_nbr,item_nbr\r\n";
+            let rel = catmark::relation::csv::read_csv(schema, &mut &input[..]).unwrap();
+            assert!(rel.is_empty());
+            csv_bytes(&rel)
+        }
+        other => unreachable!("no CSV golden named {other}"),
+    }
+}
+
+/// The exact bytes `write_csv` produces. `csv_edge.csv` holds every
+/// quoting case verbatim; the larger outputs are pinned by FNV and
+/// length.
+#[test]
+fn csv_output_matches_goldens() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/csv_edge.csv");
+    let edge = csv_bytes(&csv_edge_relation());
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        std::fs::write(&path, &edge).unwrap();
+        for name in ["sales_120k", "sales_city_120k", "empty", "header_only"] {
+            let bytes = csv_golden_input(name);
+            println!("    ({name:?}, {:#018x}, {}),", fnv64(&bytes), bytes.len());
+        }
+        return;
+    }
+    let on_disk = std::fs::read(&path).expect("tests/golden/csv_edge.csv is checked in");
+    assert_eq!(edge, on_disk, "write_csv drifted from tests/golden/csv_edge.csv");
+    for &(name, fnv, len) in CSV_GOLDENS {
+        let bytes = csv_golden_input(name);
+        assert_eq!(fnv64(&bytes), fnv, "CSV drift: {name}");
+        assert_eq!(bytes.len(), len, "CSV size drift: {name}");
+    }
+}
