@@ -64,20 +64,6 @@ impl Value {
             Value::Int(_) => None,
         }
     }
-
-    /// Parse a value of the requested type from its display form.
-    ///
-    /// Integers parse with `i64::from_str`; any string is valid text.
-    pub fn parse(ty: crate::schema::AttrType, s: &str) -> Result<Value, crate::RelationError> {
-        match ty {
-            crate::schema::AttrType::Integer => s
-                .trim()
-                .parse::<i64>()
-                .map(Value::Int)
-                .map_err(|e| crate::RelationError::Csv(format!("bad integer {s:?}: {e}"))),
-            crate::schema::AttrType::Text => Ok(Value::Text(s.to_owned())),
-        }
-    }
 }
 
 /// Streaming form of [`Value::canonical_bytes`]: one type-tag byte
@@ -209,7 +195,6 @@ impl From<String> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::AttrType;
 
     #[test]
     fn streaming_encoding_matches_materialized() {
@@ -271,25 +256,6 @@ mod tests {
             values,
             vec![Value::Int(-5), Value::Int(10), Value::Text("a".into()), Value::Text("b".into()),]
         );
-    }
-
-    #[test]
-    fn parse_round_trips_display() {
-        let v = Value::Int(-42);
-        assert_eq!(Value::parse(AttrType::Integer, &v.to_string()).unwrap(), v);
-        let v = Value::Text("San Jose".into());
-        assert_eq!(Value::parse(AttrType::Text, &v.to_string()).unwrap(), v);
-    }
-
-    #[test]
-    fn parse_rejects_garbage_integers() {
-        assert!(Value::parse(AttrType::Integer, "abc").is_err());
-        assert!(Value::parse(AttrType::Integer, "").is_err());
-    }
-
-    #[test]
-    fn parse_integer_accepts_whitespace() {
-        assert_eq!(Value::parse(AttrType::Integer, " 7 ").unwrap(), Value::Int(7));
     }
 
     #[test]
