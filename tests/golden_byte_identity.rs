@@ -549,9 +549,9 @@ fn certified_detection_bundles_match_goldens() {
 }
 
 /// The relation behind `tests/golden/csv_edge.csv`: a text key with a
-/// duplicate, fields that need quoting (commas, quotes, newlines),
-/// empty strings, leading spaces, non-ASCII text and the `i64`
-/// extremes.
+/// duplicate, fields that need quoting (commas, quotes, newlines,
+/// carriage returns), empty strings, leading spaces, non-ASCII text and
+/// the `i64` extremes.
 fn csv_edge_relation() -> Relation {
     use catmark::relation::{AttrType, Schema, Value};
     let schema = Schema::builder()
@@ -571,6 +571,7 @@ fn csv_edge_relation() -> Relation {
         ("alice", "chicago", 1),
         ("\"quoted\"", "a,\"b\",\nc", -42),
         ("trailing ", "\"", 1_000_000),
+        ("carriage\r", "return\r\nnewline", 3),
     ] {
         rel.push_unchecked_key(vec![
             Value::Text(name.into()),
@@ -640,6 +641,10 @@ fn csv_output_matches_goldens() {
     }
     let on_disk = std::fs::read(&path).expect("tests/golden/csv_edge.csv is checked in");
     assert_eq!(edge, on_disk, "write_csv drifted from tests/golden/csv_edge.csv");
+    // And every case reads back as written.
+    let rel = csv_edge_relation();
+    let back = catmark::relation::csv::read_csv(rel.schema().clone(), &mut &on_disk[..]).unwrap();
+    assert!(rel.iter().eq(back.iter()), "csv_edge.csv does not read back");
     for &(name, fnv, len) in CSV_GOLDENS {
         let bytes = csv_golden_input(name);
         assert_eq!(fnv64(&bytes), fnv, "CSV drift: {name}");
