@@ -795,6 +795,11 @@ mod tests {
         let data = b"k,city\r\n1,chicago\r\n\r\n2,boston\r\n";
         let rel = read(data).unwrap();
         assert_eq!(rel.len(), 2);
+        // A one-text-column record would otherwise read a blank line
+        // as an empty value.
+        let schema = Schema::builder().key_attr("t", AttrType::Text).build().unwrap();
+        let rel = read_csv(schema, &mut &b"t\na\n\nb\n\r\n"[..]).unwrap();
+        assert_eq!(rel.len(), 2);
     }
 
     #[test]
