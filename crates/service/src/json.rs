@@ -311,15 +311,21 @@ impl Parser<'_> {
         }
     }
 
+    /// Exactly four ASCII hex digits (`u32::from_str_radix` would also
+    /// take a leading `+`).
     fn hex4(&mut self) -> Result<u32, String> {
         let end = self.pos + 4;
         let digits = self
             .bytes
             .get(self.pos..end)
             .ok_or_else(|| format!("truncated \\u escape at byte {}", self.pos))?;
-        let text = std::str::from_utf8(digits).map_err(|e| e.to_string())?;
-        let v = u32::from_str_radix(text, 16)
-            .map_err(|e| format!("bad \\u escape at byte {}: {e}", self.pos))?;
+        let mut v = 0;
+        for &d in digits {
+            let nibble = char::from(d).to_digit(16).ok_or_else(|| {
+                format!("bad \\u escape at byte {}: not four hex digits", self.pos)
+            })?;
+            v = v * 16 + nibble;
+        }
         self.pos = end;
         Ok(v)
     }
@@ -408,6 +414,16 @@ mod tests {
         assert!(parse(r#""\ud83d""#).is_err(), "lone high surrogate");
         assert!(parse(r#""\udc00\udc00""#).is_err(), "lone low surrogate");
         assert_eq!(parse(r#""\/\b\f""#).unwrap(), Json::Str("/\u{8}\u{c}".into()));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u004A\u004a""#).unwrap(), Json::Str("JJ".into()));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04g1""#, "\"\\u04\u{e9}\""] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains("bad \\u escape"), "{bad}: {err}");
+        }
+        assert!(parse(r#""\u04""#).unwrap_err().contains("truncated"));
     }
 
     #[test]
