@@ -37,11 +37,16 @@
 //! * **churn** — the versioned store under 10% row churn confined to a
 //!   rotating window of segments, `embed_incremental` +
 //!   `decode_incremental` against the full re-pass: identity, ≥5x,
-//!   and blob sharing between versions.
+//!   and blob sharing between versions;
+//! * **csv** — `write_csv` into a `Vec` and `read_csv` through an 8 KiB
+//!   `BufReader` of the sales relation with its text column: the round
+//!   trip gives back equal columns, and at 120k rows the bytes match
+//!   the golden FNV.
 //!
 //! Usage: `cargo run --release -p catmark_bench --bin markplan
 //! [tuples]` (default 120 000).
 
+use std::io::BufReader;
 use std::time::Instant;
 
 use catmark_core::fingerprint::FingerprintRegistry;
@@ -55,6 +60,7 @@ use catmark_core::{
 };
 use catmark_crypto::Sha256Backend;
 use catmark_datagen::{ItemScanConfig, SalesGenerator};
+use catmark_relation::csv::{read_csv, write_csv};
 use catmark_relation::spill::FileStore;
 use catmark_relation::{
     CategoricalDomain, ContentStore, Relation, SegmentedRelation, Value, VersionLog,
@@ -108,6 +114,7 @@ fn main() {
     section(&mut report, "fingerprint batch", fingerprint_batch(&recipients));
     section(&mut report, "fingerprint delta", fingerprint_delta(&recipients));
     section(&mut report, "versioned churn", churn(&w));
+    section(&mut report, "csv", csv(tuples));
     // Last, so it counts every scenario that ran on the shared session.
     let plan_cache = w.session.cache().stats();
     section(
@@ -855,5 +862,59 @@ fn churn(w: &Workload) -> Vec<Field> {
         ("pager_hits", pager_stats.hits.to_string()),
         ("pager_misses", pager_stats.misses.to_string()),
         ("pager_evictions", pager_stats.evictions.to_string()),
+    ]
+}
+
+/// FNV-1a and length of `write_csv` for the 120k-row sales relation
+/// with its text column: `sales_city_120k` in
+/// `tests/golden_byte_identity.rs`.
+const CSV_CITY_120K: (u64, usize) = (0x833e_0620_b6aa_def6, 2_810_245);
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xCBF2_9CE4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01B3))
+}
+
+/// CSV export and import of the sales relation with its text column,
+/// as the CLI runs them: the writer into a `Vec`, the reader through
+/// an 8 KiB `BufReader`, so records straddle buffers.
+fn csv(tuples: usize) -> Vec<Field> {
+    let gen = SalesGenerator::new(ItemScanConfig { tuples, with_city: true, ..Default::default() });
+    let rel = gen.generate();
+    let schema = rel.schema().clone();
+    let mut bytes = Vec::new();
+    write_csv(&rel, &mut bytes).expect("writing to a Vec never fails");
+    let back = read_csv(schema.clone(), &mut BufReader::new(bytes.as_slice()))
+        .expect("written CSV reads back");
+    let equal =
+        back.len() == rel.len() && (0..schema.arity()).all(|i| back.column(i) == rel.column(i));
+    assert!(equal, "the CSV round trip changed the relation");
+    if tuples == 120_000 {
+        assert_eq!(
+            (fnv64(&bytes), bytes.len()),
+            CSV_CITY_120K,
+            "CSV output drifted from its golden"
+        );
+    }
+    let write_ms = best_ms(
+        || Vec::with_capacity(bytes.len()),
+        |out| write_csv(&rel, out).expect("writing to a Vec never fails"),
+    );
+    let read_ms = best_ms(
+        || (),
+        |()| {
+            read_csv(schema.clone(), &mut BufReader::new(bytes.as_slice()))
+                .expect("written CSV reads back")
+        },
+    );
+    let mb = bytes.len() as f64 / 1e6;
+    vec![
+        ("csv_bytes", bytes.len().to_string()),
+        ("csv_read_ms", fixed(read_ms, 3)),
+        ("csv_write_ms", fixed(write_ms, 3)),
+        ("csv_read_mb_per_s", fixed(mb / (read_ms / 1e3), 1)),
+        ("csv_write_mb_per_s", fixed(mb / (write_ms / 1e3), 1)),
+        ("csv_round_trip_equal", equal.to_string()),
     ]
 }
