@@ -8,14 +8,16 @@
 //!
 //! # Reading
 //!
-//! [`read_csv`] makes one pass over the bytes each `fill_buf` of its
-//! reader returns. A record ends at a newline outside quotes. Integer
-//! fields go straight into the column's `Vec<i64>`; text fields are
-//! interned into the column's [`crate::Dictionary`], so codes follow
-//! first appearance. No `String` is made per field and no tuple per
-//! row. Memory is bounded by the relation being built: the input is
-//! never held whole, only the one record that straddles two buffers is
-//! copied.
+//! [`read_csv`] reads the buffers its reader's `fill_buf` returns. A
+//! record ends at a newline outside quotes. A plain record (every field
+//! unquoted and well formed, no `\r` before its newline) goes from the
+//! buffer into the columns in one pass: integers into the column's
+//! `Vec<i64>`, text interned into its [`crate::Dictionary`], so codes
+//! follow first appearance. Any other record, and one that straddles
+//! two buffers, goes through a quote-aware splitter. No `String` is
+//! made per field and no tuple per row. Memory is bounded by the
+//! relation being built: the input is never held whole, and only a
+//! record that straddles two buffers is copied.
 //!
 //! Parsing rules, kept from the line-based reader this replaced:
 //!
@@ -72,8 +74,9 @@ const SAMPLE_RECORDS: usize = 100;
 /// Propagates I/O errors as [`RelationError::Csv`].
 pub fn write_csv(rel: &Relation, out: &mut impl Write) -> Result<(), RelationError> {
     let mut buf = Vec::with_capacity(2 * CHUNK);
-    let names = rel.schema().attrs().iter().map(|a| escape(&a.name));
-    push_joined(&mut buf, names);
+    let header: Vec<Cow<'_, str>> = rel.schema().attrs().iter().map(|a| escape(&a.name)).collect();
+    buf.extend_from_slice(header.join(",").as_bytes());
+    buf.push(b'\n');
     let columns: Vec<Cells<'_>> = (0..rel.schema().arity())
         .map(|i| match rel.column(i) {
             ColumnView::Int(xs) => Cells::Int(xs),
@@ -108,17 +111,6 @@ enum Cells<'a> {
     Int(&'a [i64]),
     /// Codes, and each dictionary entry already escaped.
     Text(&'a [u32], Vec<Cow<'a, str>>),
-}
-
-/// `fields` joined by commas, then a newline.
-fn push_joined<'a>(buf: &mut Vec<u8>, fields: impl Iterator<Item = Cow<'a, str>>) {
-    for (i, field) in fields.enumerate() {
-        if i > 0 {
-            buf.push(b',');
-        }
-        buf.extend_from_slice(field.as_bytes());
-    }
-    buf.push(b'\n');
 }
 
 /// `field` as it appears in CSV: quoted, with quotes doubled, when it
@@ -500,7 +492,7 @@ impl Record<'_> {
         let problem = match self.split.quote {
             Quote::Stray => "stray",
             Quote::Open => "unterminated",
-            Quote::FieldStart | Quote::Plain | Quote::QuoteInQuotes => return Ok(()),
+            Quote::FieldStart | Quote::Plain | Quote::Closing => return Ok(()),
         };
         let content = utf8(self.content())?;
         Err(RelationError::Csv(format!("{problem} quote in {content:?}")))
@@ -528,7 +520,7 @@ enum Quote {
     Open,
     /// Inside quotes just after a `"`: a second `"` is a literal quote,
     /// anything else closes the field's quotes.
-    QuoteInQuotes,
+    Closing,
     /// A `"` inside an unquoted field: the record is malformed, and ends
     /// at the next newline.
     Stray,
@@ -553,7 +545,7 @@ impl Splitter {
         let mut quote = self.quote;
         for (i, &b) in bytes.iter().enumerate() {
             quote = match (quote, b) {
-                (Quote::Open, b'"') => Quote::QuoteInQuotes,
+                (Quote::Open, b'"') => Quote::Closing,
                 (Quote::Open, b'\n') => {
                     self.quoted_newlines += 1;
                     Quote::Open
@@ -568,7 +560,7 @@ impl Splitter {
                     self.commas.push(base + i);
                     Quote::FieldStart
                 }
-                (Quote::FieldStart | Quote::QuoteInQuotes, b'"') => Quote::Open,
+                (Quote::FieldStart | Quote::Closing, b'"') => Quote::Open,
                 (Quote::Plain, b'"') => Quote::Stray,
                 _ => Quote::Plain,
             };
@@ -755,7 +747,7 @@ mod tests {
         let mut pieces = Pieces(Vec::new());
         write_csv(&rel, &mut pieces).unwrap();
         let (last, full) = pieces.0.split_last().unwrap();
-        assert!(full.iter().all(|&n| n >= CHUNK && n < CHUNK + 16), "{full:?}");
+        assert!(full.iter().all(|n| (CHUNK..CHUNK + 16).contains(n)), "{full:?}");
         assert_eq!(full.iter().sum::<usize>() + last, 48_892);
     }
 
