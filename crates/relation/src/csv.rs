@@ -795,16 +795,6 @@ mod tests {
     }
 
     #[test]
-    fn records_straddling_buffers_read_the_same() {
-        let mut buf = Vec::new();
-        write_csv(&sample(), &mut buf).unwrap();
-        for capacity in [1, 2, 3, 7] {
-            let parsed = read_csv(schema(), &mut BufReader::with_capacity(capacity, &buf[..]));
-            assert!(sample().iter().zip(parsed.unwrap().iter()).all(|(a, b)| a == b));
-        }
-    }
-
-    #[test]
     fn tolerates_duplicate_keys() {
         let data = b"k,city\n1,chicago\n1,boston\n";
         let rel = read(data).unwrap();
