@@ -584,10 +584,11 @@ fn plain_prefix(bytes: &[u8]) -> usize {
 }
 
 /// Hand each record of `input` to `visit`, in order, until the input
-/// ends or `visit` returns `Ok(false)`. Each record after the first
-/// whose start is in the reader's buffer is offered to `plain` first,
-/// which takes it straight from the buffer (returning the bytes it
-/// took, newline included) or declines with `None`.
+/// ends or `visit` returns `Ok(false)`. Every record but the first that
+/// starts inside the current buffer is offered to `plain` first, which
+/// either takes it straight from the buffer (returning the bytes it
+/// took, newline included) or returns `None`, and the record goes
+/// through the [`Splitter`] to `visit`.
 fn for_each_record<R: BufRead + ?Sized, S>(
     input: &mut R,
     state: &mut S,
