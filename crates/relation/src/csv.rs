@@ -272,7 +272,8 @@ struct Recent([u32; 256]);
 
 impl Default for Recent {
     fn default() -> Self {
-        // No dictionary holds `u32::MAX` entries, so no slot matches.
+        // Past the end of any real dictionary; and like every slot, only
+        // trusted once its entry compares equal.
         Recent([u32::MAX; 256])
     }
 }
