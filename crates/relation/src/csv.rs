@@ -56,7 +56,7 @@
 use std::borrow::Cow;
 use std::io::{BufRead, Write};
 
-use crate::column::{Column, ColumnView, Dictionary};
+use crate::column::{Column, ColumnView};
 use crate::{AttrType, Relation, RelationError, Schema};
 
 /// [`write_csv`] hands its writer pieces of at least this size (the
@@ -152,8 +152,7 @@ fn push_int(buf: &mut Vec<u8>, v: i64) {
 /// [`RelationError::Csv`] on malformed input, with the messages listed
 /// in the [module docs](self).
 pub fn read_csv(schema: Schema, input: &mut impl BufRead) -> Result<Relation, RelationError> {
-    let columns: Vec<Column> = schema.attrs().iter().map(|a| Column::new(a.ty)).collect();
-    let mut table = Table { recent: vec![Recent::default(); columns.len()], columns };
+    let mut table = Table(schema.attrs().iter().map(|a| Column::new(a.ty)).collect());
     let mut seen_header = false;
     for_each_record(input, &mut table, Table::push_plain, |table, rec| {
         if !seen_header {
@@ -173,14 +172,11 @@ pub fn read_csv(schema: Schema, input: &mut impl BufRead) -> Result<Relation, Re
     if !seen_header {
         return Err(RelationError::Csv("missing header row".into()));
     }
-    Relation::from_columns(schema, table.columns)
+    Relation::from_columns(schema, table.0)
 }
 
-/// The columns [`read_csv`] fills, each with its [`Recent`] codes.
-struct Table {
-    columns: Vec<Column>,
-    recent: Vec<Recent>,
-}
+/// The columns [`read_csv`] fills.
+struct Table(Vec<Column>);
 
 impl Table {
     /// Append the record at the start of `bytes` if it is plain: every
@@ -191,10 +187,10 @@ impl Table {
     /// leaves the columns as they were and the record to
     /// [`Table::push_record`].
     fn push_plain(&mut self, bytes: &[u8]) -> Option<usize> {
-        let rows = self.columns[0].len();
+        let rows = self.0[0].len();
         let taken = self.try_push_plain(bytes);
         if taken.is_none() {
-            for column in &mut self.columns {
+            for column in &mut self.0 {
                 match column {
                     Column::Int(xs) => xs.truncate(rows),
                     Column::Text { codes, .. } => codes.truncate(rows),
@@ -209,9 +205,9 @@ impl Table {
             // A blank record, which the general path skips.
             return None;
         }
-        let last = self.columns.len() - 1;
+        let last = self.0.len() - 1;
         let mut at = 0;
-        for (i, (column, recent)) in self.columns.iter_mut().zip(&mut self.recent).enumerate() {
+        for (i, column) in self.0.iter_mut().enumerate() {
             let rest = &bytes[at..];
             let separator = if i == last { b'\n' } else { b',' };
             match column {
@@ -232,7 +228,7 @@ impl Table {
                     // Interned only once known whole, so a record the
                     // general path takes over leaves the dictionary as
                     // that path alone would.
-                    codes.push(recent.intern(dict, text));
+                    codes.push(dict.intern(text));
                     at += len + 1;
                 }
             }
@@ -245,59 +241,20 @@ impl Table {
     fn push_record(&mut self, rec: &Record<'_>) -> Result<(), RelationError> {
         rec.check_quotes()?;
         let fields = rec.split.commas.len() + 1;
-        if fields != self.columns.len() {
+        if fields != self.0.len() {
             return Err(RelationError::Csv(format!(
                 "row {}: {fields} fields, expected {}",
                 rec.line_no,
-                self.columns.len()
+                self.0.len()
             )));
         }
-        for ((raw, column), recent) in rec.fields().zip(&mut self.columns).zip(&mut self.recent) {
+        for (raw, column) in rec.fields().zip(&mut self.0) {
             match column {
                 Column::Int(xs) => xs.push(int(raw)?),
-                Column::Text { codes, dict } => codes.push(recent.intern(dict, &text(raw)?)),
+                Column::Text { codes, dict } => codes.push(dict.intern(&text(raw)?)),
             }
         }
         Ok(())
-    }
-}
-
-/// The codes of a text column's recently read values, by a cheap hash
-/// of their bytes. A categorical column repeats a few values, and a
-/// value found here skips the dictionary's keyed hash. A miss, or a
-/// slot taken by another value, falls back to [`Dictionary::intern`],
-/// so input crafted to collide here costs no more than that.
-#[derive(Clone)]
-struct Recent([u32; 256]);
-
-impl Default for Recent {
-    fn default() -> Self {
-        // Past the end of any real dictionary; and like every slot, only
-        // trusted once its entry compares equal.
-        Recent([u32::MAX; 256])
-    }
-}
-
-impl Recent {
-    fn intern(&mut self, dict: &mut Dictionary, s: &str) -> u32 {
-        // The first and last eight (or four) bytes, and the length.
-        let (b, n) = (s.as_bytes(), s.len());
-        let word = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("eight bytes"));
-        let half = |i: usize| u64::from(u32::from_le_bytes(b[i..i + 4].try_into().expect("four")));
-        let (x, y) = match n {
-            8.. => (word(0), word(n - 8)),
-            4.. => (half(0), half(n - 4)),
-            1.. => (u64::from(b[0]) | u64::from(b[n / 2]) << 8 | u64::from(b[n - 1]) << 16, 0),
-            0 => (0, 0),
-        };
-        const K: u64 = 0x9e37_79b9_7f4a_7c15;
-        let h = ((x ^ n as u64).wrapping_mul(K) ^ y).wrapping_mul(K);
-        let slot = &mut self.0[(h >> 56) as usize];
-        if dict.entries().get(*slot as usize).is_some_and(|e| **e == *s) {
-            return *slot;
-        }
-        *slot = dict.intern(s);
-        *slot
     }
 }
 
