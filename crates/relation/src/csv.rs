@@ -54,7 +54,7 @@
 //! needs no `BufWriter`.
 
 use std::borrow::Cow;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Write};
 
 use crate::column::{Column, ColumnView};
 use crate::{AttrType, Relation, RelationError, Schema};
@@ -558,7 +558,11 @@ fn for_each_record<R: BufRead + ?Sized, S>(
     let mut carry = Vec::new();
     let mut line_no = 1;
     loop {
-        let buf = input.fill_buf().map_err(io_error)?;
+        let buf = match input.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(io_error(e)),
+        };
         if buf.is_empty() {
             break;
         }
@@ -733,6 +737,34 @@ mod tests {
     fn rejects_bad_quotes_naming_the_record() {
         assert_eq!(error(b"k,city\n1,ab\"cd\r\n"), "stray quote in \"1,ab\\\"cd\"");
         assert_eq!(error(b"k,city\n1,\"open\r"), "unterminated quote in \"1,\\\"open\"");
+    }
+
+    #[test]
+    fn retries_interrupted_reads() {
+        struct Interrupts<'a>(&'a [u8], bool);
+        impl std::io::Read for Interrupts<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.fill_buf()?.read(out)?;
+                self.consume(n);
+                Ok(n)
+            }
+        }
+        impl BufRead for Interrupts<'_> {
+            fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+                if std::mem::take(&mut self.1) {
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                Ok(self.0)
+            }
+            fn consume(&mut self, n: usize) {
+                self.0 = &self.0[n..];
+                self.1 = true;
+            }
+        }
+        let data = b"k,city\n1,chicago\n2,boston\n";
+        assert_eq!(read_csv(schema(), &mut Interrupts(data, true)).unwrap().len(), 2);
+        let schema = infer_schema(&mut Interrupts(data, true), &[]).unwrap();
+        assert_eq!(schema.attr(1).ty, AttrType::Text);
     }
 
     #[test]
