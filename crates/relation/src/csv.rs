@@ -15,9 +15,12 @@
 //! `Vec<i64>`, text interned into its [`crate::Dictionary`], so codes
 //! follow first appearance. Any other record, and one that straddles
 //! two buffers, goes through a quote-aware splitter. No `String` is
-//! made per field and no tuple per row. Memory is bounded by the
-//! relation being built: the input is never held whole, and only a
-//! record that straddles two buffers is copied.
+//! made per field and no tuple per row. Beyond the relation being
+//! built, memory holds one buffer and at most one record: only a record
+//! that straddles two buffers is copied. A record is as long as its
+//! quoted fields, so a very long quoted field, or a quote that never
+//! closes (which runs the record to the end of the input), is held
+//! whole.
 //!
 //! Parsing rules, kept from the line-based reader this replaced:
 //!
@@ -38,7 +41,8 @@
 //! * `row N: k fields, expected a`, where `N` is the physical line the
 //!   record starts on (the header is line 1);
 //! * `stray quote in "…"` — a `"` inside an unquoted field — or
-//!   `unterminated quote in "…"` at the end of the input;
+//!   `unterminated quote in "…"` at the end of the input, each quoting
+//!   the record's first line;
 //! * `bad integer "…": …`;
 //! * `stream did not contain valid UTF-8`, for invalid UTF-8 in any
 //!   record read (it takes precedence over the record's other errors);
@@ -445,15 +449,21 @@ impl Record<'_> {
     }
 
     /// A stray quote anywhere, or a quote still open at the end of the
-    /// input, is an error naming the record.
+    /// input, is an error naming the record by its first line, as the
+    /// line-based reader did. (A quote left open runs the record to the
+    /// end of the input.)
     fn check_quotes(&self) -> Result<(), RelationError> {
         let problem = match self.split.quote {
             Quote::Stray => "stray",
             Quote::Open => "unterminated",
             Quote::FieldStart | Quote::Plain | Quote::Closing => return Ok(()),
         };
-        let content = utf8(self.content())?;
-        Err(RelationError::Csv(format!("{problem} quote in {content:?}")))
+        let first = match self.bytes.iter().position(|&b| b == b'\n') {
+            Some(end) => strip_cr(strip_cr(&self.bytes[..end])),
+            None => self.content(),
+        };
+        let first = utf8(first)?;
+        Err(RelationError::Csv(format!("{problem} quote in {first:?}")))
     }
 
     /// `err`, unless the record is not UTF-8: that error comes first.
@@ -737,6 +747,15 @@ mod tests {
     fn rejects_bad_quotes_naming_the_record() {
         assert_eq!(error(b"k,city\n1,ab\"cd\r\n"), "stray quote in \"1,ab\\\"cd\"");
         assert_eq!(error(b"k,city\n1,\"open\r"), "unterminated quote in \"1,\\\"open\"");
+    }
+
+    #[test]
+    fn an_unterminated_quote_names_only_its_first_line() {
+        let mut data = b"k,city\n1,\"a\r\n".to_vec();
+        for row in 0..10_000 {
+            data.extend_from_slice(format!("{row},tail\n").as_bytes());
+        }
+        assert_eq!(error(&data), "unterminated quote in \"1,\\\"a\"");
     }
 
     #[test]
