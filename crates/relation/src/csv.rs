@@ -744,6 +744,14 @@ mod tests {
     }
 
     #[test]
+    fn rejects_bad_types() {
+        assert_eq!(
+            error(b"k,city\nnot-a-number,chicago\n"),
+            "bad integer \"not-a-number\": invalid digit found in string"
+        );
+    }
+
+    #[test]
     fn rejects_bad_quotes_naming_the_record() {
         assert_eq!(error(b"k,city\n1,ab\"cd\r\n"), "stray quote in \"1,ab\\\"cd\"");
         assert_eq!(error(b"k,city\n1,\"open\r"), "unterminated quote in \"1,\\\"open\"");
