@@ -6,7 +6,8 @@
 
 use std::io::{BufRead, BufReader};
 
-use catmark::core::{MarkSession, Watermark, WatermarkSpec};
+use catmark::core::{verify_evidence, MarkSession, Watermark, WatermarkSpec};
+use catmark::crypto::hex::to_hex;
 use catmark::prelude::*;
 use catmark::relation::column::{Column, ColumnView, Dictionary};
 use catmark::relation::csv::{read_csv, write_csv};
@@ -392,6 +393,23 @@ fn schema_kt() -> Schema {
         .unwrap()
 }
 
+/// `decode_certified`'s bundle for `rel`, keyed on the text `name`
+/// column and marking the text `city` column.
+fn certify_whole(rel: &Relation) -> Vec<u8> {
+    let domain =
+        CategoricalDomain::new(["", "a", "é", "x", "y"].map(Value::from).to_vec()).unwrap();
+    let spec = WatermarkSpec::builder(domain)
+        .master_key("whole-identity")
+        .e(2)
+        .wm_len(4)
+        .wm_data_len(8)
+        .build()
+        .unwrap();
+    let session =
+        MarkSession::builder(spec).key_column("name").target_column("city").bind(rel).unwrap();
+    session.decode_certified(rel).unwrap().bundle
+}
+
 /// Run `read` over `input` whole, then through buffers of one byte and
 /// of seven bytes, so every record straddles a buffer boundary.
 fn through_buffers<T>(input: &[u8], mut read: impl FnMut(&mut dyn BufRead) -> T) -> [T; 3] {
@@ -442,6 +460,78 @@ proptest! {
                 prop_assert!(parsed.column(attr) == rel.column(attr), "column {} drifted", attr);
             }
         }
+    }
+
+    /// A whole-relation evidence bundle commits to SHA-256 over every
+    /// value's `canonical_bytes()` in row-major order, text columns
+    /// included, and that identity does not depend on how the text
+    /// dictionaries are laid out: the same rows rebuilt from columns
+    /// whose dictionaries are permuted and hold unused entries certify
+    /// to the same bundle.
+    #[test]
+    fn whole_identity_hashes_logical_rows(
+        rows in prop::collection::vec(
+            ("[,\"\n\r éab]{0,8}", "[,\"\n\r éxy]{0,6}", any::<i64>(), -1000i64..1000),
+            0..30,
+        ),
+    ) {
+        let schema = Schema::builder()
+            .key_attr("name", AttrType::Text)
+            .categorical_attr("city", AttrType::Text)
+            .attr("n", AttrType::Integer)
+            .attr("m", AttrType::Integer)
+            .build()
+            .unwrap();
+        let mut rel = Relation::new(schema.clone());
+        for (name, city, n, m) in &rows {
+            rel.push_unchecked_key(vec![
+                Value::Text(name.clone()),
+                Value::Text(city.clone()),
+                Value::Int(*n),
+                Value::Int(*m),
+            ])
+            .unwrap();
+        }
+        let mut reference = HashAlgorithm::Sha256.hasher();
+        for tuple in rel.iter() {
+            for value in tuple.values() {
+                reference.update(&value.canonical_bytes());
+            }
+        }
+        let expected = format!(
+            "whole relation, {} rows, sha256 {}",
+            rel.len(),
+            to_hex(&reference.finalize_vec())
+        );
+        let bundle = certify_whole(&rel);
+        prop_assert_eq!(verify_evidence(&bundle).unwrap().relation, expected);
+
+        // Each text dictionary: an unused entry, the column's values in
+        // reverse order of first appearance, then another unused entry.
+        let columns = (0..schema.arity())
+            .map(|attr| match rel.column(attr) {
+                ColumnView::Int(xs) => Column::Int(xs.to_vec()),
+                ColumnView::Text { codes, dict } => {
+                    let mut seen: Vec<&str> = Vec::new();
+                    for &code in codes {
+                        if !seen.contains(&dict.get(code)) {
+                            seen.push(dict.get(code));
+                        }
+                    }
+                    let mut permuted = Dictionary::new();
+                    permuted.intern("UNUSED-FIRST");
+                    for s in seen.iter().rev() {
+                        permuted.intern(s);
+                    }
+                    permuted.intern("UNUSED-LAST");
+                    let codes =
+                        codes.iter().map(|&c| permuted.code_of(dict.get(c)).unwrap()).collect();
+                    Column::Text { codes, dict: permuted }
+                }
+            })
+            .collect();
+        let rebuilt = Relation::from_columns(schema, columns).unwrap();
+        prop_assert_eq!(certify_whole(&rebuilt), bundle);
     }
 
     /// The streaming reader returns what the line-based reader it
