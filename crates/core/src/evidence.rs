@@ -31,8 +31,10 @@
 //! returned outcome is byte-identical by construction (pinned by the
 //! golden suite and the bench gate).
 
-use catmark_crypto::HashAlgorithm;
-use catmark_relation::{Relation, SegmentedRelation, VersionManifest};
+use catmark_crypto::{CanonicalInput, HashAlgorithm};
+use catmark_relation::{
+    CanonicalInt, CanonicalText, ColumnView, Relation, SegmentedRelation, VersionManifest,
+};
 
 use crate::contest::{self, Claim, ClaimEvidence, ContestOutcome};
 use crate::decode::{DecodeReport, Decoder, ErasurePolicy, VoteAccumulator};
@@ -55,6 +57,9 @@ const MAX_WM_DATA: usize = 1 << 24;
 const MAX_SEGMENTS: usize = 1 << 20;
 const MAX_WM_LEN: usize = 4096;
 const MAX_STR: usize = 1 << 16;
+/// The whole-relation identity hands SHA-256 pieces of at least this
+/// many bytes (the last one excepted).
+const HASH_CHUNK: usize = 8 * 1024;
 
 /// ECC tag: majority voting, the only session decode ECC.
 const ECC_MAJORITY: u8 = 0;
@@ -304,14 +309,29 @@ fn key_commitment(spec: &WatermarkSpec) -> [u8; 32] {
 }
 
 /// The identity of an in-memory run: the row count plus SHA-256 over
-/// every value's canonical bytes in row-major order.
+/// every value's canonical bytes in row-major order. The bytes are
+/// read from the column slices into one reused buffer, which the
+/// hasher takes in pieces of about [`HASH_CHUNK`]. A text value is
+/// its dictionary entry's bytes, never its code.
 fn whole_identity(rel: &Relation) -> RelationIdentity {
+    let columns: Vec<ColumnView<'_>> = (0..rel.schema().arity()).map(|i| rel.column(i)).collect();
     let mut h = HashAlgorithm::Sha256.hasher();
-    for tuple in rel.iter() {
-        for value in tuple.values() {
-            h.update(&value.canonical_bytes());
+    let mut buf = Vec::with_capacity(2 * HASH_CHUNK);
+    for row in 0..rel.len() {
+        for column in &columns {
+            match column {
+                ColumnView::Int(xs) => buf.extend_from_slice(&CanonicalInt(xs[row]).encode()),
+                ColumnView::Text { codes, dict } => CanonicalText(dict.get(codes[row]))
+                    .write_canonical(&mut buf)
+                    .expect("Vec writers are infallible"),
+            }
+        }
+        if buf.len() >= HASH_CHUNK {
+            h.update(&buf);
+            buf.clear();
         }
     }
+    h.update(&buf);
     let hash = h.finalize_vec().try_into().expect("sha-256 digests are 32 bytes");
     RelationIdentity::Whole { rows: rel.len() as u64, hash }
 }
