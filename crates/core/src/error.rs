@@ -55,6 +55,17 @@ pub enum CoreError {
         /// The first verification check that failed.
         reason: String,
     },
+    /// A certified driver refused to emit its evidence bundle because
+    /// a value exceeds a limit of the `CMKEVD1` format, so the bundle
+    /// would fail verification.
+    EvidenceLimit {
+        /// What exceeds its limit.
+        field: &'static str,
+        /// Its value.
+        len: usize,
+        /// The largest value the format accepts.
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -88,6 +99,10 @@ impl std::fmt::Display for CoreError {
             CoreError::EvidenceInvalid { reason } => {
                 write!(f, "evidence bundle rejected: {reason}")
             }
+            CoreError::EvidenceLimit { field, len, limit } => write!(
+                f,
+                "cannot certify: {field} {len} exceeds the evidence format's limit of {limit}"
+            ),
         }
     }
 }

@@ -52,7 +52,8 @@ const MAGIC: &[u8; 8] = b"CMKEVD1\0";
 /// Bytes of framing before the payload: magic, payload SHA-256,
 /// payload length.
 const HEADER: usize = 48;
-/// Sanity ceilings for crafted bundles that pass the checksum.
+/// Format limits: [`encode_bundle`] refuses to write past them and
+/// [`parse_bundle`] refuses to read past them.
 const MAX_WM_DATA: usize = 1 << 24;
 const MAX_SEGMENTS: usize = 1 << 20;
 const MAX_WM_LEN: usize = 4096;
@@ -101,6 +102,15 @@ impl RelationIdentity {
             RelationIdentity::Versioned { version, segments } => {
                 format!("version {version}, {} segments", segments.len())
             }
+        }
+    }
+
+    /// Rows tally `i` covers: the whole relation's, or segment `i`'s
+    /// (a parsed bundle carries one tally per segment).
+    fn tally_rows(&self, i: usize) -> u64 {
+        match self {
+            RelationIdentity::Whole { rows, .. } => *rows,
+            RelationIdentity::Versioned { segments, .. } => segments[i].1,
         }
     }
 }
@@ -336,7 +346,20 @@ fn whole_identity(rel: &Relation) -> RelationIdentity {
     RelationIdentity::Whole { rows: rel.len() as u64, hash }
 }
 
+/// `Ok` when `len` is within the format's `limit` for `field`.
+fn within_limit(field: &'static str, len: usize, limit: usize) -> Result<(), CoreError> {
+    if len > limit {
+        return Err(CoreError::EvidenceLimit { field, len, limit });
+    }
+    Ok(())
+}
+
 /// Assemble and frame one bundle.
+///
+/// # Errors
+///
+/// [`CoreError::EvidenceLimit`] when the spec, the identity or the
+/// contest trace exceeds a format limit that [`parse_bundle`] checks.
 fn encode_bundle(
     spec: &WatermarkSpec,
     identity: &RelationIdentity,
@@ -344,7 +367,16 @@ fn encode_bundle(
     report: &DecodeReport,
     claim: Option<(&Watermark, &Detection)>,
     contest: Option<&ContestTrace>,
-) -> Vec<u8> {
+) -> Result<Vec<u8>, CoreError> {
+    within_limit("watermark length", spec.wm_len, MAX_WM_LEN)?;
+    within_limit("wm_data length", spec.wm_data_len, MAX_WM_DATA)?;
+    if let RelationIdentity::Versioned { segments, .. } = identity {
+        within_limit("segment count", segments.len(), MAX_SEGMENTS)?;
+    }
+    if let Some(trace) = contest {
+        within_limit("contest claimant name length", trace.claimant.len(), MAX_STR)?;
+        within_limit("contest opponent name length", trace.opponent.len(), MAX_STR)?;
+    }
     // An upper bound: per tally its counts plus a segment's identity
     // entry, the resolved slots and both marks, and slack for the rest.
     let per_tally = 64 + 8 * spec.wm_data_len;
@@ -424,7 +456,7 @@ fn encode_bundle(
     out.extend_from_slice(&HashAlgorithm::Sha256.digest(&p));
     push_u64(&mut out, p.len() as u64);
     out.extend_from_slice(&p);
-    out
+    Ok(out)
 }
 
 // ---------------------------------------------------------------- decode
@@ -686,15 +718,28 @@ fn parse_bundle(bytes: &[u8]) -> Result<ParsedBundle, CoreError> {
 pub fn verify_evidence(bytes: &[u8]) -> Result<EvidenceSummary, CoreError> {
     let b = parse_bundle(bytes)?;
 
-    // Fold the tallies, checking each one's internal accounting.
+    // Fold the tallies, checking each one's internal accounting. The
+    // counts are the bundle's, so every sum of them is checked.
+    let fold = |total: u64, count: u64, what: &str| {
+        total
+            .checked_add(count)
+            .ok_or_else(|| invalid(format!("{what} summed over the tallies overflow 64 bits")))
+    };
     let mut ones = vec![0u64; b.wm_data_len];
     let mut zeros = vec![0u64; b.wm_data_len];
     let (mut fit, mut votes, mut foreign) = (0u64, 0u64, 0u64);
     for (i, tally) in b.tallies.iter().enumerate() {
-        if tally.votes_cast + tally.foreign_values != tally.fit_tuples {
+        if tally.votes_cast.checked_add(tally.foreign_values) != Some(tally.fit_tuples) {
             return Err(invalid(format!(
                 "tally {i}: votes {} + foreign {} != fit {}",
                 tally.votes_cast, tally.foreign_values, tally.fit_tuples
+            )));
+        }
+        let rows = b.identity.tally_rows(i);
+        if tally.fit_tuples > rows {
+            return Err(invalid(format!(
+                "tally {i}: {} fit tuples among the {rows} rows it covers",
+                tally.fit_tuples
             )));
         }
         let cast: u64 = tally.ones.iter().map(|&o| u64::from(o)).sum::<u64>()
@@ -709,9 +754,9 @@ pub fn verify_evidence(bytes: &[u8]) -> Result<EvidenceSummary, CoreError> {
             ones[p] += u64::from(tally.ones[p]);
             zeros[p] += u64::from(tally.zeros[p]);
         }
-        fit += tally.fit_tuples;
-        votes += tally.votes_cast;
-        foreign += tally.foreign_values;
+        fit = fold(fit, tally.fit_tuples, "fit tuples")?;
+        votes = fold(votes, tally.votes_cast, "votes")?;
+        foreign = fold(foreign, tally.foreign_values, "foreign values")?;
     }
 
     // Re-resolve every position against the recorded wm_data.
@@ -898,10 +943,11 @@ impl MarkSession {
     ///
     /// # Errors
     ///
-    /// As [`MarkSession::decode`].
+    /// As [`MarkSession::decode`], and [`CoreError::EvidenceLimit`] when
+    /// the spec exceeds a limit of the bundle format.
     pub fn decode_certified(&self, rel: &Relation) -> Result<Certified<DecodeReport>, CoreError> {
         let (report, tally, identity) = self.certified_whole_pass(rel)?;
-        let bundle = encode_bundle(self.spec(), &identity, &[tally], &report, None, None);
+        let bundle = encode_bundle(self.spec(), &identity, &[tally], &report, None, None)?;
         Ok(Certified { outcome: report, bundle })
     }
 
@@ -909,14 +955,15 @@ impl MarkSession {
     ///
     /// # Errors
     ///
-    /// As [`MarkSession::detect`].
+    /// As [`MarkSession::detect`], and [`CoreError::EvidenceLimit`] when
+    /// the spec exceeds a limit of the bundle format.
     pub fn detect_certified(
         &self,
         rel: &Relation,
         claimed: &Watermark,
     ) -> Result<Certified<Verdict>, CoreError> {
         let (report, tally, identity) = self.certified_whole_pass(rel)?;
-        Ok(self.certify_claim(&identity, &[tally], report, claimed))
+        self.certify_claim(&identity, &[tally], report, claimed)
     }
 
     /// `decode` weighed against `claimed`, bundled with the tallies it
@@ -927,7 +974,7 @@ impl MarkSession {
         tallies: &[VoteAccumulator],
         decode: DecodeReport,
         claimed: &Watermark,
-    ) -> Certified<Verdict> {
+    ) -> Result<Certified<Verdict>, CoreError> {
         let detection = detect(&decode.watermark, claimed);
         let bundle = encode_bundle(
             self.spec(),
@@ -936,8 +983,8 @@ impl MarkSession {
             &decode,
             Some((claimed, &detection)),
             None,
-        );
-        Certified { outcome: Verdict { decode, detection }, bundle }
+        )?;
+        Ok(Certified { outcome: Verdict { decode, detection }, bundle })
     }
 
     /// One whole-relation accumulation pass: the fast path's tally
@@ -962,7 +1009,8 @@ impl MarkSession {
     ///
     /// # Errors
     ///
-    /// As [`MarkSession::decode_incremental`].
+    /// As [`MarkSession::decode_incremental`], and [`CoreError::EvidenceLimit`] when
+    /// the spec exceeds a limit of the bundle format.
     pub fn detect_certified_incremental(
         &self,
         seg: &mut SegmentedRelation,
@@ -974,7 +1022,7 @@ impl MarkSession {
         let kept = tallies.fold.kept.as_deref().expect("certified walks keep every tally");
         let segments = manifest.segments.iter().map(|s| (s.hash, s.rows)).collect();
         let identity = RelationIdentity::Versioned { version: manifest.id, segments };
-        Ok(self.certify_claim(&identity, kept, tallies.resolve()?, claimed))
+        self.certify_claim(&identity, kept, tallies.resolve()?, claimed)
     }
 
     /// Certified [`MarkSession::contest`]: the same two evidence
@@ -986,7 +1034,9 @@ impl MarkSession {
     ///
     /// # Errors
     ///
-    /// As [`MarkSession::contest`].
+    /// As [`MarkSession::contest`], and [`CoreError::EvidenceLimit`] when
+    /// the spec or a claimant's name exceeds a limit of the bundle
+    /// format.
     pub fn contest_certified(
         &self,
         a: &Claim,
@@ -1019,7 +1069,7 @@ impl MarkSession {
             encode_bundle(&claim.spec, &identity, tallies, &own.decode, claimed, Some(&trace))
         };
         let (bundle_a, bundle_b) =
-            (bundle(a, &ev_a, &ev_b, &tally_a), bundle(b, &ev_b, &ev_a, &tally_b));
+            (bundle(a, &ev_a, &ev_b, &tally_a)?, bundle(b, &ev_b, &ev_a, &tally_b)?);
         Ok((
             contest::outcome(&ev_a, &ev_b, alpha, unanimity_margin),
             Certified { outcome: ev_a, bundle: bundle_a },
@@ -1222,6 +1272,43 @@ mod tests {
         evil.extend_from_slice(&payload);
         let err = verify_evidence(&evil).unwrap_err();
         assert!(matches!(err, CoreError::EvidenceInvalid { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn certification_refuses_a_watermark_longer_than_the_format_allows() {
+        let gen = SalesGenerator::new(ItemScanConfig { tuples: 3_000, ..Default::default() });
+        let rel = gen.generate();
+        let certify = |wm_len: usize| {
+            let spec = WatermarkSpec::builder(gen.item_domain())
+                .master_key("evidence-limits")
+                .e(10)
+                .wm_len(wm_len)
+                .wm_data_len(wm_len)
+                .build()
+                .unwrap();
+            let session = MarkSession::builder(spec)
+                .key_column("visit_nbr")
+                .target_column("item_nbr")
+                .bind(&rel)
+                .unwrap();
+            session.decode_certified(&rel)
+        };
+        verify_evidence(&certify(4096).unwrap().bundle).unwrap();
+        let err = certify(4097).unwrap_err();
+        let limit = CoreError::EvidenceLimit { field: "watermark length", len: 4097, limit: 4096 };
+        assert_eq!(err, limit);
+    }
+
+    #[test]
+    fn contest_certification_refuses_a_name_longer_than_the_format_allows() {
+        let (rel, session, wm) = fixture(3_000, 10);
+        let owner = session.claim(&"o".repeat(65_537), &wm);
+        let other = session.claim("other", &Watermark::from_u64(0x2A5, 10));
+        let err = session.contest_certified(&owner, &other, &rel, 1e-2, 0.01).unwrap_err();
+        assert!(
+            matches!(err, CoreError::EvidenceLimit { len: 65_537, limit: 65_536, .. }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -273,6 +273,62 @@ fn cross_shape_tally_splice_is_rejected() {
     );
 }
 
+/// Add `delta` to the little-endian u64 at `at`, wrapping.
+fn add_u64(payload: &mut [u8], at: usize, delta: u64) {
+    let field: &mut [u8; 8] = (&mut payload[at..at + 8]).try_into().unwrap();
+    *field = u64::from_le_bytes(*field).wrapping_add(delta).to_le_bytes();
+}
+
+/// `fx.segmented` reframed after adding `delta` to the fit and foreign
+/// counts of each listed segment's tally, so each tally still balances
+/// (votes + foreign = fit). With `rows`, each segment's row count in
+/// the identity grows by `delta` too.
+fn inflate_segments(segments: &[usize], delta: u64, rows: bool) -> Vec<u8> {
+    let mut payload = fixtures().segmented[HEADER..].to_vec();
+    for &k in segments {
+        let tally = SPEC_BYTES + VERSIONED_IDENTITY + 4 + k * TALLY_BYTES;
+        add_u64(&mut payload, tally, delta);
+        add_u64(&mut payload, tally + 16, delta);
+        if rows {
+            add_u64(&mut payload, SPEC_BYTES + 13 + k * 40 + 32, delta);
+        }
+    }
+    reframe(&payload)
+}
+
+fn assert_invalid(bytes: &[u8], what: &str) {
+    match verify_evidence(bytes) {
+        Err(CoreError::EvidenceInvalid { .. }) => {}
+        Err(other) => panic!("{what}: rejected with untyped error {other}"),
+        Ok(summary) => panic!("{what}: forged bundle ACCEPTED ({summary})"),
+    }
+}
+
+/// A tally that counts more fit tuples than the rows it covers is
+/// rejected, even when its votes and foreign values still add up and
+/// the checksum is recomputed.
+#[test]
+fn tallies_with_more_fit_tuples_than_rows_are_rejected() {
+    assert_invalid(&inflate_segments(&[2], 1_000_000, false), "segment 2 fit +1,000,000");
+    let mut payload = fixtures().whole[HEADER..].to_vec();
+    let tally = SPEC_BYTES + WHOLE_IDENTITY + 4;
+    add_u64(&mut payload, tally, TUPLES as u64);
+    add_u64(&mut payload, tally + 16, TUPLES as u64);
+    assert_invalid(&reframe(&payload), "whole-relation fit +3,000");
+}
+
+/// Counts whose sum over the tallies overflows 64 bits are rejected,
+/// not wrapped back to the genuine totals: 2^63 more fit and foreign
+/// tuples in two segments, with and without their row counts raised
+/// to match.
+#[test]
+fn tally_counts_that_overflow_when_folded_are_rejected() {
+    for rows in [false, true] {
+        let forged = inflate_segments(&[1, 4], 1 << 63, rows);
+        assert_invalid(&forged, &format!("segments 1 and 4 fit +2^63, rows raised: {rows}"));
+    }
+}
+
 /// The rejection reason is carried in the typed error and is specific
 /// enough to name the failed check.
 #[test]
