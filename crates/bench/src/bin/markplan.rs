@@ -24,8 +24,8 @@
 //! * **evidence_whole** — the whole-relation certified detect the
 //!   CLI's `decode --evidence` runs, on the sales relation with its
 //!   text column: the bundle commits to SHA-256 over the relation's
-//!   canonical bytes, and certifying costs at most 3x a bare SHA-256
-//!   of those bytes over the plain detect;
+//!   canonical bytes, and what certifying adds to the plain detect is
+//!   at most 3x a bare SHA-256 of those bytes;
 //! * **hash** — the keyed two-block fast path's four-lane throughput
 //!   per SHA-256 backend, with a ≥1.5x SHA-NI floor where the CPU has
 //!   it;
