@@ -719,7 +719,9 @@ pub fn verify_evidence(bytes: &[u8]) -> Result<EvidenceSummary, CoreError> {
     let b = parse_bundle(bytes)?;
 
     // Fold the tallies, checking each one's internal accounting. The
-    // counts are the bundle's, so every sum of them is checked.
+    // u64 counts are the bundle's, so their sums are checked; the
+    // per-position sums of u32 votes cannot overflow within the
+    // format limits.
     let fold = |total: u64, count: u64, what: &str| {
         total
             .checked_add(count)
