@@ -710,6 +710,51 @@ mod tests {
     }
 
     #[test]
+    fn rules_output_is_pinned_on_a_fixed_csv() {
+        // An integer key, a text categorical column holding a quoted
+        // value with a comma, and an integer categorical column.
+        let dir = std::env::temp_dir().join(format!("catmark-rules-pin-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let data_path = dir.join("aisles.csv");
+        let mut csv = String::from("sku,dept,aisle\n");
+        for i in 0..60i64 {
+            let dept = ["produce", "dairy", "\"frozen, bulk\""][(i % 3) as usize];
+            let aisle = if i % 7 == 6 { 99 } else { (i % 3) * 10 + i % 2 };
+            csv.push_str(&format!("{i},{dept},{aisle}\n"));
+        }
+        std::fs::write(&data_path, csv).unwrap();
+
+        let args: Vec<String> = [
+            "rules",
+            "--input",
+            data_path.to_str().unwrap(),
+            "--attrs",
+            "dept,aisle",
+            "--min-support",
+            "0.1",
+            "--min-confidence",
+            "0.5",
+            "--top",
+            "5",
+        ]
+        .iter()
+        .map(|s| (*s).to_string())
+        .collect();
+        let out = run(&args).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(
+            out,
+            "60 transactions, 16 frequent itemsets (support ≥ 10.0%), 6 rules (confidence ≥ 50.0%)\n\
+             aisle=1 => dept=\"produce\"  sup 0.150  conf 1.000  lift 3.00\n\
+             aisle=10 => dept=\"dairy\"  sup 0.150  conf 1.000  lift 3.00\n\
+             aisle=20 => dept=\"frozen, bulk\"  sup 0.150  conf 1.000  lift 3.00\n\
+             aisle=21 => dept=\"frozen, bulk\"  sup 0.150  conf 1.000  lift 3.00\n\
+             aisle=0 => dept=\"produce\"  sup 0.133  conf 1.000  lift 3.00\n\
+             … and 1 more (raise --top)\n"
+        );
+    }
+
+    #[test]
     fn unknown_command_and_help() {
         assert!(run(&["frobnicate".to_owned()]).is_err());
         assert!(run(&["help".to_owned()]).unwrap().contains("usage"));
