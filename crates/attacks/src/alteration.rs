@@ -165,7 +165,7 @@ mod tests {
     fn alters_requested_fraction() {
         let r = rel();
         let attacked = random_alteration(&r, "item_nbr", 0.3, 7).unwrap();
-        let changed = r.iter().zip(attacked.iter()).filter(|(a, b)| a.get(1) != b.get(1)).count();
+        let changed = r.column_iter(1).zip(attacked.column_iter(1)).filter(|(a, b)| a != b).count();
         let frac = changed as f64 / r.len() as f64;
         // Every targeted tuple is guaranteed to change (different
         // value enforced), so the fraction is exact.
@@ -183,9 +183,9 @@ mod tests {
     fn fraction_zero_and_one_edge_cases() {
         let r = rel();
         let same = random_alteration(&r, "item_nbr", 0.0, 1).unwrap();
-        assert!(r.iter().zip(same.iter()).all(|(a, b)| a == b));
+        assert_eq!(same, r);
         let all = random_alteration(&r, "item_nbr", 1.0, 1).unwrap();
-        let changed = r.iter().zip(all.iter()).filter(|(a, b)| a != b).count();
+        let changed = r.column_iter(1).zip(all.column_iter(1)).filter(|(a, b)| a != b).count();
         assert_eq!(changed, r.len());
     }
 
@@ -214,9 +214,9 @@ mod tests {
         let r = rel();
         let a = random_alteration(&r, "item_nbr", 0.25, 42).unwrap();
         let b = random_alteration(&r, "item_nbr", 0.25, 42).unwrap();
-        assert!(a.iter().zip(b.iter()).all(|(x, y)| x == y));
+        assert_eq!(b, a);
         let c = random_alteration(&r, "item_nbr", 0.25, 43).unwrap();
-        assert!(a.iter().zip(c.iter()).any(|(x, y)| x != y));
+        assert_ne!(a, c);
     }
 
     #[test]

@@ -43,12 +43,11 @@ fn aligned_rows(copies: &[&Relation]) -> Result<Vec<Vec<usize>>, RelationError> 
     }
     let key_idx = first.schema().key_index();
     let mut rows = Vec::with_capacity(first.len());
-    'keys: for (row0, tuple) in first.iter().enumerate() {
-        let key = tuple.get(key_idx);
+    'keys: for (row0, key) in first.column_iter(key_idx).enumerate() {
         let mut per_copy = Vec::with_capacity(copies.len());
         per_copy.push(row0);
         for other in rest {
-            match other.find_by_key(key) {
+            match other.find_by_key(&key) {
                 Some(r) => per_copy.push(r),
                 None => continue 'keys,
             }
@@ -107,7 +106,8 @@ pub fn mix_and_match(copies: &[&Relation], seed: u64) -> Result<Relation, Relati
     for per_copy in rows {
         let c = rng.below(copies.len() as u64) as usize;
         let row = per_copy[c];
-        out.push_unchecked_key(copies[c].tuple(row)?.values().to_vec())?;
+        let values = (0..first.schema().arity()).map(|attr| copies[c].value(row, attr));
+        out.push_unchecked_key(values.collect::<Result<_, _>>()?)?;
     }
     Ok(out)
 }
@@ -121,15 +121,17 @@ pub fn mix_and_match(copies: &[&Relation], seed: u64) -> Result<Relation, Relati
 /// schemas.
 pub fn row_share(copies: &[&Relation]) -> Result<Relation, RelationError> {
     let rows = aligned_rows(copies)?;
-    let first = copies[0];
     let n = rows.len();
     let c = copies.len();
-    let mut out = Relation::with_capacity(first.schema().clone(), n);
-    for (i, per_copy) in rows.into_iter().enumerate() {
+    let mut blocks = vec![Vec::new(); c];
+    for (i, per_copy) in rows.iter().enumerate() {
         // Block index of row i among c nearly equal blocks.
         let owner = (i * c / n.max(1)).min(c - 1);
-        let row = per_copy[owner];
-        out.push_unchecked_key(copies[owner].tuple(row)?.values().to_vec())?;
+        blocks[owner].push(per_copy[owner]);
+    }
+    let mut out = Relation::with_capacity(copies[0].schema().clone(), n);
+    for (copy, block) in copies.iter().zip(&blocks) {
+        out.append(&copy.gather(block))?;
     }
     Ok(out)
 }
@@ -175,9 +177,9 @@ mod tests {
         // colluder's own copy carries.
         let item_idx = rel.schema().index_of("item_nbr").unwrap();
         let differing = merged
-            .iter()
-            .zip(rel.iter())
-            .filter(|(m, o)| m.get(item_idx) != o.get(item_idx))
+            .column_iter(item_idx)
+            .zip(rel.column_iter(item_idx))
+            .filter(|(m, o)| m != o)
             .count();
         let frac = differing as f64 / rel.len() as f64;
         assert!(frac < 0.05, "residual marked fraction {frac}");
@@ -271,13 +273,7 @@ mod tests {
         let (_, _, mut copies) = setup(&["a", "b"]);
         // Buyer b truncates their copy before colluding.
         let n = copies[1].len();
-        copies[1].retain({
-            let mut i = 0;
-            move |_| {
-                i += 1;
-                i <= n - 100
-            }
-        });
+        copies[1] = copies[1].gather(&(0..n - 100).collect::<Vec<_>>());
         let refs: Vec<&Relation> = copies.iter().collect();
         let merged = majority_merge(&refs, 9).unwrap();
         assert_eq!(merged.len(), n - 100);
@@ -307,6 +303,6 @@ mod tests {
         let refs: Vec<&Relation> = copies.iter().collect();
         let m1 = mix_and_match(&refs, 42).unwrap();
         let m2 = mix_and_match(&refs, 42).unwrap();
-        assert!(m1.iter().zip(m2.iter()).all(|(x, y)| x == y));
+        assert_eq!(m1, m2);
     }
 }

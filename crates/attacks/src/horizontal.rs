@@ -44,15 +44,14 @@ pub fn value_biased_selection(
     let hist = catmark_relation::FrequencyHistogram::from_relation(rel, attr_idx, &domain)?;
     let keep: std::collections::HashSet<usize> =
         hist.rank_by_frequency().into_iter().take(top_k).collect();
-    let mut out = Relation::new(rel.schema().clone());
-    for tuple in rel.iter() {
-        let t = domain.index_of(tuple.get(attr_idx)).expect("domain from column");
-        if keep.contains(&t) {
-            out.push_unchecked_key(tuple.values().to_vec())
-                .expect("tuple from a valid relation stays valid");
-        }
-    }
-    Ok(out)
+    let rows: Vec<usize> = domain
+        .intern_column(rel, attr_idx)
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, t)| keep.contains(&(t.expect("domain from column") as usize)))
+        .map(|(row, _)| row)
+        .collect();
+    Ok(rel.gather(&rows))
 }
 
 /// Keep a contiguous row range `[start, start + len)` — the "sell one
@@ -60,12 +59,8 @@ pub fn value_biased_selection(
 /// whose mark positions correlate with row order.
 #[must_use]
 pub fn contiguous_cut(rel: &Relation, start: usize, len: usize) -> Relation {
-    let mut out = Relation::with_capacity(rel.schema().clone(), len);
-    for row in start..(start + len).min(rel.len()) {
-        out.push_unchecked_key(rel.tuple(row).expect("row in range").values().to_vec())
-            .expect("tuple from a valid relation stays valid");
-    }
-    out
+    let rows: Vec<usize> = (start..(start + len).min(rel.len())).collect();
+    rel.gather(&rows)
 }
 
 #[cfg(test)]
@@ -96,7 +91,8 @@ mod tests {
         let r = rel();
         let cut = contiguous_cut(&r, 100, 50);
         assert_eq!(cut.len(), 50);
-        assert_eq!(cut.tuple(0).unwrap(), r.tuple(100).unwrap());
+        assert_eq!(cut, r.gather(&(100..150).collect::<Vec<_>>()));
+        assert_eq!(cut.value(0, 0).unwrap(), r.value(100, 0).unwrap());
         // Cut beyond the end truncates.
         let tail = contiguous_cut(&r, r.len() - 10, 100);
         assert_eq!(tail.len(), 10);
@@ -124,10 +120,10 @@ mod tests {
     fn survivors_are_unmodified() {
         let r = rel();
         let kept = subset_selection(&r, 0.5, 3);
-        for tuple in kept.iter() {
-            let key = tuple.get(0);
-            let row = r.find_by_key(key).expect("survivor came from the original");
-            assert_eq!(r.tuple(row).unwrap(), tuple);
-        }
+        let rows: Vec<usize> = kept
+            .column_iter(0)
+            .map(|key| r.find_by_key(&key).expect("survivor came from the original"))
+            .collect();
+        assert_eq!(r.gather(&rows), kept);
     }
 }

@@ -120,8 +120,9 @@ mod tests {
         let images: std::collections::HashSet<_> = mapping.values().collect();
         assert_eq!(images.len(), mapping.len());
         // Consistency: every tuple's value went through the mapping.
-        for (orig, new) in r.iter().zip(attacked.iter()) {
-            assert_eq!(mapping.get(orig.get(1)), Some(new.get(1)));
+        assert_eq!(attacked.len(), r.len());
+        for (orig, new) in r.column_iter(1).zip(attacked.column_iter(1)) {
+            assert_eq!(mapping.get(&orig), Some(&new));
         }
     }
 

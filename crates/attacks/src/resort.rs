@@ -37,11 +37,11 @@ mod tests {
         let shuffled = shuffle(&rel, 42);
         let sorted = sort_by(&shuffled, "item_nbr", true).unwrap();
         assert_eq!(sorted.len(), rel.len());
-        let mut a: Vec<_> = rel.iter().collect();
-        let mut b: Vec<_> = sorted.iter().collect();
-        a.sort_by(|x, y| x.get(0).cmp(y.get(0)));
-        b.sort_by(|x, y| x.get(0).cmp(y.get(0)));
-        assert_eq!(a, b);
+        let by_key = |r: &Relation| {
+            let rows: Vec<usize> = rel.column_iter(0).map(|k| r.find_by_key(&k).unwrap()).collect();
+            r.gather(&rows)
+        };
+        assert_eq!(by_key(&sorted), rel);
     }
 
     #[test]

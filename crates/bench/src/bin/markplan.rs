@@ -186,10 +186,6 @@ fn bind(spec: &WatermarkSpec, rel: &Relation) -> MarkSession {
         .expect("bench schema binds")
 }
 
-fn same_rows(a: &Relation, b: &Relation) -> bool {
-    a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x == y)
-}
-
 /// The main workload: a sales relation, its spec and mark, the session
 /// the gates run on, and the relation marked in memory — the bytes
 /// every streamed path must reproduce.
@@ -224,7 +220,7 @@ impl Workload {
 
     /// Whether `seg` holds exactly the in-memory marked bytes.
     fn matches_marked(&self, seg: &mut SegmentedRelation) -> bool {
-        same_rows(&seg.to_relation().expect("segments materialize"), &self.marked)
+        seg.to_relation().expect("segments materialize") == self.marked
     }
 }
 
@@ -490,9 +486,10 @@ fn evidence_whole(w: &Workload) -> Vec<Field> {
     let session = bind(&w.spec, &rel);
     session.embed(&mut rel, &w.wm).expect("embedding succeeds");
     let mut canonical = Vec::new();
-    for tuple in rel.iter() {
-        for value in tuple.values() {
-            canonical.extend_from_slice(&value.canonical_bytes());
+    for row in 0..rel.len() {
+        for attr in 0..rel.schema().arity() {
+            canonical
+                .extend_from_slice(&rel.value(row, attr).expect("row in range").canonical_bytes());
         }
     }
 
@@ -709,7 +706,7 @@ fn fingerprint_delta(r: &Recipients) -> Vec<Field> {
         assert_eq!(report, &reference_report, "delta report diverged for recipient {b}");
         let rebuilt = r.rel.apply_delta(delta).expect("delta applies to its base");
         assert!(
-            same_rows(&rebuilt, &reference),
+            rebuilt == reference,
             "delta rebuild diverged from the embed reference for recipient {b}"
         );
         assert_eq!(delta.encode().len(), delta.serialized_len());
@@ -820,10 +817,8 @@ fn churn(w: &Workload) -> Vec<Field> {
         .expect("incremental re-mark succeeds");
     assert!(!inc.full_fallback, "same-geometry manifests must not fall back");
     assert!(inc.dirty_segments > 0 && inc.clean_segments > 0, "churn must be partial");
-    let identical = same_rows(
-        &seg.to_relation().expect("segments materialize"),
-        &twin.to_relation().expect("segments materialize"),
-    );
+    let identical = seg.to_relation().expect("segments materialize")
+        == twin.to_relation().expect("segments materialize");
     assert!(identical, "incremental re-mark diverged from the full re-pass");
     marked_id = log.commit(&mut seg, &store).expect("commit succeeds");
     let remarked_m = log.get(marked_id).expect("logged").clone();

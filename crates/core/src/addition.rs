@@ -142,7 +142,9 @@ pub fn inject_fit_tuples(
         // Stealth: copy every non-key, non-target attribute from a
         // random *original* tuple so marginals are preserved.
         let template_row = (template_rng.next_u64() % original_len) as usize;
-        let mut values = rel.tuple(template_row).expect("row in range").values().to_vec();
+        let mut values = (0..rel.schema().arity())
+            .map(|attr| rel.value(template_row, attr))
+            .collect::<Result<Vec<Value>, _>>()?;
         values[key_idx] = key;
         values[attr_idx] = spec.domain.value_at(t).clone();
         rel.push(values)?;
@@ -216,11 +218,10 @@ mod tests {
         let ecc = MajorityVotingEcc;
         let wm_data = ecc.encode(&wm, spec.wm_data_len);
         for row in before..rel.len() {
-            let tuple = rel.tuple(row).unwrap();
-            assert!(sel.is_fit(tuple.get(0)));
-            let t = spec.domain.index_of(tuple.get(1)).unwrap();
-            let idx = sel.position(tuple.get(0));
-            assert_eq!(t & 1 == 1, wm_data[idx]);
+            let key = rel.value(row, 0).unwrap();
+            assert!(sel.is_fit(&key));
+            let t = spec.domain.index_of(&rel.value(row, 1).unwrap()).unwrap();
+            assert_eq!(t & 1 == 1, wm_data[sel.position(&key)]);
         }
     }
 

@@ -459,9 +459,9 @@ mod tests {
         // Removing one tuple from the selection is fine, a second is
         // vetoed.
         let hit_rows: Vec<usize> = rel
-            .iter()
+            .column_iter(1)
             .enumerate()
-            .filter(|(_, t)| t.get(1) == &top_value)
+            .filter(|(_, v)| v == &top_value)
             .map(|(r, _)| r)
             .take(2)
             .collect();

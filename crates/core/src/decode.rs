@@ -449,7 +449,7 @@ mod tests {
         let (mut rel, spec, wm) = setup(6_000, 30, ErasurePolicy::Abstain);
         // Remap every item number out of the domain (crude A6).
         for row in 0..rel.len() {
-            let old = rel.tuple(row).unwrap().get(1).as_int().unwrap();
+            let old = rel.value(row, 1).unwrap().as_int().unwrap();
             rel.update_value(row, 1, catmark_relation::Value::Int(old + 1_000_000)).unwrap();
         }
         let report = crate::testkit::decode(&spec, &rel, "visit_nbr", "item_nbr").unwrap();

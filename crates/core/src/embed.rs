@@ -631,9 +631,8 @@ mod tests {
         let wm_data = ecc.encode(&wm, spec.wm_data_len);
         let sel = FitnessSelector::new(&spec);
         for &row in &report.touched_rows {
-            let tuple = rel.tuple(row).unwrap();
-            let t = spec.domain.index_of(tuple.get(1)).expect("value in domain");
-            let idx = sel.position(tuple.get(0));
+            let t = spec.domain.index_of(&rel.value(row, 1).unwrap()).expect("value in domain");
+            let idx = sel.position(&rel.value(row, 0).unwrap());
             assert_eq!(t & 1 == 1, wm_data[idx], "row {row} carries the wrong bit");
         }
     }
@@ -645,7 +644,7 @@ mod tests {
         let mut b = rel;
         crate::testkit::embed(&spec, &mut a, "visit_nbr", "item_nbr", &wm).unwrap();
         crate::testkit::embed(&spec, &mut b, "visit_nbr", "item_nbr", &wm).unwrap();
-        assert!(a.iter().zip(b.iter()).all(|(x, y)| x == y));
+        assert_eq!(b, a);
     }
 
     #[test]
@@ -701,9 +700,9 @@ mod tests {
         let mut guard = QualityGuard::new(vec![]);
         crate::testkit::embed_guarded(&spec, &mut marked, "visit_nbr", "item_nbr", &wm, &mut guard)
             .unwrap();
-        assert!(original.iter().zip(marked.iter()).any(|(a, b)| a != b));
+        assert_ne!(original, marked);
         guard.undo_all(&mut marked).unwrap();
-        assert!(original.iter().zip(marked.iter()).all(|(a, b)| a == b));
+        assert_eq!(marked, original);
     }
 
     #[test]

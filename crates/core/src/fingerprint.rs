@@ -465,11 +465,7 @@ mod tests {
         for (buyer, (copy, report)) in buyers.iter().zip(&batched) {
             let (expected, expected_report) =
                 seq_reg.mark_copy(&rel, buyer, "visit_nbr", "item_nbr").unwrap();
-            assert_eq!(copy.len(), expected.len(), "buyer {buyer}");
-            assert!(
-                copy.iter().zip(expected.iter()).all(|(a, b)| a == b),
-                "buyer {buyer}: batched copy diverges from sequential"
-            );
+            assert!(copy == &expected, "buyer {buyer}: batched copy diverges from sequential");
             assert_eq!(report.altered, expected_report.altered, "buyer {buyer}");
         }
         assert_eq!(batched_reg.buyers(), ["acme", "globex", "initech", "umbrella", "hooli"]);
@@ -490,10 +486,7 @@ mod tests {
             // Through the wire format and back.
             let wire = MarkDelta::decode(&delta.encode()).unwrap();
             let rebuilt = rel.apply_delta(&wire).unwrap();
-            assert!(
-                rebuilt.iter().zip(copy.iter()).all(|(a, b)| a == b),
-                "buyer {buyer}: delta-rebuilt copy diverges from mark_copy"
-            );
+            assert!(rebuilt == *copy, "buyer {buyer}: delta-rebuilt copy diverges from mark_copy");
             // The delta is a small fraction of the materialized copy.
             assert!(delta.serialized_len() * 4 < copy.resident_bytes(), "buyer {buyer}");
         }
@@ -553,13 +546,8 @@ mod tests {
         let (copy_b, _) = reg.mark_copy(&rel, "globex", "visit_nbr", "item_nbr").unwrap();
         reg.register("innocent");
         // Interleave: first half of A's rows, second half of B's.
-        let mut merged = Relation::with_capacity(rel.schema().clone(), rel.len());
-        for row in 0..rel.len() / 2 {
-            merged.push_unchecked_key(copy_a.tuple(row).unwrap().values().to_vec()).unwrap();
-        }
-        for row in rel.len() / 2..rel.len() {
-            merged.push_unchecked_key(copy_b.tuple(row).unwrap().values().to_vec()).unwrap();
-        }
+        let mut merged = copy_a.gather(&(0..rel.len() / 2).collect::<Vec<_>>());
+        merged.append(&copy_b.gather(&(rel.len() / 2..rel.len()).collect::<Vec<_>>())).unwrap();
         let results = reg.trace(&merged, "visit_nbr", "item_nbr").unwrap();
         let top2: Vec<&str> = results[..2].iter().map(|r| r.buyer.as_str()).collect();
         assert!(top2.contains(&"acme") && top2.contains(&"globex"), "{top2:?}");

@@ -354,7 +354,9 @@ mod tests {
         let c = codec(40);
         let wm = Watermark::from_u64(0b0110_1001, 8);
         let report = c.embed(&mut rel, "item_nbr", &domain, &wm).unwrap();
-        let changed = original.iter().zip(rel.iter()).filter(|(a, b)| a != b).count();
+        let attr = rel.schema().index_of("item_nbr").unwrap();
+        let changed =
+            original.column_iter(attr).zip(rel.column_iter(attr)).filter(|(a, b)| a != b).count();
         assert_eq!(changed, report.moved);
         // At most ~1.5 cells of movement per group.
         assert!(changed <= 8 * 60, "changed {changed}");

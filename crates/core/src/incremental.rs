@@ -316,10 +316,7 @@ mod tests {
 
         let ours = seg.to_relation().unwrap();
         let theirs = twin.to_relation().unwrap();
-        assert!(
-            ours.iter().zip(theirs.iter()).all(|(a, b)| a == b),
-            "incremental re-mark diverged from the full re-pass"
-        );
+        assert!(ours == theirs, "incremental re-mark diverged from the full re-pass");
         // And the re-marked commit shares every clean blob with the
         // marked ancestor.
         let remarked_id = log.commit(&mut seg, &store).unwrap();

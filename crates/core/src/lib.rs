@@ -145,7 +145,7 @@ pub use spec::{Watermark, WatermarkSpec, WatermarkSpecBuilder};
 /// in-crate tests read better with `(rel, "pk", "attr")` one-liners.
 #[cfg(test)]
 pub(crate) mod testkit {
-    use catmark_relation::Relation;
+    use catmark_relation::{Relation, Value};
 
     use crate::decode::{DecodeReport, Decoder};
     use crate::ecc::MajorityVotingEcc;
@@ -199,5 +199,11 @@ pub(crate) mod testkit {
         let attr_idx = rel.schema().index_of(target_attr)?;
         let plan = MarkPlan::build(spec, rel, key_idx);
         Decoder::engine(spec).decode_with_plan(rel, attr_idx, &MajorityVotingEcc, &plan)
+    }
+
+    /// Row `row`'s values in schema order: what a stream ingest or a
+    /// row push takes.
+    pub(crate) fn row(rel: &Relation, row: usize) -> Vec<Value> {
+        (0..rel.schema().arity()).map(|attr| rel.value(row, attr).expect("row in range")).collect()
     }
 }

@@ -23,7 +23,6 @@ use catmark_relation::{Relation, Value};
 
 use crate::ecc::{ErrorCorrectingCode, MajorityVotingEcc};
 use crate::error::CoreError;
-use crate::fitness::FitnessSelector;
 use crate::spec::{Watermark, WatermarkSpec};
 
 /// The key-value → `wm_data`-index assignment produced at embed time.
@@ -102,7 +101,7 @@ pub fn embed_with_map(
     let mut map = EmbeddingMap { entries: HashMap::with_capacity(plan.fit().len()), wm_data_len };
     for (idx, planned) in plan.fit().iter().enumerate() {
         let row = planned.row as usize;
-        let key = rel.tuple(row).expect("row in range").get(key_idx).clone();
+        let key = rel.value(row, key_idx)?;
         let bit = wm_data[idx];
         let t = crate::bits::force_lsb_in_domain(u64::from(planned.value_base), bit, n) as usize;
         let new_value = spec.domain.value_at(t).clone();
@@ -129,19 +128,16 @@ pub fn decode_with_map(
     }
     let key_idx = rel.schema().index_of(key_attr)?;
     let attr_idx = rel.schema().index_of(target_attr)?;
-    let sel = FitnessSelector::new(spec);
+    let (keys, targets) = (rel.column(key_idx), rel.column(attr_idx));
     let mut wm_data: Vec<Option<bool>> = vec![None; map.wm_data_len()];
-    for tuple in rel.iter() {
-        let key = tuple.get(key_idx);
-        if !sel.is_fit(key) {
-            continue;
-        }
-        let Some(idx) = map.position(key) else {
+    for planned in crate::plan::MarkPlan::build(spec, rel, key_idx).fit() {
+        let row = planned.row as usize;
+        let Some(idx) = map.position(&keys.value(row)) else {
             // A fit tuple unknown to the map: added after embedding
             // (or attacker-injected). It carries no position.
             continue;
         };
-        if let Ok(t) = spec.domain.index_of(tuple.get(attr_idx)) {
+        if let Ok(t) = spec.domain.index_of(&targets.value(row)) {
             wm_data[idx] = Some(t & 1 == 1);
         }
     }
@@ -153,6 +149,7 @@ pub fn decode_with_map(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fitness::FitnessSelector;
     use catmark_datagen::{ItemScanConfig, SalesGenerator};
     use catmark_relation::ops;
 
@@ -204,12 +201,11 @@ mod tests {
         // The selling point: exactly one carrier per position.
         let (mut rel, spec, wm) = setup(6_000, 60);
         let map = embed_with_map(&spec, &mut rel, "visit_nbr", "item_nbr", &wm).unwrap();
-        let key_idx = 0;
         let sel = FitnessSelector::new(&spec);
         let mut covered = vec![false; map.wm_data_len()];
-        for tuple in rel.iter() {
-            if sel.is_fit(tuple.get(key_idx)) {
-                if let Some(i) = map.position(tuple.get(key_idx)) {
+        for key in rel.column_iter(0) {
+            if sel.is_fit(&key) {
+                if let Some(i) = map.position(&key) {
                     covered[i] = true;
                 }
             }

@@ -604,7 +604,7 @@ mod tests {
         assert!(seg.peak_pageable_bytes() <= budget, "budget was not honored");
 
         let back = seg.to_relation().unwrap();
-        assert!(mono.iter().zip(back.iter()).all(|(a, b)| a == b), "marked bytes diverge");
+        assert!(mono == back, "marked bytes diverge");
         assert!(detect(&seg_decode.watermark, &wm).is_significant(1e-3));
     }
 
@@ -627,10 +627,7 @@ mod tests {
             session.decode_segmented_with(&mut piped, Walk::Pipelined).unwrap();
         assert_eq!(pipe_decode, seq_decode, "pipelined decode report diverges");
         let pipe_bytes = piped.to_relation().unwrap();
-        assert!(
-            seq_bytes.iter().zip(pipe_bytes.iter()).all(|(a, b)| a == b),
-            "pipelined bytes diverge"
-        );
+        assert!(seq_bytes == pipe_bytes, "pipelined bytes diverge");
 
         // The pager ceiling is unchanged by pipelining...
         assert!(
@@ -666,7 +663,7 @@ mod tests {
         assert_eq!(seg_report, mono_report);
         assert_eq!(mono_guard.log().len(), seg_guard.log().len());
         let back = seg.to_relation().unwrap();
-        assert!(mono.iter().zip(back.iter()).all(|(a, b)| a == b));
+        assert_eq!(back, mono);
 
         // Guard decisions are order-sensitive; the pipelined walk must
         // reproduce them exactly (the guard runs on the driving thread
@@ -679,7 +676,7 @@ mod tests {
         assert_eq!(pipe_report, mono_report);
         assert_eq!(pipe_guard.log().len(), mono_guard.log().len());
         let piped_back = piped.to_relation().unwrap();
-        assert!(mono.iter().zip(piped_back.iter()).all(|(a, b)| a == b));
+        assert_eq!(piped_back, mono);
     }
 
     #[test]

@@ -929,7 +929,7 @@ mod tests {
         // Same row count, different key content: a stale plan must be
         // rejected, not silently decoded against wrong row indices.
         let mut edited = rel.clone();
-        let old = edited.tuple(0).unwrap().get(0).as_int().unwrap();
+        let old = edited.value(0, 0).unwrap().as_int().unwrap();
         edited.update_value(0, 0, Value::Int(old + 1_000_000)).unwrap();
         assert!(!plan.matches(&spec, &edited));
         // Row-shuffled relation of identical content: also rejected.
@@ -969,7 +969,7 @@ mod tests {
 
         // Same shape, different key content → a different plan.
         let mut altered = rel.clone();
-        let old = altered.tuple(0).unwrap().get(0).as_int().unwrap();
+        let old = altered.value(0, 0).unwrap().as_int().unwrap();
         altered.update_value(0, 0, Value::Int(old + 1_000_000)).unwrap();
         let c = cache.plan_for(&spec, &altered, 0).unwrap();
         assert!(!Arc::ptr_eq(&a, &c));

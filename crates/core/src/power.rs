@@ -77,9 +77,9 @@ pub fn score_run(
 ) -> Result<PowerScore, CoreError> {
     let attr_idx = original.schema().index_of(target_attr)?;
     let changed = original
-        .iter()
-        .zip(marked.iter())
-        .filter(|(a, b)| a.get(attr_idx) != b.get(attr_idx))
+        .column_iter(attr_idx)
+        .zip(marked.column_iter(attr_idx))
+        .filter(|(a, b)| a != b)
         .count();
     let distortion_rate = changed as f64 / original.len().max(1) as f64;
 

@@ -649,10 +649,10 @@ mod tests {
         let c = change(0, 0, 2);
         assert!(guard.propose(c.clone()));
         rel.update_value(c.row, c.attr, c.new.clone()).unwrap();
-        assert_eq!(rel.tuple(0).unwrap().get(1), &Value::Int(2));
+        assert_eq!(rel.value(0, 1).unwrap(), Value::Int(2));
         let undone = guard.undo_all(&mut rel).unwrap();
         assert_eq!(undone, 1);
-        assert_eq!(rel.tuple(0).unwrap().get(1), &Value::Int(0));
+        assert_eq!(rel.value(0, 1).unwrap(), Value::Int(0));
         assert!(guard.log().is_empty());
     }
 

@@ -232,15 +232,20 @@ pub fn apply_inverse(
             _ => v,
         }
     };
+    let views: Vec<_> = (0..suspect.schema().arity()).map(|i| suspect.column(i)).collect();
     let mut out = Relation::with_capacity(schema, suspect.len());
-    for tuple in suspect.iter() {
-        let mut values = tuple.values().to_vec();
-        let current = values[attr_idx].clone();
-        values[attr_idx] = match recovery.original_of(&current) {
-            Some(original) => original.clone(),
-            None => coerce(current),
-        };
-        out.push_unchecked_key(values)?;
+    for row in 0..suspect.len() {
+        let values = views.iter().enumerate().map(|(i, column)| {
+            let current = column.value(row);
+            if i != attr_idx {
+                return current;
+            }
+            match recovery.original_of(&current) {
+                Some(original) => original.clone(),
+                None => coerce(current),
+            }
+        });
+        out.push_unchecked_key(values.collect())?;
     }
     Ok(out)
 }
@@ -265,13 +270,11 @@ mod tests {
 
     /// Remap every item number through a bijection (the A6 attack).
     fn remap_items(rel: &Relation, f: impl Fn(i64) -> i64) -> Relation {
-        let mut out = Relation::with_capacity(rel.schema().clone(), rel.len());
-        for tuple in rel.iter() {
-            let mut values = tuple.values().to_vec();
-            let old = values[1].as_int().expect("integer item");
-            values[1] = Value::Int(f(old));
-            out.push_unchecked_key(values).unwrap();
-        }
+        let mut out = rel.clone();
+        let Ok(catmark_relation::ColumnMut::Int(items)) = out.column_mut(1) else {
+            panic!("integer item column");
+        };
+        items.iter_mut().for_each(|x| *x = f(*x));
         out
     }
 

@@ -868,7 +868,7 @@ mod tests {
         s.embed(&mut rel, &wm).unwrap();
         let plan = s.plan(&rel).unwrap();
         // The relation is re-keyed behind the session's back.
-        let old = rel.tuple(0).unwrap().get(0).as_int().unwrap();
+        let old = rel.value(0, 0).unwrap().as_int().unwrap();
         rel.update_value(0, 0, Value::Int(old + 9_000_000)).unwrap();
         let err = s.decode_planned(&rel, &plan);
         assert!(matches!(err, Err(CoreError::InvalidSpec(_))), "{err:?}");
@@ -886,7 +886,7 @@ mod tests {
         let ra = s.embed(&mut a, &wm).unwrap();
         let rb = s.embed_planned(&mut b, &wm, &plan).unwrap();
         assert_eq!(ra, rb);
-        assert!(a.iter().zip(b.iter()).all(|(x, y)| x == y));
+        assert_eq!(b, a);
         let plan_after = s.plan(&a).unwrap();
         assert_eq!(s.decode(&a).unwrap(), s.decode_planned(&b, &plan_after).unwrap());
     }
@@ -899,10 +899,10 @@ mod tests {
         s.embed(&mut batch, &wm).unwrap();
         let marker = s.stream(&wm).unwrap();
         let mut streamed = Relation::new(rel.schema().clone());
-        for tuple in rel.iter() {
-            marker.ingest(&mut streamed, tuple.values().to_vec()).unwrap();
+        for row in 0..rel.len() {
+            marker.ingest(&mut streamed, crate::testkit::row(&rel, row)).unwrap();
         }
-        assert!(batch.iter().zip(streamed.iter()).all(|(a, b)| a == b));
+        assert_eq!(streamed, batch);
         // Wrong watermark length is rejected up front.
         assert!(s.stream(&Watermark::from_u64(1, 3)).is_err());
     }

@@ -142,11 +142,11 @@ mod tests {
         // Streaming path: ingest tuple by tuple into an empty relation.
         let marker = StreamMarker::with_indices(spec.clone(), 0, 1, &wm).unwrap();
         let mut streamed = Relation::new(source.schema().clone());
-        for tuple in source.iter() {
-            marker.ingest(&mut streamed, tuple.values().to_vec()).unwrap();
+        for row in 0..source.len() {
+            marker.ingest(&mut streamed, crate::testkit::row(&source, row)).unwrap();
         }
         assert_eq!(streamed.len(), batch.len());
-        assert!(batch.iter().zip(streamed.iter()).all(|(a, b)| a == b));
+        assert_eq!(streamed, batch);
 
         // Plan-driven batch paths (cached, sequential, parallel) all
         // pin to the same bytes as the streamed relation.
@@ -158,13 +158,13 @@ mod tests {
         Embedder::engine(&spec)
             .embed_with_plan(&mut planned, 1, &wm, &MajorityVotingEcc, None, &plan)
             .unwrap();
-        assert!(planned.iter().zip(streamed.iter()).all(|(a, b)| a == b));
+        assert_eq!(streamed, planned);
         let par = MarkPlan::build_with_threads(&spec, &source, 0, 4);
         let mut par_marked = source.clone();
         Embedder::engine(&spec)
             .embed_with_plan(&mut par_marked, 1, &wm, &MajorityVotingEcc, None, &par)
             .unwrap();
-        assert!(par_marked.iter().zip(streamed.iter()).all(|(a, b)| a == b));
+        assert_eq!(streamed, par_marked);
     }
 
     #[test]
@@ -174,8 +174,8 @@ mod tests {
         let marker = StreamMarker::with_indices(spec, 0, 1, &wm).unwrap();
         let mut rel = Relation::new(source.schema().clone());
         let mut marked = 0usize;
-        for tuple in source.iter() {
-            if marker.ingest(&mut rel, tuple.values().to_vec()).unwrap().marked {
+        for row in 0..source.len() {
+            if marker.ingest(&mut rel, crate::testkit::row(&source, row)).unwrap().marked {
                 marked += 1;
             }
         }
@@ -192,8 +192,8 @@ mod tests {
         let source = gen.generate();
         let marker = StreamMarker::with_indices(spec.clone(), 0, 1, &wm).unwrap();
         let mut rel = Relation::new(source.schema().clone());
-        for tuple in source.iter() {
-            marker.ingest(&mut rel, tuple.values().to_vec()).unwrap();
+        for row in 0..source.len() {
+            marker.ingest(&mut rel, crate::testkit::row(&source, row)).unwrap();
         }
         let decoded = crate::testkit::decode(&spec, &rel, "visit_nbr", "item_nbr").unwrap();
         assert_eq!(decoded.watermark, wm);
@@ -205,10 +205,11 @@ mod tests {
         let source = gen.generate();
         let marker = StreamMarker::with_indices(spec, 0, 1, &wm).unwrap();
         let mut rel = Relation::new(source.schema().clone());
-        for tuple in source.iter().take(500) {
-            let outcome = marker.ingest(&mut rel, tuple.values().to_vec()).unwrap();
+        for row in 0..500 {
+            let values = crate::testkit::row(&source, row);
+            let outcome = marker.ingest(&mut rel, values.clone()).unwrap();
             if !outcome.marked {
-                assert_eq!(rel.tuple(outcome.row).unwrap(), tuple);
+                assert_eq!(crate::testkit::row(&rel, outcome.row), values);
             }
         }
     }
@@ -219,7 +220,7 @@ mod tests {
         let source = gen.generate();
         let marker = StreamMarker::with_indices(spec, 0, 1, &wm).unwrap();
         let mut rel = Relation::new(source.schema().clone());
-        let values = source.tuple(0).unwrap().values().to_vec();
+        let values = crate::testkit::row(&source, 0);
         marker.ingest(&mut rel, values.clone()).unwrap();
         assert!(marker.ingest(&mut rel, values).is_err());
     }
@@ -232,9 +233,9 @@ mod tests {
         // must come back as an arity error, never a panic.
         let marker = StreamMarker::with_indices(spec, 0, 5, &wm).unwrap();
         let mut rel = Relation::new(source.schema().clone());
-        for tuple in source.iter().take(200) {
+        for row in 0..200 {
             assert!(matches!(
-                marker.ingest(&mut rel, tuple.values().to_vec()),
+                marker.ingest(&mut rel, crate::testkit::row(&source, row)),
                 Err(CoreError::Relation(_))
             ));
         }

@@ -25,7 +25,7 @@ use catmark_relation::Relation;
 use crate::decode::ErasurePolicy;
 use crate::ecc::{ErrorCorrectingCode, MajorityVotingEcc};
 use crate::error::CoreError;
-use crate::fitness::FitnessSelector;
+use crate::plan::{MarkPlan, PlannedRow};
 use crate::spec::{Watermark, WatermarkSpec};
 
 /// Multi-bit-per-tuple encoder/decoder.
@@ -63,16 +63,11 @@ impl<'a> WideCodec<'a> {
     }
 
     /// The `wm_data` positions a fit tuple carries: `width`
-    /// consecutive positions starting at `H(K, k2) mod |wm_data|`.
-    fn positions(&self, sel: &FitnessSelector, key: &catmark_relation::Value) -> Vec<usize> {
-        self.positions_from(sel.position(key))
-    }
-
-    /// Positions derived from an already-computed start position (the
-    /// single-hash `facts` path).
-    fn positions_from(&self, start: usize) -> Vec<usize> {
+    /// consecutive positions starting at its planned position
+    /// `H(K, k2) mod |wm_data|`.
+    fn positions(&self, planned: &PlannedRow) -> Vec<usize> {
         let len = self.spec.wm_data_len;
-        (0..self.width as usize).map(|i| (start + i) % len).collect()
+        (0..self.width as usize).map(|i| (planned.position as usize + i) % len).collect()
     }
 
     /// Choose the domain index whose low `width` bits equal `payload`,
@@ -111,23 +106,17 @@ impl<'a> WideCodec<'a> {
         }
         let key_idx = rel.schema().index_of(key_attr)?;
         let attr_idx = rel.schema().index_of(target_attr)?;
-        let sel = FitnessSelector::new(self.spec);
         let wm_data = MajorityVotingEcc.encode(wm, self.spec.wm_data_len);
         let n = self.spec.domain.len() as u64;
         let mut altered = 0usize;
-        for row in 0..rel.len() {
-            let key = rel.tuple(row).expect("row in range").get(key_idx).clone();
-            let Some(facts) = sel.facts(&key) else {
-                continue;
-            };
-            let positions = self.positions_from(facts.position);
+        for planned in MarkPlan::build(self.spec, rel, key_idx).fit() {
             let mut payload = 0u64;
-            for (i, &pos) in positions.iter().enumerate() {
+            for (i, pos) in self.positions(planned).into_iter().enumerate() {
                 payload |= u64::from(wm_data[pos]) << i;
             }
-            let t = self.index_for(facts.value_base(n), payload, n) as usize;
+            let t = self.index_for(u64::from(planned.value_base), payload, n) as usize;
             let new_value = self.spec.domain.value_at(t).clone();
-            let old = rel.update_value(row, attr_idx, new_value.clone())?;
+            let old = rel.update_value(planned.row as usize, attr_idx, new_value.clone())?;
             if old != new_value {
                 altered += 1;
             }
@@ -148,19 +137,15 @@ impl<'a> WideCodec<'a> {
     ) -> Result<Watermark, CoreError> {
         let key_idx = rel.schema().index_of(key_attr)?;
         let attr_idx = rel.schema().index_of(target_attr)?;
-        let sel = FitnessSelector::new(self.spec);
+        let targets = rel.column(attr_idx);
         let len = self.spec.wm_data_len;
         let mut ones = vec![0u32; len];
         let mut zeros = vec![0u32; len];
-        for tuple in rel.iter() {
-            let key = tuple.get(key_idx);
-            if !sel.is_fit(key) {
-                continue;
-            }
-            let Ok(t) = self.spec.domain.index_of(tuple.get(attr_idx)) else {
+        for planned in MarkPlan::build(self.spec, rel, key_idx).fit() {
+            let Ok(t) = self.spec.domain.index_of(&targets.value(planned.row as usize)) else {
                 continue;
             };
-            for (i, pos) in self.positions(&sel, key).into_iter().enumerate() {
+            for (i, pos) in self.positions(planned).into_iter().enumerate() {
                 if (t >> i) & 1 == 1 {
                     ones[pos] += 1;
                 } else {

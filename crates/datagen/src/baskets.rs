@@ -128,10 +128,10 @@ mod tests {
         assert_eq!(rel.len(), 20_000);
         // Measure dept=0 ⇒ aisle=100 confidence directly.
         let (mut ant, mut full) = (0u64, 0u64);
-        for t in rel.iter() {
-            if t.get(1) == &Value::Int(0) {
+        for (dept, aisle) in rel.column_iter(1).zip(rel.column_iter(2)) {
+            if dept == Value::Int(0) {
                 ant += 1;
-                if t.get(2) == &Value::Int(100) {
+                if aisle == Value::Int(100) {
                     full += 1;
                 }
             }
@@ -149,9 +149,8 @@ mod tests {
             seed: 1,
         });
         let rel = gen.generate();
-        for t in rel.iter() {
-            let dept = t.get(1).as_int().unwrap();
-            assert_eq!(t.get(2), &Value::Int(gen.home_aisle(dept)));
+        for (dept, aisle) in rel.column_iter(1).zip(rel.column_iter(2)) {
+            assert_eq!(aisle, Value::Int(gen.home_aisle(dept.as_int().unwrap())));
         }
     }
 
@@ -167,10 +166,9 @@ mod tests {
         // Off-aisle rows exist and every aisle is in the domain.
         let domain = gen.aisle_domain();
         let mut off = 0;
-        for t in rel.iter() {
-            let dept = t.get(1).as_int().unwrap();
-            assert!(domain.index_of(t.get(2)).is_ok());
-            if t.get(2) != &Value::Int(gen.home_aisle(dept)) {
+        for (dept, aisle) in rel.column_iter(1).zip(rel.column_iter(2)) {
+            assert!(domain.index_of(&aisle).is_ok());
+            if aisle != Value::Int(gen.home_aisle(dept.as_int().unwrap())) {
                 off += 1;
             }
         }
@@ -183,7 +181,7 @@ mod tests {
         let config = BasketConfig { tuples: 500, ..Default::default() };
         let a = BasketGenerator::new(config.clone()).generate();
         let b = BasketGenerator::new(config).generate();
-        assert!(a.iter().zip(b.iter()).all(|(x, y)| x == y));
+        assert_eq!(b, a);
     }
 
     #[test]
@@ -192,9 +190,9 @@ mod tests {
         let rel = gen.generate();
         let aisles = gen.aisle_domain();
         let depts = gen.dept_domain();
-        for t in rel.iter() {
-            assert!(depts.index_of(t.get(1)).is_ok());
-            assert!(aisles.index_of(t.get(2)).is_ok());
+        for (dept, aisle) in rel.column_iter(1).zip(rel.column_iter(2)) {
+            assert!(depts.index_of(&dept).is_ok());
+            assert!(aisles.index_of(&aisle).is_ok());
         }
     }
 

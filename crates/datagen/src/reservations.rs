@@ -132,9 +132,9 @@ mod tests {
         let rel = gen.generate();
         let cities = gen.city_domain();
         let airlines = gen.airline_domain();
-        for t in rel.iter().take(200) {
-            assert!(cities.index_of(t.get(1)).is_ok());
-            assert!(airlines.index_of(t.get(2)).is_ok());
+        for (city, airline) in rel.column_iter(1).zip(rel.column_iter(2)).take(200) {
+            assert!(cities.index_of(&city).is_ok());
+            assert!(airlines.index_of(&airline).is_ok());
         }
     }
 
@@ -153,6 +153,6 @@ mod tests {
         let cfg = ReservationsConfig { tuples: 300, seed: 5, ..Default::default() };
         let a = ReservationsGenerator::new(cfg.clone()).generate();
         let b = ReservationsGenerator::new(cfg).generate();
-        assert!(a.iter().zip(b.iter()).all(|(x, y)| x == y));
+        assert_eq!(b, a);
     }
 }

@@ -15,6 +15,8 @@ use std::collections::HashMap;
 use catmark_relation::stats::dense_codes;
 use catmark_relation::{Relation, RelationError, Value};
 
+use crate::item::row_values;
+
 /// A trained categorical classifier: predicts a target attribute from
 /// predictor attributes, both by index into the training schema.
 pub trait Classifier {
@@ -37,9 +39,9 @@ pub fn accuracy(clf: &dyn Classifier, rel: &Relation) -> f64 {
     if rel.is_empty() {
         return 0.0;
     }
-    let hits = rel
+    let hits = row_values(rel)
         .iter()
-        .filter(|t| clf.predict(t.values()).as_ref() == Some(t.get(clf.target())))
+        .filter(|row| clf.predict(row).as_ref() == Some(&row[clf.target()]))
         .count();
     hits as f64 / rel.len() as f64
 }

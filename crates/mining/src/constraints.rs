@@ -19,7 +19,7 @@ use catmark_core::quality::{Alteration, CodedAlteration, QualityConstraint};
 use catmark_relation::{CategoricalDomain, Relation, Value};
 
 use crate::classify::Classifier;
-use crate::item::Itemset;
+use crate::item::{row_values, Itemset};
 use crate::rules::RuleSet;
 
 struct TrackedRule {
@@ -67,7 +67,7 @@ impl AssociationRulePreserved {
     /// were mined from an earlier snapshot.
     #[must_use]
     pub fn new(rel: &Relation, rules: &RuleSet, max_confidence_drop: f64) -> Self {
-        let rows: Vec<Vec<Value>> = rel.iter().map(|t| t.values().to_vec()).collect();
+        let rows = row_values(rel);
         let tracked = rules
             .rules()
             .iter()
@@ -214,7 +214,7 @@ impl ClassifierAccuracyPreserved {
     /// push it below `min_accuracy`.
     #[must_use]
     pub fn new(rel: &Relation, clf: Box<dyn Classifier>, min_accuracy: f64) -> Self {
-        let rows: Vec<Vec<Value>> = rel.iter().map(|t| t.values().to_vec()).collect();
+        let rows = row_values(rel);
         let correct: Vec<bool> = rows.iter().map(|row| Self::row_correct(&*clf, row)).collect();
         let hits = correct.iter().filter(|&&c| c).count();
         ClassifierAccuracyPreserved {

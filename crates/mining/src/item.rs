@@ -175,8 +175,7 @@ impl Transactions {
         }
         indices.sort_unstable();
         indices.dedup();
-        let rows = rel.iter().map(|t| t.values().to_vec()).collect();
-        Ok(Transactions { attrs: indices, rows })
+        Ok(Transactions { attrs: indices, rows: row_values(rel) })
     }
 
     /// Number of transactions (rows).
@@ -202,6 +201,20 @@ impl Transactions {
     pub fn support_count(&self, set: &Itemset) -> u64 {
         self.rows.iter().filter(|r| set.matches(r)).count() as u64
     }
+}
+
+/// Every row of `rel` as an owned value list (the row-major snapshot
+/// support counting and the mining constraints scan), filled one
+/// column view at a time.
+pub(crate) fn row_values(rel: &Relation) -> Vec<Vec<Value>> {
+    let arity = rel.schema().arity();
+    let mut rows: Vec<Vec<Value>> = (0..rel.len()).map(|_| Vec::with_capacity(arity)).collect();
+    for attr in 0..arity {
+        for (row, value) in rows.iter_mut().zip(rel.column_iter(attr)) {
+            row.push(value);
+        }
+    }
+    rows
 }
 
 #[cfg(test)]

@@ -274,8 +274,7 @@ mod tests {
         let mut altered = rel.clone();
         let shelf_idx = 2;
         for row in 0..altered.len() {
-            let dept = altered.tuple(row).unwrap().get(1).clone();
-            if dept == Value::Int(0) {
+            if altered.value(row, 1).unwrap() == Value::Int(0) {
                 altered.update_value(row, shelf_idx, Value::Int(77)).unwrap();
             }
         }

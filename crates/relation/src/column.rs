@@ -207,18 +207,6 @@ impl Column {
         }
     }
 
-    /// Remove the row at `row`, shifting later rows down.
-    pub(crate) fn remove(&mut self, row: usize) {
-        match self {
-            Column::Int(xs) => {
-                xs.remove(row);
-            }
-            Column::Text { codes, .. } => {
-                codes.remove(row);
-            }
-        }
-    }
-
     /// New column holding `rows` (by index, in order). Shares the
     /// dictionary contents (cloned wholesale — codes stay valid).
     #[must_use]
@@ -227,28 +215,6 @@ impl Column {
             Column::Int(xs) => Column::Int(rows.iter().map(|&r| xs[r]).collect()),
             Column::Text { codes, dict } => {
                 Column::Text { codes: rows.iter().map(|&r| codes[r]).collect(), dict: dict.clone() }
-            }
-        }
-    }
-
-    /// Keep only rows whose `keep` flag is set.
-    pub(crate) fn retain_rows(&mut self, keep: &[bool]) {
-        match self {
-            Column::Int(xs) => {
-                let mut i = 0;
-                xs.retain(|_| {
-                    let k = keep[i];
-                    i += 1;
-                    k
-                });
-            }
-            Column::Text { codes, .. } => {
-                let mut i = 0;
-                codes.retain(|_| {
-                    let k = keep[i];
-                    i += 1;
-                    k
-                });
             }
         }
     }
@@ -463,15 +429,13 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_retain() {
+    fn gather_selects_rows_in_order() {
         let mut c = Column::new(AttrType::Integer);
         for i in 0..5 {
             c.push_value(&Value::Int(i));
         }
         let g = c.gather(&[4, 0, 2]);
         assert_eq!(g.view().as_int().unwrap(), &[4, 0, 2]);
-        c.retain_rows(&[true, false, true, false, true]);
-        assert_eq!(c.view().as_int().unwrap(), &[0, 2, 4]);
     }
 
     #[test]

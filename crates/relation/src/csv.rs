@@ -648,11 +648,7 @@ mod tests {
         let rel = sample();
         let mut buf = Vec::new();
         write_csv(&rel, &mut buf).unwrap();
-        let parsed = read(&buf).unwrap();
-        assert_eq!(parsed.len(), rel.len());
-        for (a, b) in rel.iter().zip(parsed.iter()) {
-            assert_eq!(a, b);
-        }
+        assert_eq!(read(&buf).unwrap(), rel);
     }
 
     #[test]
@@ -665,7 +661,7 @@ mod tests {
         write_csv(&rel, &mut buf).unwrap();
         assert!(buf.starts_with(b"k,city\n1,\"a\nb\"\n2,\"cr\r\"\n"));
         let parsed = read(&buf).unwrap();
-        assert!(rel.iter().zip(parsed.iter()).all(|(a, b)| a == b));
+        assert_eq!(parsed, rel);
         // A record spanning lines moves later row numbers down.
         assert_eq!(error(b"k,city\n1,\"a\nb\"\n2\n"), "row 4: 1 fields, expected 2");
     }
@@ -681,7 +677,7 @@ mod tests {
         write_csv(&rel, &mut buf).unwrap();
         assert_eq!(buf, b"n\n-9223372036854775808\n-1\n0\n7\n9223372036854775807\n");
         let parsed = read_csv(schema, &mut buf.as_slice()).unwrap();
-        assert!(rel.iter().zip(parsed.iter()).all(|(a, b)| a == b));
+        assert_eq!(parsed, rel);
     }
 
     #[test]
@@ -852,11 +848,8 @@ mod tests {
         write_csv(&rel, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let parsed = read_csv_inferred(&text, &["city"]).unwrap();
-        assert_eq!(parsed.len(), rel.len());
         assert!(parsed.schema().attr(1).categorical);
-        for (a, b) in rel.iter().zip(parsed.iter()) {
-            assert_eq!(a, b);
-        }
+        assert_eq!(parsed, rel);
     }
 
     #[test]

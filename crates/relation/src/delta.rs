@@ -629,7 +629,7 @@ mod tests {
         assert_eq!(delta.patch_count(), 3);
         assert_eq!(delta.extension_len(), 0);
         let rebuilt = base.apply_delta(&delta).unwrap();
-        assert!(marked.iter().zip(rebuilt.iter()).all(|(a, b)| a == b));
+        assert_eq!(rebuilt, marked);
     }
 
     #[test]
@@ -710,7 +710,7 @@ mod tests {
         let delta = base.extract_delta(&base, 1).unwrap();
         assert!(delta.is_empty());
         let rebuilt = base.apply_delta(&delta).unwrap();
-        assert!(base.iter().zip(rebuilt.iter()).all(|(a, b)| a == b));
+        assert_eq!(rebuilt, base);
     }
 
     #[test]

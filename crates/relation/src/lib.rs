@@ -9,9 +9,9 @@
 //! need:
 //!
 //! * typed values and schemas with primary-key designation ([`value`],
-//!   [`schema`], [`mod@tuple`]),
-//! * a primary-key-indexed table with in-place attribute updates
-//!   ([`relation`]),
+//!   [`schema`]),
+//! * a primary-key-indexed table with in-place attribute updates, read
+//!   through typed column views ([`relation`], [`column`]),
 //! * categorical value domains with stable, sortable indexing
 //!   ([`domain`]) — the `{a_1 … a_nA}` sets of the paper,
 //! * sampling / projection / sorting / shuffling / union operators
@@ -63,7 +63,6 @@ pub mod schema;
 pub mod segment;
 pub mod spill;
 pub mod stats;
-pub mod tuple;
 pub mod value;
 pub mod versioned;
 
@@ -76,7 +75,6 @@ pub use schema::{AttrDef, AttrType, Schema, SchemaBuilder};
 pub use segment::{CacheStats, SegmentedRelation, SegmentedRelationBuilder};
 pub use spill::{FileStore, MemStore, SegmentStore, SpillHandle};
 pub use stats::FrequencyHistogram;
-pub use tuple::Tuple;
 pub use value::{CanonicalInt, CanonicalText, Value};
 pub use versioned::{
     hash_hex, BlobHash, ContentStore, GcStats, SegmentRef, VersionLog, VersionManifest,

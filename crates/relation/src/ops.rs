@@ -218,7 +218,7 @@ mod tests {
         let a = sample_bernoulli(&rel, 0.5, 7);
         let b = sample_bernoulli(&rel, 0.5, 7);
         assert_eq!(a.len(), b.len());
-        assert!(a.iter().zip(b.iter()).all(|(x, y)| x == y));
+        assert_eq!(b, a);
     }
 
     #[test]
@@ -254,7 +254,7 @@ mod tests {
         let shuffled = shuffle(&rel, 5);
         for key in 0..50 {
             let row = shuffled.find_by_key(&Value::Int(key)).unwrap();
-            assert_eq!(shuffled.tuple(row).unwrap().get(0), &Value::Int(key));
+            assert_eq!(shuffled.value(row, 0).unwrap(), Value::Int(key));
         }
     }
 

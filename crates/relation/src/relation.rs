@@ -27,13 +27,18 @@
 //! a keyed-hash pass over a text column hashes each **distinct** value
 //! once per plan instead of once per row.
 //!
-//! # Row views
+//! # Reading a relation
 //!
-//! The external model of the paper is unchanged: [`Relation::tuple`]
-//! and [`Relation::iter`] materialize cheap row-shaped [`Tuple`] views
-//! for tests, CSV, predicates, and other cold paths. Hot paths use
-//! [`Relation::column`] / [`Relation::column_mut`] for borrowed typed
-//! slices.
+//! There is one way to read a relation: typed column views.
+//! [`Relation::column`] borrows one attribute as flat slices,
+//! [`Relation::column_iter`] and [`Relation::value`] materialize
+//! [`Value`]s for cold paths, and [`Relation::gather`] /
+//! [`Relation::append`] select and combine whole rows without
+//! building them. Rows exist only on the way in
+//! ([`Relation::push`], [`Relation::push_unchecked_key`]); no
+//! accessor hands one back. Two relations compare equal when their
+//! schemas and every column view agree, so dictionary layout never
+//! matters to equality.
 //!
 //! The index supports the embedding algorithms' per-tuple key hashing
 //! and the incremental-update path of Section 4.3. Duplicate primary
@@ -45,7 +50,7 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crate::column::{Column, ColumnMut, ColumnView, TextColumnMut};
-use crate::{RelationError, Schema, Tuple, Value};
+use crate::{RelationError, Schema, Value};
 
 /// An in-memory relation: a schema plus typed columns, with a hash
 /// index on the primary key.
@@ -229,18 +234,6 @@ impl Relation {
         row
     }
 
-    /// Materialize the tuple at `row`.
-    ///
-    /// # Errors
-    ///
-    /// [`RelationError::RowOutOfBounds`].
-    pub fn tuple(&self, row: usize) -> Result<Tuple, RelationError> {
-        if row >= self.len {
-            return Err(RelationError::RowOutOfBounds { row, len: self.len });
-        }
-        Ok(Tuple::new(self.columns.iter().map(|c| c.value(row)).collect()))
-    }
-
     /// Materialize the value of attribute `attr_idx` at `row`.
     ///
     /// # Errors
@@ -251,13 +244,6 @@ impl Relation {
             return Err(RelationError::RowOutOfBounds { row, len: self.len });
         }
         Ok(self.columns[attr_idx].value(row))
-    }
-
-    /// Iterate over materialized tuples in row order (a cold-path row
-    /// view; hot paths should scan [`Relation::column`] slices).
-    pub fn iter(&self) -> impl Iterator<Item = Tuple> + '_ {
-        (0..self.len)
-            .map(move |row| Tuple::new(self.columns.iter().map(|c| c.value(row)).collect()))
     }
 
     /// Row of the tuple whose primary key equals `key` (first
@@ -425,37 +411,6 @@ impl Relation {
         self.index().len()
     }
 
-    /// Remove the tuple whose primary key equals `key`, if present.
-    /// Returns the removed tuple. Later rows shift down by one
-    /// (row indices are positional, not stable identifiers).
-    pub fn delete_by_key(&mut self, key: &Value) -> Option<Tuple> {
-        let row = self.find_by_key(key)?;
-        let removed = self.tuple(row).expect("indexed row in range");
-        for column in &mut self.columns {
-            column.remove(row);
-        }
-        self.len -= 1;
-        self.invalidate_index();
-        Some(removed)
-    }
-
-    /// Keep only tuples satisfying `predicate` (in-place `retain` over
-    /// materialized row views). Returns the number of deleted tuples.
-    pub fn retain(&mut self, mut predicate: impl FnMut(&Tuple) -> bool) -> usize {
-        let keep: Vec<bool> =
-            (0..self.len).map(|row| predicate(&self.tuple(row).expect("row in range"))).collect();
-        let kept = keep.iter().filter(|&&k| k).count();
-        let deleted = self.len - kept;
-        if deleted > 0 {
-            for column in &mut self.columns {
-                column.retain_rows(&keep);
-            }
-            self.len = kept;
-            self.invalidate_index();
-        }
-        deleted
-    }
-
     /// Approximate resident heap bytes of the storage — the figure
     /// the `columnar` bench scenario reports per tuple and the
     /// out-of-core pager budgets against. Accounts for the column
@@ -489,12 +444,31 @@ impl Relation {
     }
 }
 
+/// Logical equality: the same schema and the same values row for row.
+/// Lengths are compared, and text compares by string, so two
+/// relations with differently laid out dictionaries are equal when
+/// their content is.
+impl PartialEq for Relation {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema
+            && self.len == other.len
+            && self.columns.iter().zip(&other.columns).all(|(a, b)| a.view() == b.view())
+    }
+}
+
 impl std::fmt::Display for Relation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let names: Vec<&str> = self.schema.attrs().iter().map(|a| a.name.as_str()).collect();
         writeln!(f, "[{}] ({} tuples)", names.join(", "), self.len)?;
-        for t in self.iter().take(10) {
-            writeln!(f, "  {t}")?;
+        for row in 0..self.len.min(10) {
+            f.write_str("  (")?;
+            for (i, column) in self.columns.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(", ")?;
+                }
+                write!(f, "{}", column.value(row))?;
+            }
+            f.write_str(")\n")?;
         }
         if self.len > 10 {
             writeln!(f, "  … {} more", self.len - 10)?;
@@ -562,7 +536,7 @@ mod tests {
         let mut r = sample();
         let old = r.update_value(0, 1, Value::Text("new".into())).unwrap();
         assert_eq!(old, Value::Text("x".into()));
-        assert_eq!(r.tuple(0).unwrap().get(1), &Value::Text("new".into()));
+        assert_eq!(r.value(0, 1).unwrap(), Value::Text("new".into()));
     }
 
     #[test]
@@ -631,7 +605,7 @@ mod tests {
         assert_eq!(codes.len(), 3);
         assert_eq!(codes[0], codes[2], "equal strings share a code");
         assert_eq!(dict.get(codes[1]), "y");
-        // Materializing views agree with tuples.
+        // The materializing view agrees with the slices.
         let vals: Vec<Value> = r.column_iter(1).collect();
         assert_eq!(
             vals,
@@ -649,7 +623,7 @@ mod tests {
             }
             ColumnMut::Int(_) => panic!("column 1 is text"),
         }
-        assert_eq!(r.tuple(0).unwrap().get(1), &Value::Text("z".into()));
+        assert_eq!(r.value(0, 1).unwrap(), Value::Text("z".into()));
         assert!(r.column_mut(0).is_err(), "key column must be refused");
         assert!(r.column_mut(9).is_err());
     }
@@ -698,31 +672,7 @@ mod tests {
         assert_eq!(a.len(), 5);
         assert_eq!(a.find_by_key(&Value::Int(1)), Some(0), "first occurrence kept");
         assert_eq!(a.find_by_key(&Value::Int(9)), Some(4));
-        assert_eq!(a.tuple(3).unwrap().get(1), &Value::Text("q".into()));
-    }
-
-    #[test]
-    fn delete_by_key_removes_and_reindexes() {
-        let mut r = sample();
-        let removed = r.delete_by_key(&Value::Int(2)).unwrap();
-        assert_eq!(removed.get(1), &Value::Text("y".into()));
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.find_by_key(&Value::Int(2)), None);
-        // Row 1 is now the former row 2.
-        assert_eq!(r.find_by_key(&Value::Int(3)), Some(1));
-        // Deleting a missing key is a no-op.
-        assert!(r.delete_by_key(&Value::Int(99)).is_none());
-    }
-
-    #[test]
-    fn retain_filters_in_place() {
-        let mut r = sample();
-        let deleted = r.retain(|t| t.get(1) == &Value::Text("x".into()));
-        assert_eq!(deleted, 1);
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.distinct_keys(), 2);
-        // Retaining everything touches nothing.
-        assert_eq!(r.retain(|_| true), 0);
+        assert_eq!(a.value(3, 1).unwrap(), Value::Text("q".into()));
     }
 
     #[test]
@@ -742,7 +692,28 @@ mod tests {
             r.push(vec![Value::Int(i), Value::Text("v".into())]).unwrap();
         }
         let s = r.to_string();
-        assert!(s.contains("15 tuples"));
-        assert!(s.contains("… 5 more"));
+        assert!(s.starts_with("[k, a] (15 tuples)\n  (0, v)\n  (1, v)\n"), "{s}");
+        assert!(s.ends_with("  (9, v)\n  … 5 more\n"), "{s}");
+    }
+
+    #[test]
+    fn equality_is_logical_and_compares_lengths() {
+        // Same rows interned in another order: equal.
+        let mut b = Relation::new(schema());
+        b.push(vec![Value::Int(9), Value::Text("y".into())]).unwrap();
+        let b = {
+            let mut c = b.gather(&[]);
+            c.append(&sample()).unwrap();
+            c
+        };
+        assert_ne!(b.column(1).as_text().unwrap().0[0], sample().column(1).as_text().unwrap().0[0]);
+        assert_eq!(b, sample());
+        // A prefix is not equal, whichever side is shorter.
+        assert_ne!(sample().gather(&[0, 1]), sample());
+        assert_ne!(sample(), sample().gather(&[0, 1]));
+        // One differing value is not equal.
+        let mut c = sample();
+        c.update_value(2, 1, Value::Text("y".into())).unwrap();
+        assert_ne!(c, sample());
     }
 }

@@ -725,16 +725,15 @@ mod tests {
             .unwrap()
     }
 
+    fn sample_row(i: i64) -> Vec<Value> {
+        let cities = ["boston", "austin", "chicago", "dallas", "el paso"];
+        vec![Value::Int(i), Value::Int(i % 7), Value::Text(cities[(i % 5) as usize].into())]
+    }
+
     fn sample(n: i64) -> Relation {
         let mut rel = Relation::new(schema());
-        let cities = ["boston", "austin", "chicago", "dallas", "el paso"];
         for i in 0..n {
-            rel.push(vec![
-                Value::Int(i),
-                Value::Int(i % 7),
-                Value::Text(cities[(i % 5) as usize].into()),
-            ])
-            .unwrap();
+            rel.push(sample_row(i)).unwrap();
         }
         rel
     }
@@ -754,7 +753,7 @@ mod tests {
             assert_eq!(seg.len(), 100);
             assert_eq!(seg.segment_count(), 100usize.div_ceil(rows));
             let back = seg.to_relation().unwrap();
-            assert!(rel.iter().zip(back.iter()).all(|(a, b)| a == b));
+            assert_eq!(back, rel);
         }
     }
 
@@ -762,21 +761,21 @@ mod tests {
     fn push_seals_at_the_boundary_and_round_trips() {
         let rel = sample(25);
         let mut seg = SegmentedRelation::builder(rel.schema().clone()).segment_rows(10).build();
-        for t in rel.iter() {
-            seg.push(t.values().to_vec()).unwrap();
+        for i in 0..25 {
+            seg.push(sample_row(i)).unwrap();
         }
         assert_eq!(seg.segment_count(), 3, "two sealed + one open tail");
         seg.seal_tail().unwrap();
         let back = seg.to_relation().unwrap();
-        assert!(rel.iter().zip(back.iter()).all(|(a, b)| a == b));
+        assert_eq!(back, rel);
     }
 
     #[test]
     fn empty_trailing_segments_are_valid() {
         let rel = sample(20);
         let mut seg = SegmentedRelation::builder(rel.schema().clone()).segment_rows(10).build();
-        for t in rel.iter() {
-            seg.push(t.values().to_vec()).unwrap();
+        for i in 0..20 {
+            seg.push(sample_row(i)).unwrap();
         }
         // 20 rows at 10/segment: the tail sealed itself; force an
         // explicit empty trailing segment on top.
@@ -832,7 +831,7 @@ mod tests {
         assert!(seg.spilled_bytes() > 0, "cold segments must have spilled");
         // The data is still intact after all that paging.
         let back = seg.to_relation().unwrap();
-        assert!(rel.iter().zip(back.iter()).all(|(a, b)| a == b));
+        assert_eq!(back, rel);
     }
 
     #[test]
@@ -876,7 +875,7 @@ mod tests {
             .from_relation(&rel)
             .unwrap();
         let back = seg.to_relation().unwrap();
-        assert!(rel.iter().zip(back.iter()).all(|(a, b)| a == b));
+        assert_eq!(back, rel);
         assert!(seg.spilled_bytes() > 0);
         let _ = std::fs::remove_file(&path);
     }

@@ -388,7 +388,7 @@ mod tests {
         let handle = store.append(&encode_segment(&rel)).unwrap();
         let back = read_segment(&store, handle, rel.schema()).unwrap();
         assert_eq!(back.len(), rel.len());
-        assert!(rel.iter().zip(back.iter()).all(|(a, b)| a == b));
+        assert_eq!(back, rel);
     }
 
     #[test]

@@ -646,7 +646,7 @@ mod tests {
         assert_eq!(log.latest().unwrap().rows(), 100);
         let mut back = log.open_version(v0, rel.schema(), &store, None).unwrap();
         let round = back.to_relation().unwrap();
-        assert!(rel.iter().zip(round.iter()).all(|(a, b)| a == b));
+        assert_eq!(round, rel);
         // A schema with another attribute count is refused.
         let narrower = Schema::builder()
             .key_attr("k", AttrType::Integer)
@@ -679,7 +679,7 @@ mod tests {
         assert_eq!(m0.dirty_against(&m0), Some(vec![]));
         // Both versions remain reconstructible.
         let old = log.open_version(v0, rel.schema(), &store, None).unwrap().to_relation().unwrap();
-        assert!(rel.iter().zip(old.iter()).all(|(a, b)| a == b));
+        assert_eq!(old, rel);
         let new = log.open_version(v1, rel.schema(), &store, None).unwrap().to_relation().unwrap();
         assert_eq!(new.value(65, 1).unwrap(), Value::Int(999));
     }

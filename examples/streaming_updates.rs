@@ -36,8 +36,10 @@ fn main() {
     let marker = session.stream(&wm).expect("marker configures");
     let mut live = Relation::new(source.schema().clone());
     let mut marked_count = 0usize;
-    for tuple in source.iter() {
-        let outcome = marker.ingest(&mut live, tuple.values().to_vec()).expect("ingest");
+    for row in 0..source.len() {
+        let tuple =
+            (0..source.schema().arity()).map(|attr| source.value(row, attr).expect("in range"));
+        let outcome = marker.ingest(&mut live, tuple.collect()).expect("ingest");
         if outcome.marked {
             marked_count += 1;
         }

@@ -952,10 +952,9 @@ mod tests {
         // Dirty only the first segment; the other three blobs stay
         // shared between v1 and v2.
         let attr = rel.schema().index_of("item_nbr").unwrap();
-        let swapped = rel.iter().next().unwrap().values()[attr].clone();
+        let swapped = rel.value(0, attr).unwrap();
         let other = rel
-            .iter()
-            .map(|t| t.values()[attr].clone())
+            .column_iter(attr)
             .find(|v| *v != swapped)
             .expect("generator emits more than one item");
         seg.with_segment_mut(0, |r| r.update_value(0, attr, other)).unwrap().unwrap();

@@ -192,7 +192,7 @@ fn guarded_embed_is_representation_independent() {
 
     assert_eq!(report_a.altered, report_b.altered);
     assert_eq!(report_a.vetoed, report_b.vetoed);
-    assert!(a.iter().zip(b.iter()).all(|(x, y)| x == y));
+    assert_eq!(b, a);
     assert_eq!(guard_a.log().entries(), guard_b.log().entries());
     assert!(report_a.vetoed > 0, "the stack should veto something to make this meaningful");
 }

@@ -45,10 +45,7 @@ fn csv_round_trips_columnar_storage_with_duplicate_keys() {
     let parsed = read_csv(text_schema(), &mut BufReader::new(csv.as_slice())).unwrap();
 
     // Row-for-row logical equality, duplicate rows included.
-    assert_eq!(parsed.len(), rel.len());
-    for (a, b) in rel.iter().zip(parsed.iter()) {
-        assert_eq!(a, b);
-    }
+    assert_eq!(parsed, rel);
     // First-occurrence key indexing survives the round trip.
     assert_eq!(parsed.distinct_keys(), 3);
     assert_eq!(parsed.find_by_key(&Value::Int(1)), Some(0));
@@ -119,7 +116,7 @@ fn dictionary_layout_is_invisible_to_hashing() {
     let ra = bind(&a).embed(&mut a, &wm).unwrap();
     let rb = bind(&b).embed(&mut b, &wm).unwrap();
     assert_eq!(ra, rb);
-    assert!(a.iter().zip(b.iter()).all(|(x, y)| x == y));
+    assert_eq!(a, b);
     assert_eq!(bind(&a).decode(&a).unwrap(), bind(&b).decode(&b).unwrap());
 }
 
@@ -144,10 +141,7 @@ proptest! {
         let mut csv = Vec::new();
         write_csv(&rel, &mut csv).unwrap();
         let parsed = read_csv(text_schema(), &mut BufReader::new(csv.as_slice())).unwrap();
-        prop_assert_eq!(parsed.len(), rel.len());
-        for (a, b) in rel.iter().zip(parsed.iter()) {
-            prop_assert_eq!(a, b);
-        }
+        prop_assert!(parsed == rel);
         prop_assert_eq!(parsed.distinct_keys(), rel.distinct_keys());
         // First occurrence wins in both stores.
         for (k, _, _) in &rows {
@@ -178,11 +172,11 @@ proptest! {
         for (k, _) in &rows {
             prop_assert_eq!(cloned.find_by_key(&Value::Int(*k)), rel.find_by_key(&Value::Int(*k)));
         }
-        prop_assert!(cloned.iter().zip(rel.iter()).all(|(a, b)| a == b));
+        prop_assert!(cloned == rel);
         // An identity gather is also the identity.
         let identity: Vec<usize> = (0..rel.len()).collect();
         let gathered = rel.gather(&identity);
-        prop_assert!(gathered.iter().zip(rel.iter()).all(|(a, b)| a == b));
+        prop_assert!(gathered == rel);
         prop_assert_eq!(gathered.distinct_keys(), rel.distinct_keys());
     }
 }
@@ -493,9 +487,9 @@ proptest! {
             .unwrap();
         }
         let mut reference = HashAlgorithm::Sha256.hasher();
-        for tuple in rel.iter() {
-            for value in tuple.values() {
-                reference.update(&value.canonical_bytes());
+        for row in 0..rel.len() {
+            for attr in 0..schema.arity() {
+                reference.update(&rel.value(row, attr).unwrap().canonical_bytes());
             }
         }
         let expected = format!(

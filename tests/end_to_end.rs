@@ -89,8 +89,9 @@ fn incremental_updates_extend_the_mark() {
         SalesGenerator::new(ItemScanConfig { tuples: 1_000, seed: 0xBEEF, ..Default::default() })
             .generate();
     let mut marked_on_ingest = 0usize;
-    for t in fresh.iter() {
-        let mut values = t.values().to_vec();
+    for row in 0..fresh.len() {
+        let mut values: Vec<Value> =
+            (0..fresh.schema().arity()).map(|attr| fresh.value(row, attr).unwrap()).collect();
         // Shift keys into a fresh range to avoid collisions.
         if let Value::Int(k) = values[0] {
             values[0] = Value::Int(k + 50_000_000);
@@ -232,13 +233,12 @@ fn survives_value_biased_bestseller_partition() {
 
 #[test]
 fn deletions_behave_like_data_loss() {
-    // §4.3's update model includes deletes: removing tuples through
-    // the relation API must leave surviving votes untouched.
-    let (mut rel, session, wm) = marked_fixture(6_000, 15);
-    let keys: Vec<Value> = rel.column_iter(0).collect();
-    for key in keys.iter().step_by(3) {
-        rel.delete_by_key(key).unwrap();
-    }
+    // §4.3's update model includes deletes: dropping every third
+    // tuple (a gather of the survivors) must leave surviving votes
+    // untouched.
+    let (rel, session, wm) = marked_fixture(6_000, 15);
+    let survivors: Vec<usize> = (0..rel.len()).filter(|row| row % 3 != 0).collect();
+    let rel = rel.gather(&survivors);
     assert!(rel.len() < 4_100);
     let decoded = session.decode(&rel).unwrap();
     assert_eq!(decoded.watermark, wm, "1/3 deletion must not corrupt the mark");

@@ -174,10 +174,11 @@ proptest! {
     fn subset_selection_is_pure_erasure(keep in 0.1f64..=1.0, seed in any::<u64>()) {
         let (rel, _) = relation_for(7, 1_000);
         let kept = catmark::attacks::horizontal::subset_selection(&rel, keep, seed);
-        for tuple in kept.iter() {
-            let row = rel.find_by_key(tuple.get(0)).expect("survivor from original");
-            prop_assert_eq!(rel.tuple(row).unwrap(), tuple);
-        }
+        let rows: Vec<usize> = kept
+            .column_iter(0)
+            .map(|key| rel.find_by_key(&key).expect("survivor from original"))
+            .collect();
+        prop_assert!(rel.gather(&rows) == kept);
     }
 
     /// Random alteration changes exactly the requested fraction and
@@ -188,11 +189,8 @@ proptest! {
         let attacked =
             catmark::attacks::alteration::random_alteration(&rel, "item_nbr", fraction, seed)
                 .unwrap();
-        let changed = rel
-            .iter()
-            .zip(attacked.iter())
-            .filter(|(a, b)| a != b)
-            .count();
+        let changed =
+            rel.column_iter(1).zip(attacked.column_iter(1)).filter(|(a, b)| a != b).count();
         let expected = ((800.0 * fraction).round() as usize).min(800);
         prop_assert_eq!(changed, expected);
         prop_assert_eq!(rel.column(0), attacked.column(0));
@@ -218,10 +216,7 @@ proptest! {
             &mut std::io::BufReader::new(buf.as_slice()),
         )
         .unwrap();
-        prop_assert_eq!(parsed.len(), rel.len());
-        for (a, b) in rel.iter().zip(parsed.iter()) {
-            prop_assert_eq!(a, b);
-        }
+        prop_assert!(parsed == rel);
     }
 
     /// Hex encoding round-trips arbitrary bytes.
@@ -345,7 +340,7 @@ proptest! {
             let mut marked = rel.clone();
             let report = session.embed_planned(&mut marked, &wm, plan).unwrap();
             prop_assert_eq!(&report, &seed_report);
-            prop_assert!(seed_marked.iter().zip(marked.iter()).all(|(a, b)| a == b));
+            prop_assert!(marked == seed_marked);
             let plan_after = cache.plan_for(&spec, &marked, 0).unwrap();
             let decode = session.decode_planned(&marked, &plan_after).unwrap();
             prop_assert_eq!(&decode, &seed_decode);
@@ -391,7 +386,7 @@ proptest! {
         let mut s_marked = rel.clone();
         let s_report = session.embed(&mut s_marked, &wm).unwrap();
         prop_assert_eq!(&s_report, &op_report);
-        prop_assert!(op_marked.iter().zip(s_marked.iter()).all(|(a, b)| a == b));
+        prop_assert!(s_marked == op_marked);
         let s_verdict = session.detect(&s_marked, &wm).unwrap();
         prop_assert_eq!(&s_verdict.decode, &op_decode);
         prop_assert_eq!(&s_verdict.detection, &op_detect);
@@ -431,11 +426,12 @@ proptest! {
         legacy::embed(&spec, &mut batch, &wm);
         let marker = legacy::stream_marker(&spec, &rel, &wm);
         let mut streamed = Relation::new(rel.schema().clone());
-        for tuple in rel.iter() {
-            marker.ingest(&mut streamed, tuple.values().to_vec()).unwrap();
+        for row in 0..rel.len() {
+            let values = (0..rel.schema().arity()).map(|attr| rel.value(row, attr).unwrap());
+            marker.ingest(&mut streamed, values.collect()).unwrap();
         }
         prop_assert_eq!(streamed.len(), batch.len());
-        prop_assert!(batch.iter().zip(streamed.iter()).all(|(a, b)| a == b));
+        prop_assert!(streamed == batch);
     }
 
     /// A batched `fingerprint_batch` call (multi-key plans: four
@@ -481,7 +477,7 @@ proptest! {
             let (expected, expected_report) = sequential.mark_copy(&rel, buyer).unwrap();
             prop_assert_eq!(report, &expected_report);
             prop_assert_eq!(copy.len(), expected.len());
-            prop_assert!(copy.iter().zip(expected.iter()).all(|(a, b)| a == b));
+            prop_assert!(&expected == copy);
         }
     }
 
@@ -531,7 +527,7 @@ proptest! {
             prop_assert_eq!(report, &reference_report);
             let rebuilt = rel.apply_delta(delta).unwrap();
             prop_assert_eq!(rebuilt.len(), reference.len());
-            prop_assert!(rebuilt.iter().zip(reference.iter()).all(|(a, b)| a == b));
+            prop_assert!(reference == rebuilt);
             prop_assert_eq!(rebuilt.column(1), reference.column(1));
             // And the wire encoding is lossless.
             prop_assert_eq!(&MarkDelta::decode(&delta.encode()).unwrap(), delta);

@@ -69,7 +69,7 @@ proptest! {
             catmark::attacks::collusion::majority_merge(&[&rel, &rel, &rel], merge_seed)
                 .unwrap();
         prop_assert_eq!(merged.len(), rel.len());
-        prop_assert!(merged.iter().zip(rel.iter()).all(|(m, o)| m == o));
+        prop_assert!(rel == merged);
     }
 
     /// The closure always covers every unordered attribute pair
@@ -165,7 +165,7 @@ proptest! {
         };
         for _ in 0..moves {
             let row = (next() % 300) as usize;
-            let old = rel.tuple(row).unwrap().get(1).clone();
+            let old = rel.value(row, 1).unwrap();
             let new = Value::Int((next() % 8) as i64);
             let change = Alteration { row, attr: 1, old, new };
             c.commit(&change);

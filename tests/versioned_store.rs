@@ -71,7 +71,7 @@ fn versioned(
 
 fn assert_same(a: &Relation, b: &Relation, what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: row counts differ");
-    assert!(a.iter().zip(b.iter()).all(|(x, y)| x == y), "{what}: rows differ");
+    assert!(a == b, "{what}: rows differ");
 }
 
 proptest! {
