@@ -55,9 +55,11 @@ pub enum CoreError {
         /// The first verification check that failed.
         reason: String,
     },
-    /// A certified driver refused to emit its evidence bundle because
-    /// a value exceeds a limit of the `CMKEVD1` format, so the bundle
-    /// would fail verification.
+    /// A value exceeds a limit of the `CMKEVD1` evidence format: the
+    /// spec builder refuses a watermark or `wm_data` longer than a
+    /// bundle carries, and a certified driver refuses to emit a bundle
+    /// with too many segments or too long a contest name, which would
+    /// fail verification.
     EvidenceLimit {
         /// What exceeds its limit.
         field: &'static str,
@@ -99,10 +101,9 @@ impl std::fmt::Display for CoreError {
             CoreError::EvidenceInvalid { reason } => {
                 write!(f, "evidence bundle rejected: {reason}")
             }
-            CoreError::EvidenceLimit { field, len, limit } => write!(
-                f,
-                "cannot certify: {field} {len} exceeds the evidence format's limit of {limit}"
-            ),
+            CoreError::EvidenceLimit { field, len, limit } => {
+                write!(f, "{field} {len} exceeds the evidence format's limit of {limit}")
+            }
         }
     }
 }

@@ -45,7 +45,7 @@ use crate::incremental::VoteCache;
 use crate::keyfile::to_key_file;
 use crate::outofcore::Walk;
 use crate::session::{MarkSession, Verdict};
-use crate::spec::{Watermark, WatermarkSpec};
+use crate::spec::{Watermark, WatermarkSpec, MAX_WM_DATA, MAX_WM_LEN};
 
 /// Magic bytes opening every evidence bundle.
 const MAGIC: &[u8; 8] = b"CMKEVD1\0";
@@ -53,10 +53,9 @@ const MAGIC: &[u8; 8] = b"CMKEVD1\0";
 /// payload length.
 const HEADER: usize = 48;
 /// Format limits: [`encode_bundle`] refuses to write past them and
-/// [`parse_bundle`] refuses to read past them.
-const MAX_WM_DATA: usize = 1 << 24;
+/// [`parse_bundle`] refuses to read past them. The spec builder owns
+/// the watermark and `wm_data` limits, so every spec fits a bundle.
 const MAX_SEGMENTS: usize = 1 << 20;
-const MAX_WM_LEN: usize = 4096;
 const MAX_STR: usize = 1 << 16;
 /// The whole-relation identity hands SHA-256 pieces of at least this
 /// many bytes (the last one excepted).
@@ -358,8 +357,8 @@ fn within_limit(field: &'static str, len: usize, limit: usize) -> Result<(), Cor
 ///
 /// # Errors
 ///
-/// [`CoreError::EvidenceLimit`] when the spec, the identity or the
-/// contest trace exceeds a format limit that [`parse_bundle`] checks.
+/// [`CoreError::EvidenceLimit`] when the identity or the contest
+/// trace exceeds a format limit that [`parse_bundle`] checks.
 fn encode_bundle(
     spec: &WatermarkSpec,
     identity: &RelationIdentity,
@@ -368,8 +367,6 @@ fn encode_bundle(
     claim: Option<(&Watermark, &Detection)>,
     contest: Option<&ContestTrace>,
 ) -> Result<Vec<u8>, CoreError> {
-    within_limit("watermark length", spec.wm_len, MAX_WM_LEN)?;
-    within_limit("wm_data length", spec.wm_data_len, MAX_WM_DATA)?;
     if let RelationIdentity::Versioned { segments, .. } = identity {
         within_limit("segment count", segments.len(), MAX_SEGMENTS)?;
     }
@@ -1280,23 +1277,23 @@ mod tests {
     fn certification_refuses_a_watermark_longer_than_the_format_allows() {
         let gen = SalesGenerator::new(ItemScanConfig { tuples: 3_000, ..Default::default() });
         let rel = gen.generate();
-        let certify = |wm_len: usize| {
-            let spec = WatermarkSpec::builder(gen.item_domain())
+        let spec = |wm_len: usize| {
+            WatermarkSpec::builder(gen.item_domain())
                 .master_key("evidence-limits")
                 .e(10)
                 .wm_len(wm_len)
                 .wm_data_len(wm_len)
                 .build()
-                .unwrap();
-            let session = MarkSession::builder(spec)
-                .key_column("visit_nbr")
-                .target_column("item_nbr")
-                .bind(&rel)
-                .unwrap();
-            session.decode_certified(&rel)
         };
-        verify_evidence(&certify(4096).unwrap().bundle).unwrap();
-        let err = certify(4097).unwrap_err();
+        let session = MarkSession::builder(spec(4096).unwrap())
+            .key_column("visit_nbr")
+            .target_column("item_nbr")
+            .bind(&rel)
+            .unwrap();
+        verify_evidence(&session.decode_certified(&rel).unwrap().bundle).unwrap();
+        // A longer mark is refused when the spec is built, before any
+        // driver could fail to certify it.
+        let err = spec(4097).unwrap_err();
         let limit = CoreError::EvidenceLimit { field: "watermark length", len: 4097, limit: 4096 };
         assert_eq!(err, limit);
     }

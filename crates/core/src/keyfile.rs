@@ -103,7 +103,9 @@ pub fn to_key_file(spec: &WatermarkSpec) -> String {
 /// # Errors
 ///
 /// [`CoreError::InvalidSpec`] on version mismatch, missing or
-/// malformed fields.
+/// malformed fields; the spec builder's errors, such as
+/// [`CoreError::EvidenceLimit`] for a spec no evidence bundle could
+/// carry.
 pub fn from_key_file(text: &str) -> Result<WatermarkSpec, CoreError> {
     let bad = |msg: String| CoreError::InvalidSpec(format!("key file: {msg}"));
     let mut lines = text.lines();
@@ -427,6 +429,27 @@ mod tests {
         assert!(from_key_file(&truncated_domain).is_err(), "empty domain must fail");
         let unknown_field = format!("{}\nbogus 1\n", to_key_file(&spec()).trim());
         assert!(from_key_file(&unknown_field).is_err());
+    }
+
+    #[test]
+    fn specs_no_evidence_bundle_could_carry_are_refused_at_load() {
+        // Such a spec used to load and then panic in the first plan
+        // build (a position that does not fit in u32).
+        let huge = to_key_file(&spec()).replace("wm_data_len 96", "wm_data_len 10000000000000");
+        let refused = |err: CoreError| {
+            matches!(
+                err,
+                CoreError::EvidenceLimit {
+                    field: "wm_data length",
+                    len: 10_000_000_000_000,
+                    limit: 16_777_216
+                }
+            )
+        };
+        assert!(refused(from_key_file(&huge).unwrap_err()));
+        let registry =
+            format!("{REGISTRY_MAGIC}\ntenant acme\nkey production {}\n", to_hex(huge.as_bytes()));
+        assert!(refused(TenantKeyRegistry::from_registry_file(&registry).err().unwrap()));
     }
 
     #[test]

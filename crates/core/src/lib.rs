@@ -138,7 +138,7 @@ pub use session::{
     ColumnRef, FingerprintSession, MarkSession, MarkSessionBuilder, MultiAttrSession, Outcome,
     Verdict,
 };
-pub use spec::{Watermark, WatermarkSpec, WatermarkSpecBuilder};
+pub use spec::{MarkError, Watermark, WatermarkSpec, WatermarkSpecBuilder};
 
 /// Test-only stringly conveniences over the typed engines: the
 /// production surface resolves columns once through `MarkSession`, but

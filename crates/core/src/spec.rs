@@ -7,6 +7,13 @@ use catmark_relation::CategoricalDomain;
 use crate::decode::ErasurePolicy;
 use crate::error::CoreError;
 
+/// The longest watermark a spec may declare: the most bits a
+/// `CMKEVD1` evidence bundle carries.
+pub(crate) const MAX_WM_LEN: usize = 4096;
+/// The longest `wm_data` a spec may declare: the most positions a
+/// `CMKEVD1` evidence bundle carries.
+pub(crate) const MAX_WM_DATA: usize = 1 << 24;
+
 /// The watermark: an owner-chosen bit string (the paper uses
 /// `|wm| = 10` bits in all experiments).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -38,6 +45,55 @@ impl Watermark {
         assert!((1..=64).contains(&len), "length must be in 1..=64");
         let bits = (0..len).map(|i| (value >> (len - 1 - i)) & 1 == 1).collect();
         Watermark { bits }
+    }
+
+    /// Parse a mark given as text for a spec declaring `wm_len` bits:
+    /// either a bit string of exactly `wm_len` bits (`1011…`, most
+    /// significant first) or `0x` hex whose value fits in `wm_len`
+    /// bits (zero-extended on the left).
+    ///
+    /// ```
+    /// use catmark_core::Watermark;
+    ///
+    /// assert_eq!(Watermark::parse("0x2A", 8).unwrap().to_string(), "00101010");
+    /// assert_eq!(Watermark::parse("101010", 6).unwrap(), Watermark::from_u64(0x2A, 6));
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`MarkError`] naming what is wrong: the text's syntax, a bit
+    /// string of another length, a hex value wider than `wm_len` bits,
+    /// or a `wm_len` no spec may declare (0 or more than 4096).
+    pub fn parse(text: &str, wm_len: usize) -> Result<Self, MarkError> {
+        if !(1..=MAX_WM_LEN).contains(&wm_len) {
+            return Err(MarkError::WmLen(wm_len));
+        }
+        let bits = if let Some(hex) = text.strip_prefix("0x") {
+            if hex.is_empty() || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return Err(MarkError::Syntax);
+            }
+            // The value's significant bits, most significant first.
+            let significant: Vec<bool> = hex
+                .chars()
+                .filter_map(|c| c.to_digit(16))
+                .flat_map(|d| (0..4).rev().map(move |i| (d >> i) & 1 == 1))
+                .skip_while(|&bit| !bit)
+                .collect();
+            if significant.len() > wm_len {
+                return Err(MarkError::TooWide { wm_len });
+            }
+            let mut bits = vec![false; wm_len - significant.len()];
+            bits.extend(significant);
+            bits
+        } else if !text.is_empty() && text.bytes().all(|b| b == b'0' || b == b'1') {
+            if text.len() != wm_len {
+                return Err(MarkError::Length { bits: text.len(), wm_len });
+            }
+            text.bytes().map(|b| b == b'1').collect()
+        } else {
+            return Err(MarkError::Syntax);
+        };
+        Ok(Watermark { bits })
     }
 
     /// Watermark derived from an owner identity string: the keyed hash
@@ -106,6 +162,42 @@ impl std::fmt::Display for Watermark {
         Ok(())
     }
 }
+
+/// Why [`Watermark::parse`] refused a mark.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MarkError {
+    /// The text is neither a bit string nor `0x` hex.
+    Syntax,
+    /// A bit string of `bits` bits for a spec declaring `wm_len`.
+    Length {
+        /// Bits in the text.
+        bits: usize,
+        /// Bits the spec declares.
+        wm_len: usize,
+    },
+    /// `0x` hex whose value needs more than `wm_len` bits.
+    TooWide {
+        /// Bits the spec declares.
+        wm_len: usize,
+    },
+    /// A watermark length no spec may declare.
+    WmLen(usize),
+}
+
+impl std::fmt::Display for MarkError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MarkError::Syntax => f.write_str("neither a bit string nor 0x hex"),
+            MarkError::Length { bits, wm_len } => {
+                write!(f, "{bits} bits, but the key declares wm_len {wm_len}")
+            }
+            MarkError::TooWide { wm_len } => write!(f, "does not fit in wm_len {wm_len} bits"),
+            MarkError::WmLen(wm_len) => write!(f, "wm_len {wm_len} is outside 1..={MAX_WM_LEN}"),
+        }
+    }
+}
+
+impl std::error::Error for MarkError {}
 
 /// Everything embedding and blind detection share: the two secret
 /// keys, the algorithm, the fitness modulus `e`, the watermark and
@@ -270,8 +362,10 @@ impl WatermarkSpecBuilder {
     /// # Errors
     ///
     /// [`CoreError::InvalidSpec`] on missing keys, `e = 0`, equal
-    /// keys, or zero-length watermark; [`CoreError::InsufficientBandwidth`]
-    /// when `|wm| > |wm_data|`.
+    /// keys, or zero-length watermark; [`CoreError::EvidenceLimit`]
+    /// when `|wm|` exceeds 4096 bits or `|wm_data|` exceeds 2^24
+    /// positions, which no evidence bundle could carry;
+    /// [`CoreError::InsufficientBandwidth`] when `|wm| > |wm_data|`.
     pub fn build(self) -> Result<WatermarkSpec, CoreError> {
         let (k1, k2) = self.keys.ok_or_else(|| {
             CoreError::InvalidSpec("no keys provided (use master_key or keys)".into())
@@ -296,6 +390,14 @@ impl WatermarkSpecBuilder {
                 ))
             }
         };
+        for (field, len, limit) in [
+            ("watermark length", self.wm_len, MAX_WM_LEN),
+            ("wm_data length", wm_data_len, MAX_WM_DATA),
+        ] {
+            if len > limit {
+                return Err(CoreError::EvidenceLimit { field, len, limit });
+            }
+        }
         if wm_data_len < self.wm_len {
             return Err(CoreError::InsufficientBandwidth {
                 wm_len: self.wm_len,
@@ -335,6 +437,67 @@ mod tests {
     fn watermark_from_u64_pads_leading_zeros() {
         let wm = Watermark::from_u64(1, 5);
         assert_eq!(wm.to_string(), "00001");
+    }
+
+    #[test]
+    fn mark_parsing() {
+        let parse = Watermark::parse;
+        assert_eq!(parse("1011", 4).unwrap(), Watermark::from_u64(0b1011, 4));
+        assert_eq!(parse("0x2A", 8).unwrap(), Watermark::from_u64(0x2A, 8));
+        assert_eq!(parse("0x0", 3).unwrap(), Watermark::from_u64(0, 3));
+        assert_eq!(parse("10", 4), Err(MarkError::Length { bits: 2, wm_len: 4 }));
+        assert_eq!(parse("0xFFF", 4), Err(MarkError::TooWide { wm_len: 4 }));
+        for garbage in ["abc", "", "0x", "0x-1", "0x+2A", "10 1"] {
+            assert_eq!(parse(garbage, 4), Err(MarkError::Syntax), "{garbage:?}");
+        }
+        assert_eq!(parse("1", 0), Err(MarkError::WmLen(0)));
+        assert_eq!(parse("0x1", 4097), Err(MarkError::WmLen(4097)));
+        assert!(parse("10", 4).unwrap_err().to_string().contains("wm_len 4"));
+    }
+
+    #[test]
+    fn marks_longer_than_64_bits_parse_as_bits_and_as_hex() {
+        let bits: String = (0..100).map(|i| if i % 3 == 0 { '1' } else { '0' }).collect();
+        let from_bits = Watermark::parse(&bits, 100).unwrap();
+        assert_eq!(from_bits.to_string(), bits);
+        // The same 100 bits as 25 hex digits.
+        let hex: String = bits
+            .as_bytes()
+            .chunks(4)
+            .map(|nibble| {
+                let d = nibble.iter().fold(0, |acc, &b| acc * 2 + u32::from(b - b'0'));
+                char::from_digit(d, 16).unwrap()
+            })
+            .collect();
+        assert_eq!(Watermark::parse(&format!("0x{hex}"), 100).unwrap(), from_bits);
+        // Hex is zero-extended on the left; a 101st bit does not fit.
+        assert_eq!(Watermark::parse("0x1", 4096).unwrap().bits().iter().filter(|&&b| b).count(), 1);
+        let wide = format!("0x2{}", "0".repeat(25));
+        assert_eq!(Watermark::parse(&wide, 100), Err(MarkError::TooWide { wm_len: 100 }));
+    }
+
+    #[test]
+    fn builder_refuses_specs_no_evidence_bundle_could_carry() {
+        let build = |wm_len: usize, wm_data_len: usize| {
+            WatermarkSpec::builder(domain())
+                .master_key("s")
+                .wm_len(wm_len)
+                .wm_data_len(wm_data_len)
+                .build()
+        };
+        assert!(build(4096, 1 << 24).is_ok());
+        assert_eq!(
+            build(4097, 1 << 24).unwrap_err(),
+            CoreError::EvidenceLimit { field: "watermark length", len: 4097, limit: 4096 }
+        );
+        assert_eq!(
+            build(10, (1 << 24) + 1).unwrap_err(),
+            CoreError::EvidenceLimit {
+                field: "wm_data length",
+                len: (1 << 24) + 1,
+                limit: 1 << 24
+            }
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * typed values and schemas with primary-key designation ([`value`],
 //!   [`schema`]),
 //! * a primary-key-indexed table with in-place attribute updates, read
-//!   through typed column views ([`relation`], [`column`]),
+//!   through typed column views ([`relation`], [`mod@column`]),
 //! * categorical value domains with stable, sortable indexing
 //!   ([`domain`]) — the `{a_1 … a_nA}` sets of the paper,
 //! * sampling / projection / sorting / shuffling / union operators

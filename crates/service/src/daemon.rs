@@ -289,7 +289,8 @@ impl Service {
         let attr = str_field(request, "attr")?;
         let mut rel = parse_csv(str_field(request, "csv")?, attr)?;
         let (session, _) = self.session_for(bound, request, &rel)?;
-        let mark = parse_mark(str_field(request, "mark")?, session.spec().wm_len)?;
+        let mark = Watermark::parse(str_field(request, "mark")?, session.spec().wm_len)
+            .map_err(|e| format!("mark: {e}"))?;
         let report = session.embed(&mut rel, &mark).map_err(|e| e.to_string())?;
         Ok(ok_response(vec![
             ("csv", Json::Str(render_csv(&rel)?)),
@@ -310,7 +311,8 @@ impl Service {
             ("votes", Json::Num(report.votes_cast as f64)),
         ];
         if let Some(claim) = request.get("claim").and_then(Json::as_str) {
-            let claimed = parse_mark(claim, report.watermark.len())?;
+            let claimed = Watermark::parse(claim, report.watermark.len())
+                .map_err(|e| format!("claim: {e}"))?;
             let verdict = detect(&report.watermark, &claimed);
             fields.push(("matched_bits", Json::Num(verdict.matched_bits as f64)));
             fields.push(("total_bits", Json::Num(verdict.total_bits as f64)));
@@ -435,7 +437,8 @@ impl Service {
         let budget = self.config.budget_bytes;
         let (_, cache_key) = self.session_for(bound, request, &rel)?;
         let session = self.sessions.get(&cache_key).expect("bound above");
-        let mark = parse_mark(str_field(request, "mark")?, session.spec().wm_len)?;
+        let mark = Watermark::parse(str_field(request, "mark")?, session.spec().wm_len)
+            .map_err(|e| format!("mark: {e}"))?;
         let table = self.tables.entry((bound.to_string(), name.clone())).or_insert_with(|| {
             VersionedTable {
                 schema: rel.schema().clone(),
@@ -547,7 +550,8 @@ impl Service {
         let probe = Relation::new(schema.clone());
         let (_, cache_key) = self.session_for(bound, request, &probe)?;
         let session = self.sessions.get(&cache_key).expect("bound above");
-        let claimed = parse_mark(str_field(request, "claim")?, session.spec().wm_len)?;
+        let claimed = Watermark::parse(str_field(request, "claim")?, session.spec().wm_len)
+            .map_err(|e| format!("claim: {e}"))?;
         let table =
             self.tables.get_mut(&(bound.to_string(), name.to_string())).expect("checked above");
         let manifest = table
@@ -691,19 +695,6 @@ fn from_hex(text: &str) -> Result<Vec<u8>, String> {
             (hi * 16 + lo) as u8
         })
         .collect())
-}
-
-/// Parse a watermark bit string (`"1011001110"`), validating its
-/// length against the spec.
-fn parse_mark(text: &str, wm_len: usize) -> Result<Watermark, String> {
-    if text.is_empty() || !text.chars().all(|c| c == '0' || c == '1') {
-        return Err(format!("mark {text:?} is not a bit string"));
-    }
-    if text.len() != wm_len {
-        return Err(format!("mark has {} bits but the key declares wm_len {wm_len}", text.len()));
-    }
-    let value = u64::from_str_radix(text, 2).map_err(|e| format!("mark: {e}"))?;
-    Ok(Watermark::from_u64(value, wm_len))
 }
 
 /// Serve one connection: read framed requests, write framed
@@ -977,6 +968,45 @@ mod tests {
         assert_ok(&resp);
         assert_eq!(resp.get("mark").and_then(Json::as_str), Some("101101"));
         assert_eq!(resp.get("matched_bits").and_then(Json::as_u64), Some(6));
+    }
+
+    #[test]
+    fn marks_longer_than_64_bits_round_trip_as_bits_and_as_hex() {
+        let domain =
+            CategoricalDomain::new((0..40).map(|i| Value::Int(10_000 + i)).collect()).unwrap();
+        let wide = WatermarkSpec::builder(domain)
+            .master_key("acme-wide")
+            .e(3)
+            .wm_len(100)
+            .wm_data_len(300)
+            .erasure(ErasurePolicy::Abstain)
+            .build()
+            .unwrap();
+        let mut acme = TenantKeyRegistry::new("acme").unwrap();
+        acme.insert("wide", wide).unwrap();
+        let mut service = Service::new(ServiceConfig::default());
+        service.add_registry(acme).unwrap();
+        let mut bound = None;
+        service.handle(&mut bound, &request(r#"{"op":"hello","tenant":"acme"}"#));
+        let bits = "1011".repeat(25);
+        let hex = format!("0x{}", "b".repeat(25));
+        let data = Json::Str(render_csv(&sample_relation(3_000)).unwrap()).to_text();
+        for (mark, claim) in [(&bits, &hex), (&hex, &bits)] {
+            let embed = format!(
+                r#"{{"op":"embed","key":"wide","key_attr":"visit_nbr","attr":"item_nbr","mark":"{mark}","csv":{data}}}"#
+            );
+            let (resp, _) = service.handle(&mut bound, &request(&embed));
+            assert_ok(&resp);
+            let marked = Json::Str(resp.get("csv").and_then(Json::as_str).unwrap().into());
+            let decode = format!(
+                r#"{{"op":"decode","key":"wide","key_attr":"visit_nbr","attr":"item_nbr","claim":"{claim}","csv":{}}}"#,
+                marked.to_text()
+            );
+            let (resp, _) = service.handle(&mut bound, &request(&decode));
+            assert_ok(&resp);
+            assert_eq!(resp.get("mark").and_then(Json::as_str), Some(bits.as_str()));
+            assert_eq!(resp.get("matched_bits").and_then(Json::as_u64), Some(100));
+        }
     }
 
     #[test]

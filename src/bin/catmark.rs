@@ -243,7 +243,8 @@ fn embed(flags: &HashMap<String, String>) -> Result<String, CliError> {
     let spec = load_key(require(flags, "key")?)?;
     let key_attr = require(flags, "key-attr")?;
     let attr = require(flags, "attr")?;
-    let mark = parse_mark(require(flags, "mark")?, spec.wm_len)?;
+    let mark = Watermark::parse(require(flags, "mark")?, spec.wm_len)
+        .map_err(|e| CliError::Usage(format!("--mark: {e}")))?;
     let mut rel = load_csv(require(flags, "input")?, attr)?;
     let session = bind_session(spec, &rel, key_attr, attr)?;
     let report = session.embed(&mut rel, &mark).map_err(CliError::run)?;
@@ -269,7 +270,11 @@ fn decode(flags: &HashMap<String, String>) -> Result<String, CliError> {
     let key_attr = require(flags, "key-attr")?;
     let attr = require(flags, "attr")?;
     let rel = load_csv(require(flags, "input")?, attr)?;
-    let claimed = flags.get("claim").map(|c| parse_mark(c, spec.wm_len)).transpose()?;
+    let claimed = flags
+        .get("claim")
+        .map(|c| Watermark::parse(c, spec.wm_len))
+        .transpose()
+        .map_err(|e| CliError::Usage(format!("--claim: {e}")))?;
     let session = bind_session(spec, &rel, key_attr, attr)?;
     // With --evidence the certified twin runs instead — same single
     // accumulation pass, same outcome, plus the serialized bundle.
@@ -531,28 +536,6 @@ fn load_key(path: &str) -> Result<WatermarkSpec, CliError> {
     from_key_file(&text).map_err(CliError::run)
 }
 
-/// Parse a watermark given as a bit string (`1011…`) or `0x` hex.
-fn parse_mark(text: &str, wm_len: usize) -> Result<Watermark, CliError> {
-    let value = if let Some(hex) = text.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).map_err(|e| CliError::Usage(format!("mark: {e}")))?
-    } else if text.chars().all(|c| c == '0' || c == '1') && !text.is_empty() {
-        if text.len() != wm_len {
-            return Err(CliError::Usage(format!(
-                "mark has {} bits but the key file declares wm_len {}",
-                text.len(),
-                wm_len
-            )));
-        }
-        u64::from_str_radix(text, 2).map_err(|e| CliError::Usage(format!("mark: {e}")))?
-    } else {
-        return Err(CliError::Usage(format!("mark {text:?} is neither a bit string nor 0x-hex")));
-    };
-    if wm_len < 64 && value >= (1u64 << wm_len) {
-        return Err(CliError::Usage(format!("mark {text:?} does not fit in {wm_len} bits")));
-    }
-    Ok(Watermark::from_u64(value, wm_len))
-}
-
 /// Load a CSV with schema inference: the header names the attributes;
 /// a column is Integer when every sampled value parses as `i64`. The
 /// first column is the primary key; `marked_attr` is flagged
@@ -660,11 +643,82 @@ mod tests {
 
     #[test]
     fn mark_parsing() {
-        assert_eq!(parse_mark("1011", 4).unwrap(), Watermark::from_u64(0b1011, 4));
-        assert_eq!(parse_mark("0x2A", 8).unwrap(), Watermark::from_u64(0x2A, 8));
-        assert!(parse_mark("10", 4).is_err(), "length mismatch");
-        assert!(parse_mark("0xFFF", 4).is_err(), "overflow");
-        assert!(parse_mark("abc", 4).is_err(), "garbage");
+        // A 100-bit mark embeds and decodes as bits and as hex; a bad
+        // mark is a usage error.
+        use catmark::datagen::{ItemScanConfig, SalesGenerator};
+        let dir = std::env::temp_dir().join(format!("catmark-mark-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+        let rel =
+            SalesGenerator::new(ItemScanConfig { tuples: 6_000, ..Default::default() }).generate();
+        catmark::relation::csv::write_csv(&rel, &mut File::create(path("data.csv")).unwrap())
+            .unwrap();
+        let run_args =
+            |args: &[&str]| run(&args.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>());
+        let key = run_args(&[
+            "keygen",
+            "--master",
+            "wide-secret",
+            "--domain-from",
+            &path("data.csv"),
+            "--attr",
+            "item_nbr",
+            "--e",
+            "5",
+            "--wm-len",
+            "100",
+            "--wm-data-len",
+            "300",
+        ])
+        .unwrap();
+        std::fs::write(path("key.catmark"), key).unwrap();
+        let embed = |mark: &str| {
+            run_args(&[
+                "embed",
+                "--key",
+                &path("key.catmark"),
+                "--input",
+                &path("data.csv"),
+                "--key-attr",
+                "visit_nbr",
+                "--attr",
+                "item_nbr",
+                "--mark",
+                mark,
+                "--output",
+                &path("marked.csv"),
+            ])
+        };
+        let decode = |claim: &str| {
+            run_args(&[
+                "decode",
+                "--key",
+                &path("key.catmark"),
+                "--input",
+                &path("marked.csv"),
+                "--key-attr",
+                "visit_nbr",
+                "--attr",
+                "item_nbr",
+                "--claim",
+                claim,
+            ])
+        };
+        let bits = "1011".repeat(25);
+        let hex = format!("0x{}", "b".repeat(25));
+        for (mark, claim) in [(&bits, &hex), (&hex, &bits)] {
+            assert!(embed(mark).unwrap().starts_with(&format!("embedded {bits} into")));
+            let verdict = decode(claim).unwrap();
+            assert!(verdict.contains(&format!("decoded mark     {bits}\n")), "{verdict}");
+            assert!(verdict.contains("100/100"), "{verdict}");
+        }
+        for bad in ["abc", "101", &format!("0x1{}", "0".repeat(25))] {
+            let err = embed(bad).unwrap_err();
+            assert_eq!(err.exit_code(), ExitCode::from(2), "{err:?}");
+            assert!(err.message().starts_with("--mark: "), "{err:?}");
+            assert!(matches!(decode(bad), Err(CliError::Usage(m)) if m.starts_with("--claim: ")));
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
