@@ -13,9 +13,7 @@
 use std::collections::HashMap;
 
 use catmark_relation::stats::dense_codes;
-use catmark_relation::{Relation, RelationError, Value};
-
-use crate::item::row_values;
+use catmark_relation::{ColumnView, Relation, RelationError, Value};
 
 /// A trained categorical classifier: predicts a target attribute from
 /// predictor attributes, both by index into the training schema.
@@ -39,9 +37,14 @@ pub fn accuracy(clf: &dyn Classifier, rel: &Relation) -> f64 {
     if rel.is_empty() {
         return 0.0;
     }
-    let hits = row_values(rel)
-        .iter()
-        .filter(|row| clf.predict(row).as_ref() == Some(&row[clf.target()]))
+    let columns: Vec<ColumnView<'_>> = (0..rel.schema().arity()).map(|a| rel.column(a)).collect();
+    let mut row = Vec::with_capacity(columns.len());
+    let hits = (0..rel.len())
+        .filter(|&r| {
+            row.clear();
+            row.extend(columns.iter().map(|c| c.value(r)));
+            clf.predict(&row).as_ref() == Some(&row[clf.target()])
+        })
         .count();
     hits as f64 / rel.len() as f64
 }
