@@ -983,6 +983,177 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `embed` and every form of `decode` on a 40k-row file: the bytes,
+    /// text and bundles of the in-memory `MarkSession` path, an in-place
+    /// embed, and a bad last record that leaves `--output` alone. The
+    /// marked column is quoted text, and quoted newlines sit around rows
+    /// 8,192 and 16,384.
+    #[test]
+    fn embed_and_decode_match_the_in_memory_path_on_a_large_file() {
+        use catmark::core::DecodeReport;
+        let dir = std::env::temp_dir().join(format!("catmark-large-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+        let mut csv = String::from("visit_nbr,shelf,note\n");
+        for i in 0..40_000u64 {
+            let k = i * 31 % 12;
+            let shelf = match k % 3 {
+                0 => format!("\"aisle, {k}\""),
+                1 => format!("\"say \"\"{k}\"\" é\""),
+                _ => format!("shelf{k}"),
+            };
+            let wrapped = (8_189..8_195).contains(&i) || (16_382..16_387).contains(&i);
+            let note = if wrapped { "\"two\nlines\"" } else { "plain" };
+            csv.push_str(&format!("{},{shelf},{note}\n", i * 7 + 3));
+        }
+        std::fs::write(path("data.csv"), &csv).unwrap();
+        let run_args =
+            |args: &[&str]| run(&args.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>());
+        let key = run_args(&[
+            "keygen",
+            "--master",
+            "large-file-secret",
+            "--domain-from",
+            &path("data.csv"),
+            "--attr",
+            "shelf",
+            "--e",
+            "20",
+        ])
+        .unwrap();
+        std::fs::write(path("key.catmark"), key).unwrap();
+        let mark = "1011001110";
+        let embed = |input: &str, output: &str| {
+            run_args(&[
+                "embed",
+                "--key",
+                &path("key.catmark"),
+                "--input",
+                input,
+                "--key-attr",
+                "visit_nbr",
+                "--attr",
+                "shelf",
+                "--mark",
+                mark,
+                "--output",
+                output,
+            ])
+        };
+
+        // The in-memory reference: one relation, one session.
+        let spec = load_key(&path("key.catmark")).unwrap();
+        let wm = Watermark::parse(mark, spec.wm_len).unwrap();
+        let mut rel = load_csv(&path("data.csv"), "shelf").unwrap();
+        let session = bind_session(spec, &rel, "visit_nbr", "shelf").unwrap();
+        let report = session.embed(&mut rel, &wm).unwrap();
+        let mut marked = Vec::new();
+        catmark::relation::csv::write_csv(&rel, &mut marked).unwrap();
+
+        let summary = embed(&path("data.csv"), &path("marked.csv")).unwrap();
+        assert_eq!(std::fs::read(path("marked.csv")).unwrap(), marked);
+        assert_eq!(
+            summary,
+            format!(
+                "embedded {mark} into {}: {} tuples, {} fit, {} altered ({:.2}%)\n",
+                path("marked.csv"),
+                report.total_tuples,
+                report.fit_tuples,
+                report.altered,
+                report.alteration_rate() * 100.0
+            )
+        );
+
+        let decoded = session.decode(&rel).unwrap();
+        let detection = detect(&decoded.watermark, &wm);
+        let text = |report: &DecodeReport, verdict: Option<&Detection>, bundle: Option<&[u8]>| {
+            let mut out = format!(
+                "decoded mark     {}\nfit tuples       {}\nvotes cast       {}\nforeign values   {}\npositions        {} observed / {} erased / {} conflicting\n",
+                report.watermark,
+                report.fit_tuples,
+                report.votes_cast,
+                report.foreign_values,
+                report.positions_observed,
+                report.positions_erased,
+                report.position_conflicts,
+            );
+            if let Some(verdict) = verdict {
+                out.push_str(&format!(
+                    "claim match      {}/{} bits\nfalse positive   {:.3e}\nverdict          {}\n",
+                    verdict.matched_bits,
+                    verdict.total_bits,
+                    verdict.false_positive_probability,
+                    if verdict.is_significant(1e-2) {
+                        "SIGNIFICANT (alpha 1%)"
+                    } else {
+                        "not significant"
+                    },
+                ));
+            }
+            if let Some(bundle) = bundle {
+                out.push_str(&format!(
+                    "evidence         {} bytes -> {}\n",
+                    bundle.len(),
+                    path("run.evd")
+                ));
+            }
+            out
+        };
+        let plain_bundle = session.decode_certified(&rel).unwrap().bundle;
+        let claim_bundle = session.detect_certified(&rel, &wm).unwrap().bundle;
+        for (claim, evidence, expected) in [
+            (false, false, text(&decoded, None, None)),
+            (true, false, text(&decoded, Some(&detection), None)),
+            (false, true, text(&decoded, None, Some(&plain_bundle))),
+            (true, true, text(&decoded, Some(&detection), Some(&claim_bundle))),
+        ] {
+            let marked_path = path("marked.csv");
+            let mut args = vec![
+                "decode",
+                "--key",
+                &path("key.catmark"),
+                "--input",
+                &marked_path,
+                "--key-attr",
+                "visit_nbr",
+                "--attr",
+                "shelf",
+            ]
+            .into_iter()
+            .map(str::to_owned)
+            .collect::<Vec<_>>();
+            if claim {
+                args.extend(["--claim".to_owned(), mark.to_owned()]);
+            }
+            if evidence {
+                args.extend(["--evidence".to_owned(), path("run.evd")]);
+            }
+            assert_eq!(run(&args).unwrap(), expected, "claim {claim}, evidence {evidence}");
+            if evidence {
+                let bundle = if claim { &claim_bundle } else { &plain_bundle };
+                assert_eq!(&std::fs::read(path("run.evd")).unwrap(), bundle);
+            }
+        }
+
+        // `--output` may name `--input`: the file is marked in place.
+        std::fs::write(path("inplace.csv"), &csv).unwrap();
+        embed(&path("inplace.csv"), &path("inplace.csv")).unwrap();
+        assert_eq!(std::fs::read(path("inplace.csv")).unwrap(), marked);
+
+        // A short record at the end fails the run with its physical line
+        // (the quoted newlines push it down) and writes nothing.
+        std::fs::write(path("bad.csv"), format!("{csv}12345,shelf2\n")).unwrap();
+        std::fs::write(path("kept.csv"), b"keep me").unwrap();
+        let err = embed(&path("bad.csv"), &path("kept.csv")).unwrap_err();
+        assert_eq!(err.exit_code(), ExitCode::FAILURE);
+        assert_eq!(
+            err.message(),
+            format!("{}: csv error: row 40013: 2 fields, expected 3", path("bad.csv"))
+        );
+        assert_eq!(std::fs::read(path("kept.csv")).unwrap(), b"keep me");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn gc_drops_orphans_but_keeps_blobs_shared_with_ancestors() {
         use catmark::datagen::{ItemScanConfig, SalesGenerator};
