@@ -133,6 +133,20 @@ impl EmbedFold {
         EmbedFold { report, covered: vec![false; spec.wm_data_len] }
     }
 
+    /// Fold in `other`, whose passes ran over rows after this fold's.
+    pub(crate) fn merge(&mut self, other: EmbedFold) {
+        let (report, part) = (&mut self.report, other.report);
+        report.total_tuples += part.total_tuples;
+        report.fit_tuples += part.fit_tuples;
+        report.altered += part.altered;
+        report.unchanged += part.unchanged;
+        report.vetoed += part.vetoed;
+        report.touched_rows.extend(part.touched_rows);
+        for (covered, other) in self.covered.iter_mut().zip(other.covered) {
+            *covered |= other;
+        }
+    }
+
     pub(crate) fn finish(mut self) -> EmbedReport {
         self.report.positions_covered = self.covered.iter().filter(|&&c| c).count();
         self.report

@@ -31,7 +31,7 @@
 //! returned outcome is byte-identical by construction (pinned by the
 //! golden suite and the bench gate).
 
-use catmark_crypto::{CanonicalInput, HashAlgorithm};
+use catmark_crypto::{CanonicalInput, DynDigest, HashAlgorithm};
 use catmark_relation::{
     CanonicalInt, CanonicalText, ColumnView, Relation, SegmentedRelation, VersionManifest,
 };
@@ -318,31 +318,59 @@ fn key_commitment(spec: &WatermarkSpec) -> [u8; 32] {
 }
 
 /// The identity of an in-memory run: the row count plus SHA-256 over
-/// every value's canonical bytes in row-major order. The bytes are
-/// read from the column slices into one reused buffer, which the
-/// hasher takes in pieces of about [`HASH_CHUNK`]. A text value is
-/// its dictionary entry's bytes, never its code.
+/// every value's canonical bytes in row-major order.
 fn whole_identity(rel: &Relation) -> RelationIdentity {
-    let columns: Vec<ColumnView<'_>> = (0..rel.schema().arity()).map(|i| rel.column(i)).collect();
-    let mut h = HashAlgorithm::Sha256.hasher();
-    let mut buf = Vec::with_capacity(2 * HASH_CHUNK);
-    for row in 0..rel.len() {
-        for column in &columns {
-            match column {
-                ColumnView::Int(xs) => buf.extend_from_slice(&CanonicalInt(xs[row]).encode()),
-                ColumnView::Text { codes, dict } => CanonicalText(dict.get(codes[row]))
-                    .write_canonical(&mut buf)
-                    .expect("Vec writers are infallible"),
+    let mut identity = IdentityHasher::default();
+    identity.update(rel);
+    identity.finish()
+}
+
+/// [`whole_identity`] fed one block of rows at a time: the blocks'
+/// rows in order hash to the identity of the relation they make up.
+/// The bytes are read from the column slices into one reused buffer,
+/// which the hasher takes in pieces of about [`HASH_CHUNK`]. A text
+/// value is its dictionary entry's bytes, never its code.
+pub(crate) struct IdentityHasher {
+    hash: DynDigest,
+    buf: Vec<u8>,
+    rows: u64,
+}
+
+impl Default for IdentityHasher {
+    fn default() -> Self {
+        let buf = Vec::with_capacity(2 * HASH_CHUNK);
+        IdentityHasher { hash: HashAlgorithm::Sha256.hasher(), buf, rows: 0 }
+    }
+}
+
+impl IdentityHasher {
+    /// Hash `rel`'s rows after those hashed so far.
+    pub(crate) fn update(&mut self, rel: &Relation) {
+        let columns: Vec<ColumnView<'_>> =
+            (0..rel.schema().arity()).map(|i| rel.column(i)).collect();
+        let buf = &mut self.buf;
+        for row in 0..rel.len() {
+            for column in &columns {
+                match column {
+                    ColumnView::Int(xs) => buf.extend_from_slice(&CanonicalInt(xs[row]).encode()),
+                    ColumnView::Text { codes, dict } => CanonicalText(dict.get(codes[row]))
+                        .write_canonical(buf)
+                        .expect("Vec writers are infallible"),
+                }
+            }
+            if buf.len() >= HASH_CHUNK {
+                self.hash.update(buf);
+                buf.clear();
             }
         }
-        if buf.len() >= HASH_CHUNK {
-            h.update(&buf);
-            buf.clear();
-        }
+        self.rows += rel.len() as u64;
     }
-    h.update(&buf);
-    let hash = h.finalize_vec().try_into().expect("sha-256 digests are 32 bytes");
-    RelationIdentity::Whole { rows: rel.len() as u64, hash }
+
+    fn finish(mut self) -> RelationIdentity {
+        self.hash.update(&self.buf);
+        let hash = self.hash.finalize_vec().try_into().expect("sha-256 digests are 32 bytes");
+        RelationIdentity::Whole { rows: self.rows, hash }
+    }
 }
 
 /// `Ok` when `len` is within the format's `limit` for `field`.
@@ -963,6 +991,34 @@ impl MarkSession {
     ) -> Result<Certified<Verdict>, CoreError> {
         let (report, tally, identity) = self.certified_whole_pass(rel)?;
         self.certify_claim(&identity, &[tally], report, claimed)
+    }
+
+    /// [`MarkSession::decode_blocks`] plus its evidence bundle, with
+    /// `source` as in [`MarkSession::embed_blocks`]: byte for byte the
+    /// bundle [`MarkSession::decode_certified`] gives for the relation
+    /// the blocks make up, or with a claim [`MarkSession::detect_certified`]'s,
+    /// whose detection is `detect(&outcome.watermark, claimed)`. The
+    /// bundle carries the one merged tally. The whole-relation identity
+    /// is hashed in block order, on a thread of its own beside the
+    /// workers, and no more than the blocks in flight are held.
+    ///
+    /// # Errors
+    ///
+    /// As [`MarkSession::decode_blocks`], and [`CoreError::EvidenceLimit`]
+    /// when the spec exceeds a limit of the bundle format.
+    pub fn decode_blocks_certified<E: From<CoreError>>(
+        &self,
+        claimed: Option<&Watermark>,
+        source: impl FnOnce(&mut dyn FnMut(Relation)) -> Result<(), E>,
+    ) -> Result<Certified<DecodeReport>, E> {
+        let mut identity = IdentityHasher::default();
+        let tally = self.tally_blocks(source, Some(|rel: &Relation| identity.update(rel)))?;
+        let report = Decoder::engine(self.spec()).resolve(&MajorityVotingEcc, &tally)?;
+        let detection = claimed.map(|claimed| detect(&report.watermark, claimed));
+        let claim = claimed.zip(detection.as_ref());
+        let bundle =
+            encode_bundle(self.spec(), &identity.finish(), &[tally], &report, claim, None)?;
+        Ok(Certified { outcome: report, bundle })
     }
 
     /// `decode` weighed against `claimed`, bundled with the tallies it

@@ -132,7 +132,7 @@ pub use error::CoreError;
 pub use evidence::{verify_evidence, Certified, ClaimSummary, ContestSummary, EvidenceSummary};
 pub use fitness::{FitFacts, FitnessSelector};
 pub use incremental::{IncrementalDecodeReport, IncrementalEmbedReport, VoteCache};
-pub use outofcore::{PipelineStats, Walk};
+pub use outofcore::{PipelineStats, Walk, BLOCK_ROWS};
 pub use plan::{MarkPlan, MultiKeyPlan, MultiPlanCache, PlanCache, PlannedRow};
 pub use session::{
     ColumnRef, FingerprintSession, MarkSession, MarkSessionBuilder, MultiAttrSession, Outcome,

@@ -92,9 +92,10 @@
 //! # use catmark_core::session::Outcome;
 //! ```
 
+use std::collections::VecDeque;
 use std::ops::Deref;
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::Scope;
 
 use catmark_relation::{Relation, RelationError, SegmentedRelation, VersionManifest};
 
@@ -529,6 +530,295 @@ fn visit<S: Step>(
         base += rows;
     }
     Ok(())
+}
+
+/// Rows per block when a relation streams in as row blocks, as the CLI
+/// reads a CSV file. Each block is planned on one worker with
+/// [`MarkPlan::build_sequential`]; blocks this size stay below the
+/// size at which [`MarkPlan::build`] would thread.
+pub const BLOCK_ROWS: usize = 8_192;
+
+/// Where a block sits in its stream.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockAt {
+    index: usize,
+    first_row: usize,
+}
+
+/// A block's work done: its result, and the block for the tap.
+type Done<T> = (Result<T, CoreError>, Relation);
+
+/// A block on its way to a worker, with where its result goes.
+type Job<T> = (Relation, BlockAt, mpsc::SyncSender<Done<T>>);
+
+impl MarkSession {
+    /// [`MarkSession::embed`] over a relation that arrives as row
+    /// blocks. `source` hands every block, in row order, to the
+    /// function it is given (as `catmark_relation::csv::read_csv_blocks`
+    /// does) and returns how reading ended. Workers on every core plan
+    /// and mark the blocks, then run `render` on each marked block with
+    /// its index in the stream; `sink` receives what `render` returned,
+    /// block by block in order, on the calling thread. The report equals
+    /// [`MarkSession::embed`]'s on the relation the blocks make up, and
+    /// the marked blocks are its marked rows: every planned fact and
+    /// every write depends only on the row's own key and `wm_data`.
+    ///
+    /// # Errors
+    ///
+    /// Watermark length mismatch before any block is read, binding
+    /// drift, or the error `source` returned. `source` runs to its end
+    /// even after a block fails, so its own error comes first, as it
+    /// would reading the whole relation before embedding.
+    pub fn embed_blocks<R, E>(
+        &self,
+        wm: &Watermark,
+        source: impl FnOnce(&mut dyn FnMut(Relation)) -> Result<(), E>,
+        render: impl Fn(usize, &Relation) -> R + Sync,
+        mut sink: impl FnMut(R),
+    ) -> Result<EmbedReport, E>
+    where
+        R: Send,
+        E: From<CoreError>,
+    {
+        let engine = Embedder::engine(self.spec());
+        let wm_data = engine.wm_data(wm, &MajorityVotingEcc)?;
+        let (key_idx, attr_idx) = (self.key().index(), self.target().index());
+        let mut fold = EmbedFold::new(self.spec());
+        let work = |rel: &mut Relation, at: BlockAt| {
+            self.check_block(rel)?;
+            let plan = MarkPlan::build_sequential(self.spec(), rel, key_idx);
+            let mut part = EmbedFold::new(self.spec());
+            engine.embed_pass(rel, attr_idx, &wm_data, None, &plan, at.first_row, &mut part)?;
+            Ok((part, render(at.index, rel)))
+        };
+        let merge = |(part, rendered)| {
+            fold.merge(part);
+            sink(rendered);
+        };
+        run_blocks(source, work, merge, None::<fn(&Relation)>)?;
+        Ok(fold.finish())
+    }
+
+    /// [`MarkSession::decode`] over a relation that arrives as row
+    /// blocks, with `source` as in [`MarkSession::embed_blocks`]: workers
+    /// tally each block's votes, and the tallies fold into one
+    /// resolution. Only the blocks in flight are held, about two per
+    /// worker, never the relation.
+    ///
+    /// # Errors
+    ///
+    /// Binding drift, or the error `source` returned.
+    pub fn decode_blocks<E: From<CoreError>>(
+        &self,
+        source: impl FnOnce(&mut dyn FnMut(Relation)) -> Result<(), E>,
+    ) -> Result<DecodeReport, E> {
+        let votes = self.tally_blocks(source, None::<fn(&Relation)>)?;
+        Ok(Decoder::engine(self.spec()).resolve(&MajorityVotingEcc, &votes)?)
+    }
+
+    /// The decode driver behind every block decode: each block's tally,
+    /// folded in block order. `tap`, when given, sees every block after
+    /// its tally, in order.
+    pub(crate) fn tally_blocks<E: From<CoreError>>(
+        &self,
+        source: impl FnOnce(&mut dyn FnMut(Relation)) -> Result<(), E>,
+        tap: Option<impl FnMut(&Relation) + Send>,
+    ) -> Result<VoteAccumulator, E> {
+        let (spec, attr_idx) = (self.spec(), self.target().index());
+        let mut votes = VoteAccumulator::new(spec.wm_data_len);
+        let work = |rel: &mut Relation, _: BlockAt| {
+            self.check_block(rel)?;
+            let plan = MarkPlan::build_sequential(spec, rel, self.key().index());
+            Ok(VoteAccumulator::of(spec, rel, attr_idx, &plan))
+        };
+        run_blocks(source, work, |tally| votes.merge(&tally), tap)?;
+        Ok(votes)
+    }
+
+    fn check_block(&self, rel: &Relation) -> Result<(), CoreError> {
+        self.key().still_bound(rel.schema())?;
+        self.target().still_bound(rel.schema())
+    }
+}
+
+/// The block driver: run `work` over every block `source` pushes and
+/// `fold` the results in block order on the calling thread, which also
+/// runs `source`. The work runs on one worker per core, with about two
+/// blocks per worker in flight. A one-block stream, or any stream on
+/// one CPU, runs inline without spawning: the first block is held until
+/// a second one arrives. `tap` sees each folded block in order, on a
+/// thread of its own once the workers start. After a block fails, later
+/// blocks are dropped unworked while `source` reads on, so an error of
+/// `source` comes before the block's.
+fn run_blocks<T: Send, E: From<CoreError>>(
+    source: impl FnOnce(&mut dyn FnMut(Relation)) -> Result<(), E>,
+    work: impl Fn(&mut Relation, BlockAt) -> Result<T, CoreError> + Sync,
+    fold: impl FnMut(T),
+    tap: Option<impl FnMut(&Relation) + Send>,
+) -> Result<(), E> {
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let (read, failed) = std::thread::scope(|scope| {
+        let mut blocks = Blocks {
+            scope,
+            threads,
+            work: &work,
+            fold,
+            tap: tap.map_or(Tap::Off, Tap::Inline),
+            next: BlockAt::default(),
+            held: None,
+            queue: None,
+            pending: VecDeque::new(),
+            failed: None,
+        };
+        let read = source(&mut |rel| blocks.push(rel));
+        (read, blocks.finish())
+    });
+    read?;
+    failed.map_or(Ok(()), |e| Err(e.into()))
+}
+
+/// [`run_blocks`]'s state on the calling thread.
+struct Blocks<'scope, 'env, T, W, F, P> {
+    scope: &'scope Scope<'scope, 'env>,
+    threads: usize,
+    work: &'scope W,
+    fold: F,
+    tap: Tap<P>,
+    /// Where the next block sits.
+    next: BlockAt,
+    /// The first block, until a second shows the stream needs workers.
+    held: Option<(Relation, BlockAt)>,
+    /// The workers' queue, once they run.
+    queue: Option<mpsc::Sender<Job<T>>>,
+    /// Results not yet folded, in block order.
+    pending: VecDeque<mpsc::Receiver<Done<T>>>,
+    failed: Option<CoreError>,
+}
+
+impl<'scope, T, W, F, P> Blocks<'scope, '_, T, W, F, P>
+where
+    T: Send + 'scope,
+    W: Fn(&mut Relation, BlockAt) -> Result<T, CoreError> + Sync,
+    F: FnMut(T),
+    P: FnMut(&Relation) + Send + 'scope,
+{
+    fn push(&mut self, rel: Relation) {
+        let at = self.next;
+        self.next = BlockAt { index: at.index + 1, first_row: at.first_row + rel.len() };
+        if self.failed.is_some() {
+            return;
+        }
+        if self.threads < 2 {
+            let done = run(self.work, rel, at);
+            return self.settle(done);
+        }
+        if self.queue.is_none() {
+            let Some(first) = self.held.take() else {
+                self.held = Some((rel, at));
+                return;
+            };
+            self.start();
+            self.send(first);
+        }
+        self.send((rel, at));
+    }
+
+    /// Spawn the workers, and the tap's thread.
+    fn start(&mut self) {
+        let (queue, jobs) = mpsc::channel::<Job<T>>();
+        let jobs = Arc::new(Mutex::new(jobs));
+        for _ in 0..self.threads {
+            let (jobs, work) = (Arc::clone(&jobs), self.work);
+            self.scope.spawn(move || loop {
+                let job = jobs.lock().expect("the block queue is never poisoned").recv();
+                let Ok((rel, at, reply)) = job else { break };
+                // A closed reply means the caller stopped folding.
+                let _ = reply.send(run(work, rel, at));
+            });
+        }
+        self.queue = Some(queue);
+        if let Tap::Inline(mut tap) = std::mem::replace(&mut self.tap, Tap::Off) {
+            let (blocks, rx) = mpsc::sync_channel::<Relation>(2);
+            self.scope.spawn(move || rx.into_iter().for_each(|rel| tap(&rel)));
+            self.tap = Tap::Thread(blocks);
+        }
+    }
+
+    /// Queue a block once fewer than two per worker are in flight, then
+    /// fold every result that has come back in order.
+    fn send(&mut self, (rel, at): (Relation, BlockAt)) {
+        if self.pending.len() >= 2 * self.threads {
+            self.settle_front();
+        }
+        let (reply, done) = mpsc::sync_channel(1);
+        let queue = self.queue.as_ref().expect("workers run before blocks are queued");
+        queue.send((rel, at, reply)).expect("block workers run until the queue closes");
+        self.pending.push_back(done);
+        while let Some(Ok(done)) = self.pending.front().map(mpsc::Receiver::try_recv) {
+            self.pending.pop_front();
+            self.settle(done);
+        }
+    }
+
+    fn settle_front(&mut self) {
+        let front = self.pending.pop_front().expect("a block is in flight");
+        self.settle(front.recv().expect("block workers do not panic"));
+    }
+
+    fn settle(&mut self, (result, rel): Done<T>) {
+        match result {
+            Ok(out) if self.failed.is_none() => {
+                (self.fold)(out);
+                self.tap.feed(rel);
+            }
+            Ok(_) => {}
+            Err(e) => {
+                self.failed.get_or_insert(e);
+            }
+        }
+    }
+
+    /// Run a held block inline, fold what is in flight, and stop the
+    /// workers and the tap (the scope joins them): the first failure.
+    fn finish(mut self) -> Option<CoreError> {
+        if let Some((rel, at)) = self.held.take() {
+            let done = run(self.work, rel, at);
+            self.settle(done);
+        }
+        while !self.pending.is_empty() {
+            self.settle_front();
+        }
+        self.failed
+    }
+}
+
+fn run<T>(
+    work: &impl Fn(&mut Relation, BlockAt) -> Result<T, CoreError>,
+    mut rel: Relation,
+    at: BlockAt,
+) -> Done<T> {
+    let result = work(&mut rel, at);
+    (result, rel)
+}
+
+/// [`run_blocks`]'s tap: off, on the calling thread, or fed through a
+/// bounded channel to a thread of its own.
+enum Tap<P> {
+    Off,
+    Inline(P),
+    Thread(mpsc::SyncSender<Relation>),
+}
+
+impl<P: FnMut(&Relation)> Tap<P> {
+    fn feed(&mut self, rel: Relation) {
+        match self {
+            Tap::Off => {}
+            Tap::Inline(tap) => tap(&rel),
+            Tap::Thread(blocks) => {
+                blocks.send(rel).expect("the tap runs until its channel closes");
+            }
+        }
+    }
 }
 
 /// Check that `manifest` describes `seg`'s committed geometry — the

@@ -8,15 +8,17 @@
 //!
 //! # Reading
 //!
-//! [`read_csv`] reads the buffers its reader's `fill_buf` returns. A
-//! record ends at a newline outside quotes. A plain record (every field
-//! unquoted and well formed, no `\r` before its newline) goes from the
-//! buffer into the columns in one pass: integers into the column's
-//! `Vec<i64>`, text interned into its [`crate::Dictionary`], so codes
-//! follow first appearance. Any other record, and one that straddles
+//! [`read_csv_blocks`] reads the buffers its reader's `fill_buf`
+//! returns and hands over the rows in blocks of a given size;
+//! [`read_csv`] is its one-block case. A record ends at a newline
+//! outside quotes. A plain record (every field unquoted and well
+//! formed, no `\r` before its newline) goes from the buffer into the
+//! columns in one pass: integers into the column's `Vec<i64>`, text
+//! interned into its [`crate::Dictionary`], so codes follow first
+//! appearance. Any other record, and one that straddles
 //! two buffers, goes through a quote-aware splitter. No `String` is
-//! made per field and no tuple per row. Beyond the relation being
-//! built, memory holds one buffer and at most one record: only a record
+//! made per field and no tuple per row. Beyond the block being built,
+//! memory holds one buffer and at most one record: only a record
 //! that straddles two buffers is copied. A record is as long as its
 //! quoted fields, so a very long quoted field, or a quote that never
 //! closes (which runs the record to the end of the input), is held
@@ -50,12 +52,14 @@
 //!
 //! # Writing
 //!
-//! [`write_csv`] escapes each text column's dictionary entries once,
-//! then copies the escaped entry for each cell's code and formats
-//! integers in place. A field is quoted when it holds a comma, a quote,
-//! `\n` or `\r`, so everything written reads back unchanged. Output
-//! goes to the writer in pieces of about 8 KiB, so an unbuffered `File`
-//! needs no `BufWriter`.
+//! [`write_csv`] writes the header, then the rows as
+//! [`write_csv_rows`] writes them, so a file can be written one block
+//! of rows at a time. Each text column's dictionary entries are escaped
+//! once, then the escaped entry is copied for each cell's code and
+//! integers are formatted in place. A field is quoted when it holds a
+//! comma, a quote, `\n` or `\r`, so everything written reads back
+//! unchanged. Output goes to the writer in pieces of about 8 KiB, so an
+//! unbuffered `File` needs no `BufWriter`.
 
 use std::borrow::Cow;
 use std::io::{BufRead, ErrorKind, Write};
@@ -71,7 +75,8 @@ const CHUNK: usize = 8 * 1024;
 /// Records after the header that [`infer_schema`] samples.
 const SAMPLE_RECORDS: usize = 100;
 
-/// Write `rel` as CSV with a header row.
+/// Write `rel` as CSV with a header row: the header, then the rows as
+/// [`write_csv_rows`] writes them.
 ///
 /// # Errors
 ///
@@ -81,6 +86,22 @@ pub fn write_csv(rel: &Relation, out: &mut impl Write) -> Result<(), RelationErr
     let header: Vec<Cow<'_, str>> = rel.schema().attrs().iter().map(|a| escape(&a.name)).collect();
     buf.extend_from_slice(header.join(",").as_bytes());
     buf.push(b'\n');
+    write_rows(rel, buf, out)
+}
+
+/// Write `rel`'s rows as CSV, without a header: one block of a file
+/// that [`write_csv`] starts.
+///
+/// # Errors
+///
+/// Propagates I/O errors as [`RelationError::Csv`].
+pub fn write_csv_rows(rel: &Relation, out: &mut impl Write) -> Result<(), RelationError> {
+    write_rows(rel, Vec::with_capacity(2 * CHUNK), out)
+}
+
+/// Append `rel`'s rows to `buf`, handing `out` the bytes in pieces of
+/// at least [`CHUNK`].
+fn write_rows(rel: &Relation, mut buf: Vec<u8>, out: &mut impl Write) -> Result<(), RelationError> {
     let columns: Vec<Cells<'_>> = (0..rel.schema().arity())
         .map(|i| match rel.column(i) {
             ColumnView::Int(xs) => Cells::Int(xs),
@@ -149,14 +170,38 @@ fn push_int(buf: &mut Vec<u8>, v: i64) {
 /// Read a relation from CSV produced by [`write_csv`] (or compatible),
 /// validating the header against `schema` and parsing each field
 /// according to its attribute type. Duplicate primary keys are
-/// tolerated (suspect data need not satisfy constraints).
+/// tolerated (suspect data need not satisfy constraints). This is
+/// [`read_csv_blocks`] with the whole input as one block.
 ///
 /// # Errors
 ///
 /// [`RelationError::Csv`] on malformed input, with the messages listed
 /// in the [module docs](self).
 pub fn read_csv(schema: Schema, input: &mut impl BufRead) -> Result<Relation, RelationError> {
-    let mut table = Table(schema.attrs().iter().map(|a| Column::new(a.ty)).collect());
+    let mut whole = None;
+    read_csv_blocks(schema, input, usize::MAX, |block| whole = Some(block))?;
+    Ok(whole.expect("the last block is always handed over"))
+}
+
+/// [`read_csv`] in blocks: hand `each` the rows, in order, as
+/// relations of `block_rows` rows (at least 1). Every block is full but
+/// the last, which holds the rest and is handed over once the input
+/// ends; an input with no data rows gives one empty block. Each block
+/// has its own text dictionaries, in first-appearance order within the
+/// block. Errors are [`read_csv`]'s, with the same line numbers. A full
+/// block is handed over when the next record starts, so the last block
+/// reaches `each` only once the whole input has read without error.
+///
+/// # Errors
+///
+/// As [`read_csv`].
+pub fn read_csv_blocks(
+    schema: Schema,
+    input: &mut impl BufRead,
+    block_rows: usize,
+    mut each: impl FnMut(Relation),
+) -> Result<(), RelationError> {
+    let mut table = Table::new(&schema, block_rows.max(1));
     let mut seen_header = false;
     for_each_record(input, &mut table, Table::push_plain, |table, rec| {
         if !seen_header {
@@ -169,6 +214,9 @@ pub fn read_csv(schema: Schema, input: &mut impl BufRead) -> Result<Relation, Re
                 )));
             }
         } else if !rec.line().is_empty() {
+            if table.is_full() {
+                each(Relation::from_columns(schema.clone(), table.take(&schema))?);
+            }
             table.push_record(rec).map_err(|e| rec.utf8_first(e))?;
         }
         Ok(true)
@@ -176,25 +224,55 @@ pub fn read_csv(schema: Schema, input: &mut impl BufRead) -> Result<Relation, Re
     if !seen_header {
         return Err(RelationError::Csv("missing header row".into()));
     }
-    Relation::from_columns(schema, table.0)
+    each(Relation::from_columns(schema, table.columns)?);
+    Ok(())
 }
 
-/// The columns [`read_csv`] fills.
-struct Table(Vec<Column>);
+/// The columns of the block [`read_csv_blocks`] fills.
+struct Table {
+    columns: Vec<Column>,
+    /// Rows a block holds.
+    block_rows: usize,
+}
 
 impl Table {
+    fn new(schema: &Schema, block_rows: usize) -> Self {
+        // A bounded block is allocated whole; an unbounded one grows.
+        let capacity = if block_rows < usize::MAX { block_rows } else { 0 };
+        let columns =
+            schema.attrs().iter().map(|a| Column::with_capacity(a.ty, capacity)).collect();
+        Table { columns, block_rows }
+    }
+
+    fn rows(&self) -> usize {
+        self.columns[0].len()
+    }
+
+    fn is_full(&self) -> bool {
+        self.rows() >= self.block_rows
+    }
+
+    /// The full block's columns, leaving empty ones for the next.
+    fn take(&mut self, schema: &Schema) -> Vec<Column> {
+        let next = Table::new(schema, self.block_rows);
+        std::mem::replace(self, next).columns
+    }
+
     /// Append the record at the start of `bytes` if it is plain: every
     /// field unquoted and well formed, no `\r` before the newline, and
     /// the newline within `bytes`. Plain records, nearly all of them,
     /// go from the buffer to the columns in one pass, without the
     /// [`Splitter`]. Returns the bytes taken, newline included; `None`
     /// leaves the columns as they were and the record to
-    /// [`Table::push_record`].
+    /// [`Table::push_record`], as does a full block.
     fn push_plain(&mut self, bytes: &[u8]) -> Option<usize> {
-        let rows = self.0[0].len();
+        let rows = self.rows();
+        if rows >= self.block_rows {
+            return None;
+        }
         let taken = self.try_push_plain(bytes);
         if taken.is_none() {
-            for column in &mut self.0 {
+            for column in &mut self.columns {
                 match column {
                     Column::Int(xs) => xs.truncate(rows),
                     Column::Text { codes, .. } => codes.truncate(rows),
@@ -209,9 +287,9 @@ impl Table {
             // A blank record, which the general path skips.
             return None;
         }
-        let last = self.0.len() - 1;
+        let last = self.columns.len() - 1;
         let mut at = 0;
-        for (i, column) in self.0.iter_mut().enumerate() {
+        for (i, column) in self.columns.iter_mut().enumerate() {
             let rest = &bytes[at..];
             let separator = if i == last { b'\n' } else { b',' };
             match column {
@@ -245,14 +323,14 @@ impl Table {
     fn push_record(&mut self, rec: &Record<'_>) -> Result<(), RelationError> {
         rec.check_quotes()?;
         let fields = rec.split.commas.len() + 1;
-        if fields != self.0.len() {
+        if fields != self.columns.len() {
             return Err(RelationError::Csv(format!(
                 "row {}: {fields} fields, expected {}",
                 rec.line_no,
-                self.0.len()
+                self.columns.len()
             )));
         }
-        for (raw, column) in rec.fields().zip(&mut self.0) {
+        for (raw, column) in rec.fields().zip(&mut self.columns) {
             match column {
                 Column::Int(xs) => xs.push(int(raw)?),
                 Column::Text { codes, dict } => codes.push(dict.intern(&text(raw)?)),

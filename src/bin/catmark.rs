@@ -23,14 +23,17 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufReader, Read};
+use std::io::{BufReader, Read, Write};
 use std::process::ExitCode;
 
 use catmark::core::keyfile::{from_key_file, to_key_file};
+use catmark::core::{CoreError, BLOCK_ROWS};
 use catmark::mining::apriori::{mine, AprioriConfig};
 use catmark::mining::item::Transactions;
 use catmark::mining::rules::RuleSet;
 use catmark::prelude::*;
+use catmark::relation::csv::{infer_schema, read_csv, read_csv_blocks, write_csv, write_csv_rows};
+use catmark::relation::RelationError;
 
 /// A CLI failure, split by whose fault it is: usage errors (bad
 /// flags, unknown commands) exit 2, operational errors (unreadable
@@ -66,6 +69,12 @@ impl CliError {
 impl From<String> for CliError {
     fn from(m: String) -> Self {
         CliError::Run(m)
+    }
+}
+
+impl From<CoreError> for CliError {
+    fn from(e: CoreError) -> Self {
+        CliError::run(e)
     }
 }
 
@@ -245,13 +254,33 @@ fn embed(flags: &HashMap<String, String>) -> Result<String, CliError> {
     let attr = require(flags, "attr")?;
     let mark = Watermark::parse(require(flags, "mark")?, spec.wm_len)
         .map_err(|e| CliError::Usage(format!("--mark: {e}")))?;
-    let mut rel = load_csv(require(flags, "input")?, attr)?;
-    let session = bind_session(spec, &rel, key_attr, attr)?;
-    let report = session.embed(&mut rel, &mark).map_err(CliError::run)?;
+    let csv = CsvInput::open(require(flags, "input")?, &[attr])?;
+    let session = bind_session(spec, &Relation::new(csv.schema.clone()), key_attr, attr)?;
+    // Workers mark and format the blocks; the first carries the header.
+    let mut blocks = Vec::new();
+    let report = session.embed_blocks(
+        &mark,
+        |push| csv.blocks(push),
+        |index, block| {
+            let mut rows = Vec::new();
+            let written = if index == 0 {
+                write_csv(block, &mut rows)
+            } else {
+                write_csv_rows(block, &mut rows)
+            };
+            written.map(|()| rows)
+        },
+        |rows| blocks.push(rows),
+    )?;
+    // Created only once the whole input has read: a CSV error leaves no
+    // file behind, and --output may name --input.
     let output_path = require(flags, "output")?;
     let mut out =
         File::create(output_path).map_err(|e| CliError::Run(format!("{output_path}: {e}")))?;
-    catmark::relation::csv::write_csv(&rel, &mut out).map_err(CliError::run)?;
+    for rows in blocks {
+        out.write_all(&rows.map_err(CliError::run)?)
+            .map_err(|e| CliError::run(RelationError::Csv(e.to_string())))?;
+    }
     Ok(format!(
         "embedded {} into {}: {} tuples, {} fit, {} altered ({:.2}%)\n",
         mark,
@@ -269,34 +298,26 @@ fn decode(flags: &HashMap<String, String>) -> Result<String, CliError> {
     let spec = load_key(require(flags, "key")?)?;
     let key_attr = require(flags, "key-attr")?;
     let attr = require(flags, "attr")?;
-    let rel = load_csv(require(flags, "input")?, attr)?;
+    let csv = CsvInput::open(require(flags, "input")?, &[attr])?;
     let claimed = flags
         .get("claim")
         .map(|c| Watermark::parse(c, spec.wm_len))
         .transpose()
         .map_err(|e| CliError::Usage(format!("--claim: {e}")))?;
-    let session = bind_session(spec, &rel, key_attr, attr)?;
-    // With --evidence the certified twin runs instead — same single
-    // accumulation pass, same outcome, plus the serialized bundle.
+    let session = bind_session(spec, &Relation::new(csv.schema.clone()), key_attr, attr)?;
+    // With --evidence the certified driver runs instead: the same
+    // tallies and outcome, plus the serialized bundle.
     let evidence_path = flags.get("evidence");
-    let (report, detection, bundle) = match (&claimed, evidence_path) {
-        (Some(claimed), Some(_)) => {
-            let c = session.detect_certified(&rel, claimed).map_err(CliError::run)?;
-            (c.outcome.decode, Some(c.outcome.detection), Some(c.bundle))
+    let (report, bundle) = match evidence_path {
+        Some(_) => {
+            let c = session.decode_blocks_certified(claimed.as_ref(), |push| csv.blocks(push))?;
+            (c.outcome, Some(c.bundle))
         }
-        (None, Some(_)) => {
-            let c = session.decode_certified(&rel).map_err(CliError::run)?;
-            (c.outcome, None, Some(c.bundle))
-        }
-        (Some(claimed), None) => {
-            let report = session.decode(&rel).map_err(CliError::run)?;
-            // Weigh the decode against the claim — pure arithmetic, no
-            // second decode pass.
-            let detection = detect(&report.watermark, claimed);
-            (report, Some(detection), None)
-        }
-        (None, None) => (session.decode(&rel).map_err(CliError::run)?, None, None),
+        None => (session.decode_blocks(|push| csv.blocks(push))?, None),
     };
+    // Weigh the decode against the claim: pure arithmetic, no second
+    // decode pass.
+    let detection = claimed.map(|claimed| detect(&report.watermark, &claimed));
     let mut out = format!(
         "decoded mark     {}\nfit tuples       {}\nvotes cast       {}\nforeign values   {}\npositions        {} observed / {} erased / {} conflicting\n",
         report.watermark,
@@ -547,14 +568,43 @@ fn load_csv(path: &str, marked_attr: &str) -> Result<Relation, CliError> {
 /// [`load_csv`] with several categorical attributes (the `rules`
 /// subcommand mines more than one).
 fn load_csv_multi(path: &str, cat_attrs: &[&str]) -> Result<Relation, CliError> {
-    let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut reader = BufReader::new(file);
-    let schema = catmark::relation::csv::infer_schema(&mut reader, cat_attrs)
-        .map_err(|e| format!("{path}: {e}"))?;
-    // Re-open: inference consumed the stream.
-    let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    catmark::relation::csv::read_csv(schema, &mut BufReader::new(file))
-        .map_err(|e| CliError::Run(format!("{path}: {e}")))
+    CsvInput::open(path, cat_attrs)?.read()
+}
+
+/// A CSV file whose schema is inferred, open at its first byte; its
+/// CSV errors name the file.
+struct CsvInput<'a> {
+    path: &'a str,
+    schema: Schema,
+    reader: BufReader<File>,
+}
+
+impl<'a> CsvInput<'a> {
+    /// The reader's buffer: a few dozen records straddle its edges on a
+    /// 2 MB file.
+    const BUFFER: usize = 64 * 1024;
+
+    /// Infer `path`'s schema with `cat_attrs` categorical, and re-open
+    /// it, since inference consumed the stream.
+    fn open(path: &'a str, cat_attrs: &[&str]) -> Result<Self, CliError> {
+        let open = || File::open(path).map_err(|e| format!("{path}: {e}"));
+        let schema = infer_schema(&mut BufReader::new(open()?), cat_attrs)
+            .map_err(|e| format!("{path}: {e}"))?;
+        Ok(CsvInput { path, schema, reader: BufReader::with_capacity(Self::BUFFER, open()?) })
+    }
+
+    /// The whole relation.
+    fn read(self) -> Result<Relation, CliError> {
+        let CsvInput { path, schema, mut reader } = self;
+        read_csv(schema, &mut reader).map_err(|e| CliError::Run(format!("{path}: {e}")))
+    }
+
+    /// The rows, handed to `push` in blocks of [`BLOCK_ROWS`].
+    fn blocks(self, push: &mut dyn FnMut(Relation)) -> Result<(), CliError> {
+        let CsvInput { path, schema, mut reader } = self;
+        read_csv_blocks(schema, &mut reader, BLOCK_ROWS, push)
+            .map_err(|e| CliError::Run(format!("{path}: {e}")))
+    }
 }
 
 #[cfg(test)]
