@@ -104,7 +104,7 @@ use crate::ecc::MajorityVotingEcc;
 use crate::embed::{EmbedFold, EmbedReport, Embedder};
 use crate::error::CoreError;
 use crate::incremental::{TallyBinding, VoteCache};
-use crate::plan::{spec_identity, MarkPlan, PlanCache};
+use crate::plan::{spec_identity, MarkPlan, PlanCache, TextFacts};
 use crate::quality::QualityGuard;
 use crate::session::MarkSession;
 use crate::spec::{Watermark, WatermarkSpec};
@@ -545,8 +545,8 @@ struct BlockAt {
     first_row: usize,
 }
 
-/// A block's work done: its result, and the block for the tap.
-type Done<T> = (Result<T, CoreError>, Relation);
+/// A block's work done: its result, and the block when a tap wants it.
+type Done<T> = (Result<T, CoreError>, Option<Relation>);
 
 /// A block on its way to a worker, with where its result goes.
 type Job<T> = (Relation, BlockAt, mpsc::SyncSender<Done<T>>);
@@ -584,9 +584,10 @@ impl MarkSession {
         let wm_data = engine.wm_data(wm, &MajorityVotingEcc)?;
         let (key_idx, attr_idx) = (self.key().index(), self.target().index());
         let mut fold = EmbedFold::new(self.spec());
+        let facts = TextFacts::default();
         let work = |rel: &mut Relation, at: BlockAt| {
             self.check_block(rel)?;
-            let plan = MarkPlan::build_sequential(self.spec(), rel, key_idx);
+            let plan = MarkPlan::build_block(self.spec(), rel, key_idx, &facts);
             let mut part = EmbedFold::new(self.spec());
             engine.embed_pass(rel, attr_idx, &wm_data, None, &plan, at.first_row, &mut part)?;
             Ok((part, render(at.index, rel)))
@@ -626,9 +627,10 @@ impl MarkSession {
     ) -> Result<VoteAccumulator, E> {
         let (spec, attr_idx) = (self.spec(), self.target().index());
         let mut votes = VoteAccumulator::new(spec.wm_data_len);
+        let facts = TextFacts::default();
         let work = |rel: &mut Relation, _: BlockAt| {
             self.check_block(rel)?;
-            let plan = MarkPlan::build_sequential(spec, rel, self.key().index());
+            let plan = MarkPlan::build_block(spec, rel, self.key().index(), &facts);
             Ok(VoteAccumulator::of(spec, rel, attr_idx, &plan))
         };
         run_blocks(source, work, |tally| votes.merge(&tally), tap)?;
@@ -709,7 +711,7 @@ where
             return;
         }
         if self.threads < 2 {
-            let done = run(self.work, rel, at);
+            let done = run(self.work, rel, at, true);
             return self.settle(done);
         }
         if self.queue.is_none() {
@@ -727,13 +729,15 @@ where
     fn start(&mut self) {
         let (queue, jobs) = mpsc::channel::<Job<T>>();
         let jobs = Arc::new(Mutex::new(jobs));
+        // Without a tap, a block is dropped where it was worked.
+        let keep = !matches!(self.tap, Tap::Off);
         for _ in 0..self.threads {
             let (jobs, work) = (Arc::clone(&jobs), self.work);
             self.scope.spawn(move || loop {
                 let job = jobs.lock().expect("the block queue is never poisoned").recv();
                 let Ok((rel, at, reply)) = job else { break };
                 // A closed reply means the caller stopped folding.
-                let _ = reply.send(run(work, rel, at));
+                let _ = reply.send(run(work, rel, at, keep));
             });
         }
         self.queue = Some(queue);
@@ -769,7 +773,9 @@ where
         match result {
             Ok(out) if self.failed.is_none() => {
                 (self.fold)(out);
-                self.tap.feed(rel);
+                if let Some(rel) = rel {
+                    self.tap.feed(rel);
+                }
             }
             Ok(_) => {}
             Err(e) => {
@@ -782,7 +788,7 @@ where
     /// workers and the tap (the scope joins them): the first failure.
     fn finish(mut self) -> Option<CoreError> {
         if let Some((rel, at)) = self.held.take() {
-            let done = run(self.work, rel, at);
+            let done = run(self.work, rel, at, true);
             self.settle(done);
         }
         while !self.pending.is_empty() {
@@ -796,9 +802,10 @@ fn run<T>(
     work: &impl Fn(&mut Relation, BlockAt) -> Result<T, CoreError>,
     mut rel: Relation,
     at: BlockAt,
+    keep: bool,
 ) -> Done<T> {
     let result = work(&mut rel, at);
-    (result, rel)
+    (result, keep.then_some(rel))
 }
 
 /// [`run_blocks`]'s tap: off, on the calling thread, or fed through a

@@ -23,7 +23,7 @@
 //! test).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 
 use catmark_relation::{CacheStats, CanonicalText, ColumnView, Dictionary, Relation};
 
@@ -203,15 +203,38 @@ impl MarkPlan {
         Self::sequential_knowing_fp(spec, rel, key_idx, column_fingerprint(rel, key_idx))
     }
 
+    /// [`MarkPlan::build_sequential`] for one block of a stream of
+    /// row blocks: a text key's facts come from (and go to) `facts`,
+    /// which every block of the stream shares.
+    pub(crate) fn build_block(
+        spec: &WatermarkSpec,
+        rel: &Relation,
+        key_idx: usize,
+        facts: &TextFacts,
+    ) -> MarkPlan {
+        let column_fp = column_fingerprint(rel, key_idx);
+        Self::scan_sequential(spec, rel, key_idx, column_fp, Some(facts))
+    }
+
     fn sequential_knowing_fp(
         spec: &WatermarkSpec,
         rel: &Relation,
         key_idx: usize,
         column_fp: u64,
     ) -> MarkPlan {
+        Self::scan_sequential(spec, rel, key_idx, column_fp, None)
+    }
+
+    fn scan_sequential(
+        spec: &WatermarkSpec,
+        rel: &Relation,
+        key_idx: usize,
+        column_fp: u64,
+        shared: Option<&TextFacts>,
+    ) -> MarkPlan {
         let sel = FitnessSelector::new(spec);
         let n = domain_size(spec);
-        let scan = KeyScan::prepare(&sel, rel.column(key_idx), 1);
+        let scan = KeyScan::prepare(&sel, rel.column(key_idx), 1, shared);
         let mut fit = Vec::with_capacity(fit_estimate(rel.len(), spec.e));
         scan.scan(0..rel.len(), n, &mut fit);
         MarkPlan { spec_id: spec_identity(spec), key_idx, column_fp, rows: rel.len(), n, fit }
@@ -254,7 +277,7 @@ impl MarkPlan {
         // distinct-entry facts table is hashed once per *plan* — not
         // once per chunk, and not skipped because an individual chunk
         // looked too small to memoize.
-        let scan = KeyScan::prepare(&sel, rel.column(key_idx), threads);
+        let scan = KeyScan::prepare(&sel, rel.column(key_idx), threads, None);
         let mut chunks: Vec<Vec<PlannedRow>> = Vec::new();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..rows)
@@ -351,10 +374,20 @@ enum KeyScan<'a> {
 }
 
 impl<'a> KeyScan<'a> {
-    fn prepare(sel: &'a FitnessSelector, view: ColumnView<'a>, threads: usize) -> KeyScan<'a> {
+    fn prepare(
+        sel: &'a FitnessSelector,
+        view: ColumnView<'a>,
+        threads: usize,
+        shared: Option<&TextFacts>,
+    ) -> KeyScan<'a> {
         match view {
             ColumnView::Int(keys) => KeyScan::Int { scanner: Box::new(sel.int_scanner()), keys },
             ColumnView::Text { codes, dict } => {
+                // A block of a stream takes its facts from the stream's
+                // table, which amortizes them over every block.
+                if let Some(shared) = shared {
+                    return KeyScan::TextMemo { codes, facts: shared.of(sel, dict) };
+                }
                 // Density is judged over the whole relation, not per
                 // chunk: a low-cardinality column stays memoized no
                 // matter how finely the threaded build chunks it.
@@ -435,6 +468,51 @@ fn text_facts(sel: &FitnessSelector, dict: &Dictionary, threads: usize) -> Vec<O
         }
     });
     facts
+}
+
+/// Fitness facts per distinct text key, shared by the plans of every
+/// block of one stream ([`MarkPlan::build_block`]): each distinct key
+/// is hashed about once per stream, as a plan of the whole relation
+/// hashes it, instead of once per block. It keeps at most
+/// [`TextFacts::CAPACITY`] keys, so a near-unique key column costs
+/// bounded memory; keys past that are hashed in each block that holds
+/// them.
+#[derive(Debug, Default)]
+pub(crate) struct TextFacts(RwLock<HashMap<Arc<str>, Option<FitFacts>>>);
+
+impl TextFacts {
+    const CAPACITY: usize = 1 << 16;
+
+    /// The facts of every entry of `dict`, in code order: looked up,
+    /// or hashed and kept while there is room.
+    fn of(&self, sel: &FitnessSelector, dict: &Dictionary) -> Vec<Option<FitFacts>> {
+        let mut facts = Vec::with_capacity(dict.len());
+        let mut missing = Vec::new();
+        {
+            let known = self.0.read().expect("the text facts table is never poisoned");
+            for (code, entry) in dict.entries().iter().enumerate() {
+                let known = known.get(entry.as_ref()).copied();
+                if known.is_none() {
+                    missing.push(code);
+                }
+                facts.push(known.flatten());
+            }
+        }
+        if missing.is_empty() {
+            return facts;
+        }
+        for &code in &missing {
+            facts[code] = sel.facts_canonical(&CanonicalText(dict.get(code as u32)));
+        }
+        let mut known = self.0.write().expect("the text facts table is never poisoned");
+        for &code in &missing {
+            if known.len() >= Self::CAPACITY {
+                break;
+            }
+            known.insert(Arc::clone(&dict.entries()[code]), facts[code]);
+        }
+        facts
+    }
 }
 
 /// Expected fit-list capacity for `rows` rows at modulus `e`, with

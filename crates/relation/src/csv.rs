@@ -252,9 +252,20 @@ impl Table {
         self.rows() >= self.block_rows
     }
 
-    /// The full block's columns, leaving empty ones for the next.
+    /// The full block's columns, leaving empty ones for the next. A
+    /// text dictionary no longer than a block hands its entries on, so a
+    /// value that repeats across blocks is interned once per input
+    /// rather than once per block, and no dictionary outgrows two
+    /// blocks' worth of entries.
     fn take(&mut self, schema: &Schema) -> Vec<Column> {
-        let next = Table::new(schema, self.block_rows);
+        let mut next = Table::new(schema, self.block_rows);
+        for (next, full) in next.columns.iter_mut().zip(&self.columns) {
+            if let (Column::Text { dict: next, .. }, Column::Text { dict, .. }) = (next, full) {
+                if dict.len() <= self.block_rows {
+                    next.clone_from(dict);
+                }
+            }
+        }
         std::mem::replace(self, next).columns
     }
 
