@@ -46,7 +46,13 @@
 //! * **csv** — `write_csv` into a `Vec` and `read_csv` through an 8 KiB
 //!   `BufReader` of the sales relation with its text column: the round
 //!   trip gives back equal columns, and at 120k rows the bytes match
-//!   the golden FNV.
+//!   the golden FNV;
+//! * **blocks** — the CLI's row-block pipeline on the same CSV:
+//!   `embed_blocks` over `read_csv_blocks` writes the bytes and report
+//!   of `read_csv` + `embed` + `write_csv`, and the block decode and
+//!   certified decode give the in-memory report and bundle. Both paths
+//!   of embed, decode and certify are timed; no speed gate, since a
+//!   runner may have one CPU.
 //!
 //! Usage: `cargo run --release -p catmark_bench --bin markplan
 //! [tuples]` (default 120 000).
@@ -61,12 +67,13 @@ use catmark_core::quality::{
 use catmark_core::query_preserve::{CountQuery, CountQueryPreservation, Tolerance, ValueSet};
 use catmark_core::session::Verdict;
 use catmark_core::{
-    detect, verify_evidence, MarkPlan, MarkSession, VoteCache, Walk, Watermark, WatermarkSpec,
+    detect, verify_evidence, CoreError, MarkPlan, MarkSession, VoteCache, Walk, Watermark,
+    WatermarkSpec, BLOCK_ROWS,
 };
 use catmark_crypto::hex::to_hex;
 use catmark_crypto::{HashAlgorithm, Sha256Backend};
 use catmark_datagen::{ItemScanConfig, SalesGenerator};
-use catmark_relation::csv::{read_csv, write_csv};
+use catmark_relation::csv::{read_csv, read_csv_blocks, write_csv, write_csv_rows};
 use catmark_relation::spill::FileStore;
 use catmark_relation::{
     CategoricalDomain, ContentStore, Relation, SegmentedRelation, Value, VersionLog,
@@ -122,6 +129,7 @@ fn main() {
     section(&mut report, "fingerprint delta", fingerprint_delta(&recipients));
     section(&mut report, "versioned churn", churn(&w));
     section(&mut report, "csv", csv(tuples));
+    section(&mut report, "blocks", blocks(&w, host_threads));
     // Last, so it counts every scenario that ran on the shared session.
     let plan_cache = w.session.cache().stats();
     section(
@@ -971,5 +979,75 @@ fn csv(tuples: usize) -> Vec<Field> {
         ("csv_read_mb_per_s", fixed(mb / (read_ms / 1e3), 1)),
         ("csv_write_mb_per_s", fixed(mb / (write_ms / 1e3), 1)),
         ("csv_round_trip_equal", equal.to_string()),
+    ]
+}
+
+/// The CLI's row-block pipeline against the in-memory path it replaced,
+/// on the sales relation with its text column written as CSV. Each
+/// timed run binds a fresh session, so neither path finds a cached
+/// plan.
+fn blocks(w: &Workload, host_threads: usize) -> Vec<Field> {
+    let config = ItemScanConfig { tuples: w.tuples, with_city: true, ..Default::default() };
+    let rel = SalesGenerator::new(config).generate();
+    let schema = rel.schema().clone();
+    let mut csv = Vec::new();
+    write_csv(&rel, &mut csv).expect("writing to a Vec never fails");
+    let read = |bytes: &[u8]| {
+        read_csv(schema.clone(), &mut BufReader::new(bytes)).expect("written CSV reads back")
+    };
+    let source = |bytes: &[u8], push: &mut dyn FnMut(Relation)| {
+        read_csv_blocks(schema.clone(), &mut BufReader::new(bytes), BLOCK_ROWS, push)
+            .map_err(CoreError::from)
+    };
+    let embed_memory = |session: &MarkSession| {
+        let mut rel = read(&csv);
+        let report = session.embed(&mut rel, &w.wm).expect("embedding succeeds");
+        let mut out = Vec::new();
+        write_csv(&rel, &mut out).expect("writing to a Vec never fails");
+        (report, out)
+    };
+    let embed_blocks = |session: &MarkSession| {
+        let mut out = Vec::new();
+        let render = |index: usize, block: &Relation| {
+            let mut rows = Vec::new();
+            let written = if index == 0 {
+                write_csv(block, &mut rows)
+            } else {
+                write_csv_rows(block, &mut rows)
+            };
+            written.expect("writing to a Vec never fails");
+            rows
+        };
+        let report = session
+            .embed_blocks(&w.wm, |push| source(&csv, push), render, |rows| out.extend(rows))
+            .expect("block embedding succeeds");
+        (report, out)
+    };
+    let fresh = || bind(&w.spec, &rel);
+    let (report, marked) = embed_memory(&fresh());
+    let identical_embed = embed_blocks(&fresh()) == (report, marked.clone());
+    assert!(identical_embed, "the block embed diverged from the in-memory embed");
+    let decode_memory = |session: &MarkSession| session.decode(&read(&marked));
+    let decode_blocks = |session: &MarkSession| session.decode_blocks(|push| source(&marked, push));
+    let certify_memory =
+        |session: &MarkSession| session.detect_certified(&read(&marked), &w.wm).map(|c| c.bundle);
+    let certify_blocks = |session: &MarkSession| {
+        session.decode_blocks_certified(Some(&w.wm), |push| source(&marked, push)).map(|c| c.bundle)
+    };
+    let decoded = decode_memory(&fresh()).expect("decoding succeeds");
+    assert_eq!(decode_blocks(&fresh()).expect("block decoding succeeds"), decoded);
+    let bundle = certify_memory(&fresh()).expect("certified detection succeeds");
+    let identical = certify_blocks(&fresh()).expect("block certification succeeds") == bundle;
+    assert!(identical, "the block certified decode diverged from detect_certified");
+    vec![
+        ("blocks_host_threads", host_threads.to_string()),
+        ("blocks_block_rows", BLOCK_ROWS.to_string()),
+        ("blocks_identical", (identical_embed && identical).to_string()),
+        ("blocks_embed_memory_ms", fixed(best_ms(fresh, |s| embed_memory(s)), 3)),
+        ("blocks_embed_ms", fixed(best_ms(fresh, |s| embed_blocks(s)), 3)),
+        ("blocks_decode_memory_ms", fixed(best_ms(fresh, |s| decode_memory(s)), 3)),
+        ("blocks_decode_ms", fixed(best_ms(fresh, |s| decode_blocks(s)), 3)),
+        ("blocks_certify_memory_ms", fixed(best_ms(fresh, |s| certify_memory(s)), 3)),
+        ("blocks_certify_ms", fixed(best_ms(fresh, |s| certify_blocks(s)), 3)),
     ]
 }

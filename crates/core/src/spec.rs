@@ -98,15 +98,28 @@ impl Watermark {
 
     /// Watermark derived from an owner identity string: the keyed hash
     /// of the identity, truncated to `len` bits. This is how a rights
-    /// holder turns "© 2004 DataCorp" into a mark.
+    /// holder turns "© 2004 DataCorp" into a mark. A mark longer than
+    /// 64 bits continues with 64 bits from each further keyed hash of
+    /// the identity and a block counter, the last one truncated.
     ///
     /// # Panics
     ///
-    /// Panics when `len` is 0 or greater than 64.
+    /// Panics when `len` is 0.
     #[must_use]
     pub fn from_identity(identity: &str, key: &SecretKey, len: usize) -> Self {
+        assert!(len > 0, "watermark must have at least one bit");
         let h = KeyedHash::new(HashAlgorithm::Sha256, key.clone());
-        Self::from_u64(h.hash_u64(&[b"identity", identity.as_bytes()]), len)
+        let bits = (0..len.div_ceil(64))
+            .flat_map(|block| {
+                let value = if block == 0 {
+                    h.hash_u64(&[b"identity", identity.as_bytes()])
+                } else {
+                    h.hash_u64(&[b"identity", identity.as_bytes(), &(block as u64).to_be_bytes()])
+                };
+                Self::from_u64(value, (len - 64 * block).min(64)).bits
+            })
+            .collect();
+        Watermark { bits }
     }
 
     /// Bit at position `i`.
@@ -522,6 +535,26 @@ mod tests {
         let b = Watermark::from_identity(id, &SecretKey::from_u64(2), 16);
         assert_ne!(a, b);
         assert_eq!(a, Watermark::from_identity(id, &SecretKey::from_u64(1), 16));
+    }
+
+    #[test]
+    fn identity_watermarks_extend_past_64_bits() {
+        let (id, key) = ("buyer-7", SecretKey::from_u64(9));
+        let h = KeyedHash::new(HashAlgorithm::Sha256, key.clone());
+        let first = h.hash_u64(&[b"identity", id.as_bytes()]);
+        // Up to 64 bits the mark is the low bits of one hash, as before.
+        for len in [1, 10, 64] {
+            assert_eq!(Watermark::from_identity(id, &key, len), Watermark::from_u64(first, len));
+        }
+        // Longer marks keep all 64 and continue from the next block.
+        let long = Watermark::from_identity(id, &key, 4096);
+        assert_eq!(long.len(), 4096);
+        assert_eq!(&long.bits()[..64], Watermark::from_u64(first, 64).bits());
+        let second = h.hash_u64(&[b"identity", id.as_bytes(), &1u64.to_be_bytes()]);
+        assert_eq!(&long.bits()[64..128], Watermark::from_u64(second, 64).bits());
+        let mut expected = Watermark::from_u64(first, 64).bits().to_vec();
+        expected.extend_from_slice(Watermark::from_u64(second, 36).bits());
+        assert_eq!(Watermark::from_identity(id, &key, 100).bits(), expected);
     }
 
     #[test]

@@ -187,8 +187,8 @@ pub fn read_csv(schema: Schema, input: &mut impl BufRead) -> Result<Relation, Re
 /// relations of `block_rows` rows (at least 1). Every block is full but
 /// the last, which holds the rest and is handed over once the input
 /// ends; an input with no data rows gives one empty block. Each block
-/// has its own text dictionaries, in first-appearance order within the
-/// block. Errors are [`read_csv`]'s, with the same line numbers. A full
+/// owns its text dictionaries, which may also hold entries of earlier
+/// blocks. Errors are [`read_csv`]'s, with the same line numbers. A full
 /// block is handed over when the next record starts, so the last block
 /// reaches `each` only once the whole input has read without error.
 ///

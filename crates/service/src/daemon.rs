@@ -970,8 +970,9 @@ mod tests {
         assert_eq!(resp.get("matched_bits").and_then(Json::as_u64), Some(6));
     }
 
-    #[test]
-    fn marks_longer_than_64_bits_round_trip_as_bits_and_as_hex() {
+    /// A service whose tenant `acme`, already bound, holds the key
+    /// `wide`: 100 mark bits over 300 positions.
+    fn wide_service() -> (Service, Option<String>) {
         let domain =
             CategoricalDomain::new((0..40).map(|i| Value::Int(10_000 + i)).collect()).unwrap();
         let wide = WatermarkSpec::builder(domain)
@@ -988,6 +989,12 @@ mod tests {
         service.add_registry(acme).unwrap();
         let mut bound = None;
         service.handle(&mut bound, &request(r#"{"op":"hello","tenant":"acme"}"#));
+        (service, bound)
+    }
+
+    #[test]
+    fn marks_longer_than_64_bits_round_trip_as_bits_and_as_hex() {
+        let (mut service, mut bound) = wide_service();
         let bits = "1011".repeat(25);
         let hex = format!("0x{}", "b".repeat(25));
         let data = Json::Str(render_csv(&sample_relation(3_000)).unwrap()).to_text();
@@ -1007,6 +1014,25 @@ mod tests {
             assert_eq!(resp.get("mark").and_then(Json::as_str), Some(bits.as_str()));
             assert_eq!(resp.get("matched_bits").and_then(Json::as_u64), Some(100));
         }
+    }
+
+    #[test]
+    fn fingerprints_longer_than_64_bits_trace_back_to_the_leaker() {
+        let (mut service, mut bound) = wide_service();
+        let data = Json::Str(render_csv(&sample_relation(3_000)).unwrap()).to_text();
+        let copy = format!(
+            r#"{{"op":"mark_copy","key":"wide","key_attr":"visit_nbr","attr":"item_nbr","buyer":"globex-reseller","csv":{data}}}"#
+        );
+        let (resp, _) = service.handle(&mut bound, &request(&copy));
+        assert_ok(&resp);
+        let leaked = Json::Str(resp.get("csv").and_then(Json::as_str).unwrap().into()).to_text();
+        let trace = format!(
+            r#"{{"op":"trace","key":"wide","key_attr":"visit_nbr","attr":"item_nbr","buyers":["initech","globex-reseller","umbrella"],"csv":{leaked}}}"#
+        );
+        let (resp, _) = service.handle(&mut bound, &request(&trace));
+        assert_ok(&resp);
+        let results = resp.get("results").unwrap().as_array().unwrap();
+        assert_eq!(results[0].get("buyer").and_then(Json::as_str), Some("globex-reseller"));
     }
 
     #[test]

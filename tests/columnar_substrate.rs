@@ -6,11 +6,11 @@
 
 use std::io::{BufRead, BufReader};
 
-use catmark::core::{verify_evidence, MarkSession, Watermark, WatermarkSpec};
+use catmark::core::{verify_evidence, CoreError, MarkSession, Watermark, WatermarkSpec};
 use catmark::crypto::hex::to_hex;
 use catmark::prelude::*;
 use catmark::relation::column::{Column, ColumnView, Dictionary};
-use catmark::relation::csv::{read_csv, write_csv};
+use catmark::relation::csv::{read_csv, read_csv_blocks, write_csv, write_csv_rows};
 use catmark::relation::RelationError;
 use proptest::prelude::*;
 
@@ -387,9 +387,9 @@ fn schema_kt() -> Schema {
         .unwrap()
 }
 
-/// `decode_certified`'s bundle for `rel`, keyed on the text `name`
-/// column and marking the text `city` column.
-fn certify_whole(rel: &Relation) -> Vec<u8> {
+/// A session keyed on the text `name` column and marking the text
+/// `city` column.
+fn text_session(rel: &Relation) -> MarkSession {
     let domain =
         CategoricalDomain::new(["", "a", "é", "x", "y"].map(Value::from).to_vec()).unwrap();
     let spec = WatermarkSpec::builder(domain)
@@ -399,9 +399,67 @@ fn certify_whole(rel: &Relation) -> Vec<u8> {
         .wm_data_len(8)
         .build()
         .unwrap();
-    let session =
-        MarkSession::builder(spec).key_column("name").target_column("city").bind(rel).unwrap();
-    session.decode_certified(rel).unwrap().bundle
+    MarkSession::builder(spec).key_column("name").target_column("city").bind(rel).unwrap()
+}
+
+/// `decode_certified`'s bundle for `rel` under [`text_session`].
+fn certify_whole(rel: &Relation) -> Vec<u8> {
+    text_session(rel).decode_certified(rel).unwrap().bundle
+}
+
+/// A relation of random rows under the `name, city, n, m` schema.
+fn text_relation(rows: &[(String, String, i64, i64)]) -> Relation {
+    let schema = Schema::builder()
+        .key_attr("name", AttrType::Text)
+        .categorical_attr("city", AttrType::Text)
+        .attr("n", AttrType::Integer)
+        .attr("m", AttrType::Integer)
+        .build()
+        .unwrap();
+    let mut rel = Relation::new(schema);
+    for (name, city, n, m) in rows {
+        rel.push_unchecked_key(vec![
+            Value::Text(name.clone()),
+            Value::Text(city.clone()),
+            Value::Int(*n),
+            Value::Int(*m),
+        ])
+        .unwrap();
+    }
+    rel
+}
+
+/// Rows per block the block reader and the block drivers are run at.
+const BLOCK_SIZES: [usize; 4] = [1, 2, 3, 7];
+
+/// `read_csv_blocks` at `rows` rows per block, its blocks appended in
+/// order. Every block but the last must be full, and the last empty
+/// only when it is the only one.
+fn read_blocks(schema: Schema, input: &mut dyn BufRead, rows: usize) -> Result<Relation, String> {
+    let mut whole = Relation::new(schema.clone());
+    let mut sizes = Vec::new();
+    read_csv_blocks(schema, &mut { input }, rows, |block| {
+        sizes.push(block.len());
+        whole.append(&block).unwrap();
+    })
+    .map_err(|e| e.to_string())?;
+    let (last, full) = sizes.split_last().expect("the last block is always handed over");
+    assert!(full.iter().all(|&n| n == rows), "short block before the last: {sizes:?}");
+    assert!(*last > 0 || full.is_empty(), "empty last block after others: {sizes:?}");
+    Ok(whole)
+}
+
+/// Hand `rel`'s rows to `push` in blocks of `rows`, as a block driver's
+/// source; an empty relation is one empty block.
+fn blocks_of(rel: &Relation, rows: usize, push: &mut dyn FnMut(Relation)) -> Result<(), CoreError> {
+    let all: Vec<usize> = (0..rel.len()).collect();
+    if all.is_empty() {
+        push(rel.clone());
+    }
+    for chunk in all.chunks(rows) {
+        push(rel.gather(chunk));
+    }
+    Ok(())
 }
 
 /// Run `read` over `input` whole, then through buffers of one byte and
@@ -469,23 +527,8 @@ proptest! {
             0..30,
         ),
     ) {
-        let schema = Schema::builder()
-            .key_attr("name", AttrType::Text)
-            .categorical_attr("city", AttrType::Text)
-            .attr("n", AttrType::Integer)
-            .attr("m", AttrType::Integer)
-            .build()
-            .unwrap();
-        let mut rel = Relation::new(schema.clone());
-        for (name, city, n, m) in &rows {
-            rel.push_unchecked_key(vec![
-                Value::Text(name.clone()),
-                Value::Text(city.clone()),
-                Value::Int(*n),
-                Value::Int(*m),
-            ])
-            .unwrap();
-        }
+        let rel = text_relation(&rows);
+        let schema = rel.schema().clone();
         let mut reference = HashAlgorithm::Sha256.hasher();
         for row in 0..rel.len() {
             for attr in 0..schema.arity() {
@@ -550,6 +593,14 @@ proptest! {
                 prop_assert_eq!(&outcome, &expected);
             }
         }
+        // The block reader's blocks make up `read_csv`'s relation, and it
+        // fails as `read_csv` fails.
+        let whole = read_csv(schema_kt(), &mut &input[..]).map_err(|e| e.to_string());
+        for rows in BLOCK_SIZES {
+            for blocks in through_buffers(&input, |r| read_blocks(schema_kt(), r, rows)) {
+                prop_assert_eq!(&blocks, &whole, "{} rows per block", rows);
+            }
+        }
         // Inference too, and a read under the inferred schema.
         let inferred = reference::infer_schema(&mut &input[..], &["t"]).map_err(|e| e.to_string());
         let newline_in_quotes = inferred.as_ref().is_err_and(|m| m.contains("unterminated"));
@@ -568,6 +619,60 @@ proptest! {
                     prop_assert_eq!(&outcome, &expected);
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The block drivers, fed the relations of
+    /// `whole_identity_hashes_logical_rows` in blocks of 1, 2, 3 and 7
+    /// rows, give the in-memory drivers' marked bytes and reports and
+    /// both certified bundles byte for byte.
+    #[test]
+    fn block_drivers_match_the_in_memory_drivers(
+        rows in prop::collection::vec(
+            ("[,\"\n\r éab]{0,8}", "[,\"\n\r éxy]{0,6}", any::<i64>(), -1000i64..1000),
+            0..30,
+        ),
+    ) {
+        let rel = text_relation(&rows);
+        let session = text_session(&rel);
+        let wm = Watermark::from_u64(0b1011, 4);
+        let mut marked = rel.clone();
+        let report = session.embed(&mut marked, &wm).unwrap();
+        let mut bytes = Vec::new();
+        write_csv(&marked, &mut bytes).unwrap();
+        let decoded = session.decode(&marked).unwrap();
+        let plain = session.decode_certified(&marked).unwrap().bundle;
+        let claimed = session.detect_certified(&marked, &wm).unwrap().bundle;
+        for size in BLOCK_SIZES {
+            let mut streamed = Vec::new();
+            let streamed_report = session
+                .embed_blocks(
+                    &wm,
+                    |push| blocks_of(&rel, size, push),
+                    |index, block| {
+                        let mut out = Vec::new();
+                        if index == 0 {
+                            write_csv(block, &mut out).unwrap();
+                        } else {
+                            write_csv_rows(block, &mut out).unwrap();
+                        }
+                        out
+                    },
+                    |out| streamed.extend(out),
+                )
+                .unwrap();
+            prop_assert_eq!(&streamed_report, &report, "{} rows per block", size);
+            prop_assert!(streamed == bytes, "marked bytes differ at {} rows per block", size);
+            let source = |push: &mut dyn FnMut(Relation)| blocks_of(&marked, size, push);
+            prop_assert_eq!(&session.decode_blocks(source).unwrap(), &decoded);
+            let bundle = session.decode_blocks_certified(None, source).unwrap().bundle;
+            prop_assert!(bundle == plain, "plain bundle differs at {} rows per block", size);
+            let bundle = session.decode_blocks_certified(Some(&wm), source).unwrap().bundle;
+            prop_assert!(bundle == claimed, "claim bundle differs at {} rows per block", size);
         }
     }
 }
