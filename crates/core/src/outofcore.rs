@@ -55,6 +55,15 @@
 //! the incremental re-mark, the vote-cached and the certified decodes
 //! — stay sequential.
 //!
+//! # Row blocks
+//!
+//! [`MarkSession::embed_blocks`] and [`MarkSession::decode_blocks`]
+//! run the same per-segment passes over a relation that arrives as row
+//! blocks, such as a CSV file read [`BLOCK_ROWS`] rows at a time: one
+//! worker per core plans and passes each block while the calling
+//! thread reads the next, and the results fold in block order, so the
+//! bytes and reports are the in-memory ones for the reason above.
+//!
 //! ```
 //! use catmark_core::{detect, MarkSession, Watermark, WatermarkSpec};
 //! use catmark_datagen::{ItemScanConfig, SalesGenerator};
@@ -586,7 +595,7 @@ impl MarkSession {
         let mut fold = EmbedFold::new(self.spec());
         let facts = TextFacts::default();
         let work = |rel: &mut Relation, at: BlockAt| {
-            self.check_block(rel)?;
+            self.check(rel)?;
             let plan = MarkPlan::build_block(self.spec(), rel, key_idx, &facts);
             let mut part = EmbedFold::new(self.spec());
             engine.embed_pass(rel, attr_idx, &wm_data, None, &plan, at.first_row, &mut part)?;
@@ -629,17 +638,12 @@ impl MarkSession {
         let mut votes = VoteAccumulator::new(spec.wm_data_len);
         let facts = TextFacts::default();
         let work = |rel: &mut Relation, _: BlockAt| {
-            self.check_block(rel)?;
+            self.check(rel)?;
             let plan = MarkPlan::build_block(spec, rel, self.key().index(), &facts);
             Ok(VoteAccumulator::of(spec, rel, attr_idx, &plan))
         };
         run_blocks(source, work, |tally| votes.merge(&tally), tap)?;
         Ok(votes)
-    }
-
-    fn check_block(&self, rel: &Relation) -> Result<(), CoreError> {
-        self.key().still_bound(rel.schema())?;
-        self.target().still_bound(rel.schema())
     }
 }
 

@@ -259,7 +259,7 @@ impl MarkSession {
     }
 
     /// Verify the bound columns still line up with `rel`'s schema.
-    fn check(&self, rel: &Relation) -> Result<(), CoreError> {
+    pub(crate) fn check(&self, rel: &Relation) -> Result<(), CoreError> {
         self.key.still_bound(rel.schema())?;
         self.target.still_bound(rel.schema())
     }
