@@ -129,7 +129,7 @@ fn main() {
     section(&mut report, "fingerprint delta", fingerprint_delta(&recipients));
     section(&mut report, "versioned churn", churn(&w));
     section(&mut report, "csv", csv(tuples));
-    section(&mut report, "blocks", blocks(&w, host_threads));
+    section(&mut report, "blocks", blocks(&w));
     // Last, so it counts every scenario that ran on the shared session.
     let plan_cache = w.session.cache().stats();
     section(
@@ -985,8 +985,8 @@ fn csv(tuples: usize) -> Vec<Field> {
 /// The CLI's row-block pipeline against the in-memory path it replaced,
 /// on the sales relation with its text column written as CSV. Each
 /// timed run binds a fresh session, so neither path finds a cached
-/// plan.
-fn blocks(w: &Workload, host_threads: usize) -> Vec<Field> {
+/// plan. The block path's times depend on `host_threads`.
+fn blocks(w: &Workload) -> Vec<Field> {
     let config = ItemScanConfig { tuples: w.tuples, with_city: true, ..Default::default() };
     let rel = SalesGenerator::new(config).generate();
     let schema = rel.schema().clone();
@@ -1040,7 +1040,6 @@ fn blocks(w: &Workload, host_threads: usize) -> Vec<Field> {
     let identical = certify_blocks(&fresh()).expect("block certification succeeds") == bundle;
     assert!(identical, "the block certified decode diverged from detect_certified");
     vec![
-        ("blocks_host_threads", host_threads.to_string()),
         ("blocks_block_rows", BLOCK_ROWS.to_string()),
         ("blocks_identical", (identical_embed && identical).to_string()),
         ("blocks_embed_memory_ms", fixed(best_ms(fresh, |s| embed_memory(s)), 3)),

@@ -283,30 +283,42 @@ impl VoteAccumulator {
         plan: &MarkPlan,
     ) -> Self {
         let mut votes = VoteAccumulator::new(spec.wm_data_len);
+        votes.add(spec, rel, attr_idx, plan);
+        votes
+    }
+
+    /// Add the tallies of `rel`, as [`VoteAccumulator::of`] counts
+    /// them, to these.
+    pub(crate) fn add(
+        &mut self,
+        spec: &WatermarkSpec,
+        rel: &Relation,
+        attr_idx: usize,
+        plan: &MarkPlan,
+    ) {
         let rows = plan.fit();
-        votes.fit_tuples = rows.len();
+        self.fit_tuples += rows.len();
         match rel.column(attr_idx) {
             ColumnView::Int(xs) => {
                 for planned in rows {
                     let Some(t) = spec.domain.code_of(&Value::Int(xs[planned.row as usize])) else {
-                        votes.foreign_values += 1;
+                        self.foreign_values += 1;
                         continue;
                     };
-                    votes.tally(planned.position as usize, t);
+                    self.tally(planned.position as usize, t);
                 }
             }
             ColumnView::Text { codes, dict } => {
                 let table = spec.domain.dict_codes(dict);
                 for planned in rows {
                     let Some(t) = table[codes[planned.row as usize] as usize] else {
-                        votes.foreign_values += 1;
+                        self.foreign_values += 1;
                         continue;
                     };
-                    votes.tally(planned.position as usize, t);
+                    self.tally(planned.position as usize, t);
                 }
             }
         }
-        votes
     }
 
     /// Fold `other`'s tallies into these. Votes are commutative

@@ -133,7 +133,9 @@ impl EmbedFold {
         EmbedFold { report, covered: vec![false; spec.wm_data_len] }
     }
 
-    /// Fold in `other`, whose passes ran over rows after this fold's.
+    /// Fold in `other`, whose passes ran over other rows. Its touched
+    /// rows are appended as they are, so rows of interleaved passes
+    /// need sorting.
     pub(crate) fn merge(&mut self, other: EmbedFold) {
         let (report, part) = (&mut self.report, other.report);
         report.total_tuples += part.total_tuples;

@@ -104,7 +104,7 @@
 use std::collections::VecDeque;
 use std::ops::Deref;
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::Scope;
+use std::thread::{Scope, ScopedJoinHandle};
 
 use catmark_relation::{Relation, RelationError, SegmentedRelation, VersionManifest};
 
@@ -583,7 +583,7 @@ impl MarkSession {
         wm: &Watermark,
         source: impl FnOnce(&mut dyn FnMut(Relation)) -> Result<(), E>,
         render: impl Fn(usize, &Relation) -> R + Sync,
-        mut sink: impl FnMut(R),
+        sink: impl FnMut(R),
     ) -> Result<EmbedReport, E>
     where
         R: Send,
@@ -592,28 +592,30 @@ impl MarkSession {
         let engine = Embedder::engine(self.spec());
         let wm_data = engine.wm_data(wm, &MajorityVotingEcc)?;
         let (key_idx, attr_idx) = (self.key().index(), self.target().index());
-        let mut fold = EmbedFold::new(self.spec());
         let facts = TextFacts::default();
-        let work = |rel: &mut Relation, at: BlockAt| {
+        let work = |fold: &mut EmbedFold, rel: &mut Relation, at: BlockAt| {
             self.check(rel)?;
             let plan = MarkPlan::build_block(self.spec(), rel, key_idx, &facts);
-            let mut part = EmbedFold::new(self.spec());
-            engine.embed_pass(rel, attr_idx, &wm_data, None, &plan, at.first_row, &mut part)?;
-            Ok((part, render(at.index, rel)))
+            engine.embed_pass(rel, attr_idx, &wm_data, None, &plan, at.first_row, fold)?;
+            Ok(render(at.index, rel))
         };
-        let merge = |(part, rendered)| {
+        let init = || EmbedFold::new(self.spec());
+        let parts = run_blocks(source, init, work, sink, None::<fn(&Relation)>)?;
+        let mut fold = EmbedFold::new(self.spec());
+        for part in parts {
             fold.merge(part);
-            sink(rendered);
-        };
-        run_blocks(source, work, merge, None::<fn(&Relation)>)?;
-        Ok(fold.finish())
+        }
+        let mut report = fold.finish();
+        // Each worker's blocks interleave with the others'.
+        report.touched_rows.sort_unstable();
+        Ok(report)
     }
 
     /// [`MarkSession::decode`] over a relation that arrives as row
-    /// blocks, with `source` as in [`MarkSession::embed_blocks`]: workers
-    /// tally each block's votes, and the tallies fold into one
+    /// blocks, with `source` as in [`MarkSession::embed_blocks`]: each
+    /// worker tallies its blocks' votes, and the tallies sum into one
     /// resolution. Only the blocks in flight are held, about two per
-    /// worker, never the relation.
+    /// worker, and one tally per worker, never the relation.
     ///
     /// # Errors
     ///
@@ -626,53 +628,64 @@ impl MarkSession {
         Ok(Decoder::engine(self.spec()).resolve(&MajorityVotingEcc, &votes)?)
     }
 
-    /// The decode driver behind every block decode: each block's tally,
-    /// folded in block order. `tap`, when given, sees every block after
-    /// its tally, in order.
+    /// The decode driver behind every block decode: the votes of every
+    /// block, summed. `tap`, when given, sees every block after its
+    /// tally, in order.
     pub(crate) fn tally_blocks<E: From<CoreError>>(
         &self,
         source: impl FnOnce(&mut dyn FnMut(Relation)) -> Result<(), E>,
         tap: Option<impl FnMut(&Relation) + Send>,
     ) -> Result<VoteAccumulator, E> {
         let (spec, attr_idx) = (self.spec(), self.target().index());
-        let mut votes = VoteAccumulator::new(spec.wm_data_len);
         let facts = TextFacts::default();
-        let work = |rel: &mut Relation, _: BlockAt| {
+        let work = |votes: &mut VoteAccumulator, rel: &mut Relation, _: BlockAt| {
             self.check(rel)?;
             let plan = MarkPlan::build_block(spec, rel, self.key().index(), &facts);
-            Ok(VoteAccumulator::of(spec, rel, attr_idx, &plan))
+            votes.add(spec, rel, attr_idx, &plan);
+            Ok(())
         };
-        run_blocks(source, work, |tally| votes.merge(&tally), tap)?;
+        let init = || VoteAccumulator::new(spec.wm_data_len);
+        let parts = run_blocks(source, init, work, |()| {}, tap)?;
+        let mut votes = VoteAccumulator::new(spec.wm_data_len);
+        for part in &parts {
+            votes.merge(part);
+        }
         Ok(votes)
     }
 }
 
-/// The block driver: run `work` over every block `source` pushes and
-/// `fold` the results in block order on the calling thread, which also
-/// runs `source`. The work runs on one worker per core, with about two
-/// blocks per worker in flight. A one-block stream, or any stream on
-/// one CPU, runs inline without spawning: the first block is held until
-/// a second one arrives. `tap` sees each folded block in order, on a
-/// thread of its own once the workers start. After a block fails, later
-/// blocks are dropped unworked while `source` reads on, so an error of
-/// `source` comes before the block's.
-fn run_blocks<T: Send, E: From<CoreError>>(
+/// The block driver: run `work` over every block `source` pushes, on
+/// one worker per core, each worker adding to a state of its own from
+/// `init`; `fold` each block's result in block order on the calling
+/// thread, which also runs `source`; and return the states for the
+/// caller to merge. Every state is as large as one block needs, not one
+/// per block. About two blocks per worker are in flight. A one-block
+/// stream, or any stream on one CPU, runs inline without spawning: the
+/// first block is held until a second one arrives. `tap` sees each
+/// folded block in order, on a thread of its own once the workers
+/// start. After a block fails, later blocks are dropped unworked while
+/// `source` reads on, so an error of `source` comes before the block's.
+fn run_blocks<S: Send, T: Send, E: From<CoreError>>(
     source: impl FnOnce(&mut dyn FnMut(Relation)) -> Result<(), E>,
-    work: impl Fn(&mut Relation, BlockAt) -> Result<T, CoreError> + Sync,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, &mut Relation, BlockAt) -> Result<T, CoreError> + Sync,
     fold: impl FnMut(T),
     tap: Option<impl FnMut(&Relation) + Send>,
-) -> Result<(), E> {
+) -> Result<Vec<S>, E> {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let (read, failed) = std::thread::scope(|scope| {
+    let (read, finished) = std::thread::scope(|scope| {
         let mut blocks = Blocks {
             scope,
             threads,
+            init: &init,
             work: &work,
             fold,
             tap: tap.map_or(Tap::Off, Tap::Inline),
             next: BlockAt::default(),
             held: None,
+            own: None,
             queue: None,
+            workers: Vec::new(),
             pending: VecDeque::new(),
             failed: None,
         };
@@ -680,13 +693,14 @@ fn run_blocks<T: Send, E: From<CoreError>>(
         (read, blocks.finish())
     });
     read?;
-    failed.map_or(Ok(()), |e| Err(e.into()))
+    Ok(finished?)
 }
 
 /// [`run_blocks`]'s state on the calling thread.
-struct Blocks<'scope, 'env, T, W, F, P> {
+struct Blocks<'scope, 'env, S, T, I, W, F, P> {
     scope: &'scope Scope<'scope, 'env>,
     threads: usize,
+    init: &'scope I,
     work: &'scope W,
     fold: F,
     tap: Tap<P>,
@@ -694,17 +708,22 @@ struct Blocks<'scope, 'env, T, W, F, P> {
     next: BlockAt,
     /// The first block, until a second shows the stream needs workers.
     held: Option<(Relation, BlockAt)>,
+    /// The calling thread's state, once it works a block itself.
+    own: Option<S>,
     /// The workers' queue, once they run.
     queue: Option<mpsc::Sender<Job<T>>>,
+    workers: Vec<ScopedJoinHandle<'scope, S>>,
     /// Results not yet folded, in block order.
     pending: VecDeque<mpsc::Receiver<Done<T>>>,
     failed: Option<CoreError>,
 }
 
-impl<'scope, T, W, F, P> Blocks<'scope, '_, T, W, F, P>
+impl<'scope, S, T, I, W, F, P> Blocks<'scope, '_, S, T, I, W, F, P>
 where
+    S: Send + 'scope,
     T: Send + 'scope,
-    W: Fn(&mut Relation, BlockAt) -> Result<T, CoreError> + Sync,
+    I: Fn() -> S + Sync,
+    W: Fn(&mut S, &mut Relation, BlockAt) -> Result<T, CoreError> + Sync,
     F: FnMut(T),
     P: FnMut(&Relation) + Send + 'scope,
 {
@@ -715,8 +734,7 @@ where
             return;
         }
         if self.threads < 2 {
-            let done = run(self.work, rel, at, true);
-            return self.settle(done);
+            return self.run_here(rel, at);
         }
         if self.queue.is_none() {
             let Some(first) = self.held.take() else {
@@ -729,6 +747,13 @@ where
         self.send((rel, at));
     }
 
+    /// Work a block on the calling thread.
+    fn run_here(&mut self, rel: Relation, at: BlockAt) {
+        let own = self.own.get_or_insert_with(self.init);
+        let done = run(self.work, own, rel, at, true);
+        self.settle(done);
+    }
+
     /// Spawn the workers, and the tap's thread.
     fn start(&mut self) {
         let (queue, jobs) = mpsc::channel::<Job<T>>();
@@ -736,13 +761,17 @@ where
         // Without a tap, a block is dropped where it was worked.
         let keep = !matches!(self.tap, Tap::Off);
         for _ in 0..self.threads {
-            let (jobs, work) = (Arc::clone(&jobs), self.work);
-            self.scope.spawn(move || loop {
-                let job = jobs.lock().expect("the block queue is never poisoned").recv();
-                let Ok((rel, at, reply)) = job else { break };
-                // A closed reply means the caller stopped folding.
-                let _ = reply.send(run(work, rel, at, keep));
-            });
+            let (jobs, init, work) = (Arc::clone(&jobs), self.init, self.work);
+            self.workers.push(self.scope.spawn(move || {
+                let mut state = init();
+                loop {
+                    let job = jobs.lock().expect("the block queue is never poisoned").recv();
+                    let Ok((rel, at, reply)) = job else { break };
+                    // A closed reply means the caller stopped folding.
+                    let _ = reply.send(run(work, &mut state, rel, at, keep));
+                }
+                state
+            }));
         }
         self.queue = Some(queue);
         if let Tap::Inline(mut tap) = std::mem::replace(&mut self.tap, Tap::Off) {
@@ -788,27 +817,33 @@ where
         }
     }
 
-    /// Run a held block inline, fold what is in flight, and stop the
-    /// workers and the tap (the scope joins them): the first failure.
-    fn finish(mut self) -> Option<CoreError> {
+    /// Run a held block inline, fold what is in flight, stop the
+    /// workers and the tap (the scope joins the tap), and hand back
+    /// every state, or the first failure.
+    fn finish(mut self) -> Result<Vec<S>, CoreError> {
         if let Some((rel, at)) = self.held.take() {
-            let done = run(self.work, rel, at, true);
-            self.settle(done);
+            self.run_here(rel, at);
         }
         while !self.pending.is_empty() {
             self.settle_front();
         }
-        self.failed
+        self.queue = None;
+        let mut states: Vec<S> = self.own.take().into_iter().collect();
+        for worker in self.workers.drain(..) {
+            states.push(worker.join().expect("block workers do not panic"));
+        }
+        self.failed.take().map_or(Ok(states), Err)
     }
 }
 
-fn run<T>(
-    work: &impl Fn(&mut Relation, BlockAt) -> Result<T, CoreError>,
+fn run<S, T>(
+    work: &impl Fn(&mut S, &mut Relation, BlockAt) -> Result<T, CoreError>,
+    state: &mut S,
     mut rel: Relation,
     at: BlockAt,
     keep: bool,
 ) -> Done<T> {
-    let result = work(&mut rel, at);
+    let result = work(state, &mut rel, at);
     (result, keep.then_some(rel))
 }
 
