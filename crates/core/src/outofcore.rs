@@ -60,9 +60,10 @@
 //! [`MarkSession::embed_blocks`] and [`MarkSession::decode_blocks`]
 //! run the same per-segment passes over a relation that arrives as row
 //! blocks, such as a CSV file read [`BLOCK_ROWS`] rows at a time: one
-//! worker per core plans and passes each block while the calling
-//! thread reads the next, and the results fold in block order, so the
-//! bytes and reports are the in-memory ones for the reason above.
+//! worker per core plans and passes each block into its own fold or
+//! tally while the calling thread reads the next, and the workers'
+//! folds and tallies add up to the in-memory ones for the reason
+//! above.
 //!
 //! ```
 //! use catmark_core::{detect, MarkSession, Watermark, WatermarkSpec};
