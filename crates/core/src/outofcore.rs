@@ -602,11 +602,11 @@ impl MarkSession {
         };
         let init = || EmbedFold::new(self.spec());
         let parts = run_blocks(source, init, work, sink, None::<fn(&Relation)>)?;
-        let mut fold = EmbedFold::new(self.spec());
-        for part in parts {
+        let fold = parts.into_iter().reduce(|mut fold, part| {
             fold.merge(part);
-        }
-        let mut report = fold.finish();
+            fold
+        });
+        let mut report = fold.unwrap_or_else(init).finish();
         // Each worker's blocks interleave with the others'.
         report.touched_rows.sort_unstable();
         Ok(report)
@@ -647,11 +647,11 @@ impl MarkSession {
         };
         let init = || VoteAccumulator::new(spec.wm_data_len);
         let parts = run_blocks(source, init, work, |()| {}, tap)?;
-        let mut votes = VoteAccumulator::new(spec.wm_data_len);
-        for part in &parts {
-            votes.merge(part);
-        }
-        Ok(votes)
+        let votes = parts.into_iter().reduce(|mut votes, part| {
+            votes.merge(&part);
+            votes
+        });
+        Ok(votes.unwrap_or_else(init))
     }
 }
 

@@ -383,10 +383,11 @@ impl<'a> KeyScan<'a> {
         match view {
             ColumnView::Int(keys) => KeyScan::Int { scanner: Box::new(sel.int_scanner()), keys },
             ColumnView::Text { codes, dict } => {
-                // A block of a stream takes its facts from the stream's
-                // table, which amortizes them over every block.
                 if let Some(shared) = shared {
-                    return KeyScan::TextMemo { codes, facts: shared.of(sel, dict) };
+                    return match shared.of(sel, codes, dict) {
+                        Some(facts) => KeyScan::TextMemo { codes, facts },
+                        None => KeyScan::TextDirect { codes, dict, sel },
+                    };
                 }
                 // Density is judged over the whole relation, not per
                 // chunk: a low-cardinality column stays memoized no
@@ -473,33 +474,52 @@ fn text_facts(sel: &FitnessSelector, dict: &Dictionary, threads: usize) -> Vec<O
 /// Fitness facts per distinct text key, shared by the plans of every
 /// block of one stream ([`MarkPlan::build_block`]): each distinct key
 /// is hashed about once per stream, as a plan of the whole relation
-/// hashes it, instead of once per block. It keeps at most
-/// [`TextFacts::CAPACITY`] keys, so a near-unique key column costs
-/// bounded memory; keys past that are hashed in each block that holds
-/// them.
+/// hashes it, instead of once per block. Only blocks whose keys repeat
+/// use it, and it keeps at most [`TextFacts::CAPACITY`] keys; keys past
+/// that are hashed in each block that holds them.
 #[derive(Debug, Default)]
 pub(crate) struct TextFacts(RwLock<HashMap<Arc<str>, Option<FitFacts>>>);
 
 impl TextFacts {
-    const CAPACITY: usize = 1 << 16;
+    /// One block's worth of keys. That holds a key column that repeats
+    /// a few thousand values, which is where the table pays, while a
+    /// stream of ever new keys stops filling it after a block or two
+    /// and so keeps its memory and its inserts bounded.
+    const CAPACITY: usize = crate::BLOCK_ROWS;
 
-    /// The facts of every entry of `dict`, in code order: looked up,
-    /// or hashed and kept while there is room.
-    fn of(&self, sel: &FitnessSelector, dict: &Dictionary) -> Vec<Option<FitFacts>> {
-        let mut facts = Vec::with_capacity(dict.len());
-        let mut missing = Vec::new();
+    /// The facts of every entry of `dict` that `codes` uses, in code
+    /// order, looked up, or hashed and kept while there is room; `None`
+    /// when the block is near-unique (fewer than 2 rows per entry it
+    /// uses), where hashing per row is cheaper. Only used entries
+    /// count, since a block's dictionary may also hold entries of
+    /// earlier blocks.
+    fn of(
+        &self,
+        sel: &FitnessSelector,
+        codes: &[u32],
+        dict: &Dictionary,
+    ) -> Option<Vec<Option<FitFacts>>> {
+        let mut used = vec![false; dict.len()];
+        for &code in codes {
+            used[code as usize] = true;
+        }
+        let mut missing: Vec<usize> = (0..dict.len()).filter(|&code| used[code]).collect();
+        if 2 * missing.len() > codes.len() {
+            return None;
+        }
+        let mut facts = vec![None; dict.len()];
         {
             let known = self.0.read().expect("the text facts table is never poisoned");
-            for (code, entry) in dict.entries().iter().enumerate() {
-                let known = known.get(entry.as_ref()).copied();
-                if known.is_none() {
-                    missing.push(code);
+            missing.retain(|&code| match known.get(dict.entries()[code].as_ref()) {
+                Some(&known) => {
+                    facts[code] = known;
+                    false
                 }
-                facts.push(known.flatten());
-            }
+                None => true,
+            });
         }
         if missing.is_empty() {
-            return facts;
+            return Some(facts);
         }
         for &code in &missing {
             facts[code] = sel.facts_canonical(&CanonicalText(dict.get(code as u32)));
@@ -511,7 +531,7 @@ impl TextFacts {
             }
             known.insert(Arc::clone(&dict.entries()[code]), facts[code]);
         }
-        facts
+        Some(facts)
     }
 }
 
@@ -968,6 +988,31 @@ mod tests {
         for threads in [2, 5] {
             let threaded = MarkPlan::build_with_threads(&spec, &rel, 1, threads);
             assert_eq!(threaded.fit(), sequential.fit(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn block_plans_judge_and_keep_only_the_keys_a_block_uses() {
+        // The CSV block reader hands a dictionary on to the next block,
+        // so a block's dictionary may hold keys only earlier blocks use.
+        // A block is judged by the keys its own rows use, and only those
+        // are hashed into the stream's table.
+        let pool: Vec<String> = (0..4_000).map(|i| format!("user-{i:05}")).collect();
+        let pool_refs: Vec<&str> = pool.iter().map(String::as_str).collect();
+        let (unique, spec) = text_keyed_fixture(4_096, &pool_refs);
+        let repeating = unique.gather(&[0, 1, 2, 3, 4, 5].repeat(100));
+        let sel = FitnessSelector::new(&spec);
+        let facts = TextFacts::default();
+        let memoized = |rel: &Relation| match rel.column(1) {
+            ColumnView::Text { codes, dict } => facts.of(&sel, codes, dict).is_some(),
+            ColumnView::Int(_) => unreachable!("the fixture keys on text"),
+        };
+        assert!(!memoized(&unique), "4,000 keys over 4,096 rows hash per row");
+        assert!(memoized(&repeating), "6 of 4,000 entries over 600 rows are memoized");
+        assert_eq!(facts.0.read().unwrap().len(), 6);
+        for rel in [&unique, &repeating] {
+            let block = MarkPlan::build_block(&spec, rel, 1, &facts);
+            assert_eq!(block.fit(), MarkPlan::build_sequential(&spec, rel, 1).fit());
         }
     }
 

@@ -231,6 +231,8 @@ pub fn read_csv_blocks(
 /// The columns of the block [`read_csv_blocks`] fills.
 struct Table {
     columns: Vec<Column>,
+    /// The entries each column's dictionary held when the block began.
+    carried: Vec<usize>,
     /// Rows a block holds.
     block_rows: usize,
 }
@@ -241,7 +243,7 @@ impl Table {
         let capacity = if block_rows < usize::MAX { block_rows } else { 0 };
         let columns =
             schema.attrs().iter().map(|a| Column::with_capacity(a.ty, capacity)).collect();
-        Table { columns, block_rows }
+        Table { columns, carried: vec![0; schema.arity()], block_rows }
     }
 
     fn rows(&self) -> usize {
@@ -253,16 +255,23 @@ impl Table {
     }
 
     /// The full block's columns, leaving empty ones for the next. A
-    /// text dictionary no longer than a block hands its entries on, so a
-    /// value that repeats across blocks is interned once per input
-    /// rather than once per block, and no dictionary outgrows two
-    /// blocks' worth of entries.
+    /// text dictionary whose values repeat (the block added at most one
+    /// entry per two rows) hands its entries on while it holds no more
+    /// entries than a block has rows, so such a value is interned once
+    /// per input rather than once per block, and no dictionary outgrows
+    /// two blocks' worth of entries. A near-unique column starts each
+    /// block empty.
     fn take(&mut self, schema: &Schema) -> Vec<Column> {
         let mut next = Table::new(schema, self.block_rows);
-        for (next, full) in next.columns.iter_mut().zip(&self.columns) {
-            if let (Column::Text { dict: next, .. }, Column::Text { dict, .. }) = (next, full) {
-                if dict.len() <= self.block_rows {
-                    next.clone_from(dict);
+        let rows = self.rows();
+        for (i, full) in self.columns.iter().enumerate() {
+            if let (Column::Text { dict: into, .. }, Column::Text { dict, .. }) =
+                (&mut next.columns[i], full)
+            {
+                let added = dict.len() - self.carried[i];
+                if 2 * added <= rows && dict.len() <= self.block_rows {
+                    into.clone_from(dict);
+                    next.carried[i] = dict.len();
                 }
             }
         }
@@ -738,6 +747,31 @@ mod tests {
         let mut buf = Vec::new();
         write_csv(&rel, &mut buf).unwrap();
         assert_eq!(read(&buf).unwrap(), rel);
+    }
+
+    #[test]
+    fn blocks_hand_on_only_dictionaries_whose_values_repeat() {
+        // The dictionary length of each 4-row block of 16 rows.
+        let dict_lens = |city: fn(usize) -> String| {
+            let mut csv = String::from("k,city\n");
+            for k in 0..16 {
+                csv += &format!("{k},{}\n", city(k));
+            }
+            let mut lens = Vec::new();
+            read_csv_blocks(schema(), &mut csv.as_bytes(), 4, |block| match block.column(1) {
+                ColumnView::Text { dict, .. } => lens.push(dict.len()),
+                ColumnView::Int(_) => unreachable!("city is text"),
+            })
+            .unwrap();
+            lens
+        };
+        // Repeating values: entries carry on although later blocks use
+        // only `z`.
+        assert_eq!(dict_lens(|k| if k < 4 { ["x", "y"][k % 2] } else { "z" }.into()), [2, 3, 3, 3]);
+        // Unique values: every block starts empty.
+        assert_eq!(dict_lens(|k| format!("c{k}")), [4, 4, 4, 4]);
+        // Each value twice: carried until a dictionary outgrows a block.
+        assert_eq!(dict_lens(|k| format!("p{}", k / 2)), [2, 4, 6, 2]);
     }
 
     #[test]
