@@ -326,13 +326,17 @@ impl VoteAccumulator {
     /// (in any order) resolves identically to one sequential pass —
     /// the fact that lets the incremental decode driver reuse cached
     /// tallies for clean segments.
+    ///
+    /// Only positions `other` voted on are written, so merging sparse
+    /// tallies over a long `wm_data` leaves most pages untouched.
     pub(crate) fn merge(&mut self, other: &VoteAccumulator) {
         debug_assert_eq!(self.ones.len(), other.ones.len(), "mismatched wm_data lengths");
-        for (a, b) in self.ones.iter_mut().zip(&other.ones) {
-            *a += b;
-        }
-        for (a, b) in self.zeros.iter_mut().zip(&other.zeros) {
-            *a += b;
+        let votes = other.ones.iter().zip(&other.zeros);
+        for (position, (&ones, &zeros)) in votes.enumerate() {
+            if ones | zeros != 0 {
+                self.ones[position] += ones;
+                self.zeros[position] += zeros;
+            }
         }
         self.fit_tuples += other.fit_tuples;
         self.votes_cast += other.votes_cast;

@@ -144,8 +144,12 @@ impl EmbedFold {
         report.unchanged += part.unchanged;
         report.vetoed += part.vetoed;
         report.touched_rows.extend(part.touched_rows);
+        // Only set flags are written, so a sparse fold over a long
+        // `wm_data` leaves most pages untouched.
         for (covered, other) in self.covered.iter_mut().zip(other.covered) {
-            *covered |= other;
+            if other {
+                *covered = true;
+            }
         }
     }
 
