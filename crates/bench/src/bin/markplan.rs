@@ -28,7 +28,9 @@
 //!   at most 3x a bare SHA-256 of those bytes;
 //! * **hash** — the keyed two-block fast path's four-lane throughput
 //!   per SHA-256 backend, with a ≥1.5x SHA-NI floor where the CPU has
-//!   it;
+//!   it, and the 16-lane batch the integer key scan runs, with a ≥1.5x
+//!   floor over SHA-NI's four lanes where the AVX-512F kernel serves
+//!   the active backend;
 //! * **plan_threads** — `MarkPlan::build_with_threads` at 1, 2 and 4
 //!   threads, each pinned to the sequential build;
 //! * **fingerprint_batch** — tracing a leak among 1000 recipients,
@@ -537,15 +539,17 @@ fn evidence_whole(w: &Workload) -> Vec<Field> {
 }
 
 /// The keyed two-block fast path's four-lane multibuffer, per
-/// backend. 8-byte values splice into the derived 32-byte keys' fixed
-/// layout (two SHA-256 blocks = 128 message bytes per lane-hash).
+/// backend, and the 16-lane batch the integer key scan runs on the
+/// active backend. 8-byte values splice into the derived 32-byte keys'
+/// fixed layout (two SHA-256 blocks = 128 message bytes per lane-hash).
 fn hash(spec: &WatermarkSpec, tuples: usize) -> Vec<Field> {
     let fast = spec
         .keyed1()
         .fixed_len_hasher(8)
         .expect("derived keys qualify for the two-block fast path");
-    let batches = (tuples * 2).max(100_000);
-    let mb_per_s = |backend: Sha256Backend| -> f64 {
+    let hashes = (tuples * 8).max(400_000) as u64;
+    let mb_per_s = |ms: f64| (hashes * 128) as f64 / (ms / 1e3) / 1e6;
+    let four_lane = |backend: Sha256Backend| -> f64 {
         // Cross-backend agreement is pinned by the crypto proptests;
         // the cheap spot check here guards the bench's own wiring.
         let probe = [&b"lane-one"[..], b"lane-two", b"lane-3__", b"lane-4__"];
@@ -554,28 +558,22 @@ fn hash(spec: &WatermarkSpec, tuples: usize) -> Vec<Field> {
             fast.hash4_u64_with(Sha256Backend::Soft, probe),
             "hash backends disagree"
         );
-        let best = best_ms(
+        mb_per_s(best_ms(
             || (),
             |()| {
                 let mut acc = 0u64;
-                for i in 0..batches as u64 {
-                    let vs = [
-                        (i * 4).to_le_bytes(),
-                        (i * 4 + 1).to_le_bytes(),
-                        (i * 4 + 2).to_le_bytes(),
-                        (i * 4 + 3).to_le_bytes(),
-                    ];
+                for i in (0..hashes).step_by(4) {
+                    let vs = [i, i + 1, i + 2, i + 3].map(u64::to_le_bytes);
                     let out = fast.hash4_u64_with(backend, [&vs[0][..], &vs[1], &vs[2], &vs[3]]);
                     acc ^= out[0] ^ out[1] ^ out[2] ^ out[3];
                 }
                 acc
             },
-        );
-        (batches * 4 * 128) as f64 / (best / 1e3) / 1e6
+        ))
     };
-    let soft = mb_per_s(Sha256Backend::Soft);
+    let soft = four_lane(Sha256Backend::Soft);
     let shani_available = Sha256Backend::ShaNi.is_available();
-    let shani = if shani_available { mb_per_s(Sha256Backend::ShaNi) } else { 0.0 };
+    let shani = if shani_available { four_lane(Sha256Backend::ShaNi) } else { 0.0 };
     if shani_available {
         let ratio = shani / soft;
         assert!(
@@ -583,12 +581,52 @@ fn hash(spec: &WatermarkSpec, tuples: usize) -> Vec<Field> {
             "SHA-NI keyed-hash throughput fell below the 1.5x floor: {ratio:.2}x"
         );
     }
+
+    let probe: [[u8; 8]; 16] =
+        std::array::from_fn(|lane| (lane as u64 * 0x0123_4567).to_le_bytes());
+    let soft16: Vec<u64> =
+        probe.iter().map(|v| fast.hash_u64_with(Sha256Backend::Soft, v)).collect();
+    assert_eq!(fast.hash16_u64(&probe).to_vec(), soft16, "the 16-lane batch disagrees with soft");
+    let sixteen = mb_per_s(best_ms(
+        || (),
+        |()| {
+            let mut acc = 0u64;
+            for i in (0..hashes).step_by(16) {
+                let vs: [[u8; 8]; 16] = std::array::from_fn(|lane| (i + lane as u64).to_le_bytes());
+                let out = fast.hash16_u64(&vs);
+                acc ^= out.iter().fold(0, |acc, h| acc ^ h);
+            }
+            acc
+        },
+    ));
+    if Sha256Backend::active().runs_avx512() {
+        let ratio = sixteen / shani;
+        assert!(
+            ratio >= 1.5,
+            "16-lane AVX-512F keyed-hash throughput fell below 1.5x the SHA-NI four-lane \
+             figure: {ratio:.2}x"
+        );
+    }
     vec![
         ("sha_backend", format!("\"{}\"", Sha256Backend::active().name())),
         ("sha_ni_available", shani_available.to_string()),
+        ("avx512f_available", avx512f_available().to_string()),
         ("hash_soft_mb_per_s", fixed(soft, 1)),
         ("hash_shani_mb_per_s", fixed(shani, 1)),
+        ("hash_16lane_mb_per_s", fixed(sixteen, 1)),
     ]
+}
+
+/// Whether the CPU reports AVX-512F, whichever backend is active.
+fn avx512f_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
 }
 
 /// The threaded plan build across thread counts, each count pinned

@@ -200,31 +200,36 @@ impl<'a> Decoder<'a> {
         let mut positions_observed = 0usize;
         let mut positions_erased = 0usize;
         let mut position_conflicts = 0usize;
-        let wm_data: Vec<Option<bool>> = (0..len)
+        let mut wm_data: Vec<Option<bool>> = (0..len)
             .map(|i| {
                 let (o, z) = (ones[i], zeros[i]);
                 if o + z == 0 {
                     positions_erased += 1;
-                    match self.spec.erasure {
-                        ErasurePolicy::Abstain => None,
-                        ErasurePolicy::RandomFill => Some(prf.bit("erasure", i as u64)),
-                        ErasurePolicy::ZeroFill => Some(false),
-                    }
+                    // `RandomFill`'s coin is drawn below.
+                    (self.spec.erasure == ErasurePolicy::ZeroFill).then_some(false)
                 } else {
                     positions_observed += 1;
                     if o > 0 && z > 0 {
                         position_conflicts += 1;
                     }
-                    match o.cmp(&z) {
-                        std::cmp::Ordering::Greater => Some(true),
-                        std::cmp::Ordering::Less => Some(false),
-                        std::cmp::Ordering::Equal => Some(prf.bit("pos-tie", i as u64)),
-                    }
+                    // A tie's coin is drawn below.
+                    (o != z).then_some(o > z)
                 }
             })
             .collect();
+        // The coins, 16 positions at a time per label.
+        let mut fill = |label: &str, positions: &mut dyn Iterator<Item = usize>| {
+            prf.coins(label).for_each(positions.map(|i| i as u64), |i, coin| {
+                wm_data[i as usize] = Some(coin & 1 == 1);
+            });
+        };
+        if self.spec.erasure == ErasurePolicy::RandomFill {
+            fill("erasure", &mut (0..len).filter(|&i| ones[i] + zeros[i] == 0));
+        }
+        fill("pos-tie", &mut (0..len).filter(|&i| ones[i] > 0 && ones[i] == zeros[i]));
 
-        let mut tie_break = |j: usize| prf.bit("wm-tie", j as u64);
+        let wm_ties = prf.coins("wm-tie");
+        let mut tie_break = |j: usize| wm_ties.value(j as u64) & 1 == 1;
         let watermark = ecc.decode(&wm_data, self.spec.wm_len, &mut tie_break);
         Ok(DecodeReport {
             watermark,

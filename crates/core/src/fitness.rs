@@ -186,20 +186,20 @@ pub struct IntFitScanner<'a> {
 }
 
 impl IntFitScanner<'_> {
-    /// Fitness facts for four keys at once, through the four-lane
-    /// interleaved hasher (a lone SHA-256 stream is latency-bound;
-    /// batching is where the columnar flat-slice scan earns its keep).
-    /// The rare `H(·, k2)` position hash runs per fit lane. Falls back
-    /// to four scalar calls when the key layout doesn't qualify.
+    /// Fitness facts for 16 keys at once, through the hasher's 16-lane
+    /// batch (a lone SHA-256 stream is latency-bound; batching is where
+    /// the columnar flat-slice scan earns its keep). The rare `H(·, k2)`
+    /// position hash runs per fit lane. Falls back to 16 scalar calls
+    /// when the key layout doesn't qualify.
     #[must_use]
-    pub fn facts4(&self, keys: [i64; 4]) -> [Option<FitFacts>; 4] {
+    pub fn facts16(&self, keys: [i64; 16]) -> [Option<FitFacts>; 16] {
         let Some(fast1) = &self.fast1 else {
             return keys.map(|k| self.facts(k));
         };
         let bufs = keys.map(|k| CanonicalInt(k).encode());
-        let h1s = fast1.hash4_u64([&bufs[0], &bufs[1], &bufs[2], &bufs[3]]);
-        let mut out = [None; 4];
-        for lane in 0..4 {
+        let h1s = fast1.hash16_u64(&bufs);
+        let mut out = [None; 16];
+        for lane in 0..16 {
             if !h1s[lane].is_multiple_of(self.selector.e) {
                 continue;
             }
@@ -381,11 +381,20 @@ mod tests {
     #[test]
     fn int_scanner_matches_value_facts() {
         // The specialized flat-slice scanner must reproduce the
-        // Value-based path bit for bit, fast path or fallback.
+        // Value-based path bit for bit, one key at a time and 16 at a
+        // time (the AVX-512F kernel where `avx512f` is detected).
         let sel = FitnessSelector::new(&spec(20));
         let scanner = sel.int_scanner();
-        for i in (-2_000i64..2_000).chain([i64::MIN, i64::MAX, 1_000_000_007]) {
+        let keys: Vec<i64> =
+            (-2_000i64..2_000).chain([i64::MIN, i64::MAX, 1_000_000_007]).collect();
+        for &i in &keys {
             assert_eq!(scanner.facts(i), sel.facts(&Value::Int(i)), "i={i}");
+        }
+        for batch in keys.chunks(16) {
+            let lanes: [i64; 16] = std::array::from_fn(|lane| batch[lane % batch.len()]);
+            for (&i, facts) in lanes.iter().zip(scanner.facts16(lanes)) {
+                assert_eq!(facts, sel.facts(&Value::Int(i)), "i={i}");
+            }
         }
     }
 

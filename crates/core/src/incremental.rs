@@ -384,7 +384,7 @@ mod tests {
         let foreign_id = other_log.commit(&mut coarse, &other_store).unwrap();
         let foreign = other_log.get(foreign_id).unwrap().clone();
 
-        let current = log.latest().unwrap().clone();
+        let current = log.manifests().last().unwrap().clone();
         let inc = session.embed_incremental(&mut seg, &wm, &foreign, &current).unwrap();
         assert!(inc.full_fallback);
         assert_eq!(inc.dirty_segments, seg.segment_count());

@@ -37,9 +37,9 @@ use crate::spec::WatermarkSpec;
 /// The paper's fingerprinting story derives an independent key pair per
 /// recipient, so every recipient's fit set / positions / value bases
 /// differ — the hash work is irreducible. What *is* reducible is the
-/// number of passes: the four-lane SHA-256 multibuffer that normally
-/// batches four **tuples** under one key (see
-/// [`crate::fitness::FitnessSelector::int_scanner`]) batches four
+/// number of passes: the SHA-256 lanes that normally batch **tuples**
+/// under one key, 16 at a time (see
+/// [`crate::fitness::FitnessSelector::int_scanner`]), batch four
 /// **recipient keys** per tuple here
 /// ([`crate::fitness::FitnessSelector::int_scanner4`]), so one
 /// streaming read of the key column yields whole-quad facts per tuple:
@@ -352,8 +352,8 @@ impl MarkPlan {
 /// monolithic scans byte-identical by construction.
 ///
 /// Integer columns compile the fixed-width scanner (two SHA-256 blocks
-/// per key, constant second-block schedule pre-expanded, four-lane
-/// multibuffer batching). Text columns precompute facts per
+/// per key, constant second-block schedule pre-expanded, 16 keys per
+/// batch). Text columns precompute facts per
 /// **dictionary code** when values repeat — `H(T_j(K), k)` hashes each
 /// distinct string once per plan, not once per row and not once per
 /// chunk — and fall back to per-row hashing for near-unique columns.
@@ -406,23 +406,16 @@ impl<'a> KeyScan<'a> {
     fn scan(&self, range: std::ops::Range<usize>, n: u64, out: &mut Vec<PlannedRow>) {
         match self {
             KeyScan::Int { scanner, keys } => {
-                let keys = &keys[range.clone()];
-                let mut row = range.start;
-                let mut quads = keys.chunks_exact(4);
-                for quad in &mut quads {
-                    let lanes = scanner.facts4([quad[0], quad[1], quad[2], quad[3]]);
-                    for (lane, facts) in lanes.into_iter().enumerate() {
+                let rows = range.clone().step_by(16);
+                for (batch, start) in keys[range].chunks(16).zip(rows) {
+                    // A short last batch repeats its keys to fill the
+                    // lanes; only its own lanes are kept.
+                    let lanes = std::array::from_fn(|lane| batch[lane % batch.len()]);
+                    for (lane, facts) in scanner.facts16(lanes)[..batch.len()].iter().enumerate() {
                         if let Some(facts) = facts {
-                            out.push(planned(row + lane, &facts, n));
+                            out.push(planned(start + lane, facts, n));
                         }
                     }
-                    row += 4;
-                }
-                for &key in quads.remainder() {
-                    if let Some(facts) = scanner.facts(key) {
-                        out.push(planned(row, &facts, n));
-                    }
-                    row += 1;
                 }
             }
             KeyScan::TextMemo { codes, facts } => {
@@ -1023,6 +1016,44 @@ mod tests {
         let (rel, spec) = fixture(20_000, 10);
         let reference = MarkPlan::build_sequential(&spec, &rel, 0);
         assert_eq!(MarkPlan::build(&spec, &rel, 0).fit(), reference.fit());
+
+        // Key columns of 0 to 40 rows end in every partial batch of the
+        // 16-key scan (the AVX-512F kernel where `avx512f` is detected),
+        // with negative and extreme keys in its lanes; every plan must
+        // equal the per-key facts.
+        let (base, spec) = fixture(40, 3);
+        let sel = FitnessSelector::new(&spec);
+        let keys: Vec<i64> = (0..40i64)
+            .map(|i| match i % 4 {
+                0 => i64::MIN + i,
+                1 => i64::MAX - i,
+                2 => -7_919 * i,
+                _ => 104_729 * i,
+            })
+            .collect();
+        for rows in 0..=40 {
+            let mut short = Relation::new(base.schema().clone());
+            for (row, &key) in keys[..rows].iter().enumerate() {
+                let mut values: Vec<Value> =
+                    (0..base.schema().arity()).map(|a| base.value(row, a).unwrap()).collect();
+                values[0] = Value::Int(key);
+                short.push(values).unwrap();
+            }
+            let expected: Vec<PlannedRow> = keys[..rows]
+                .iter()
+                .enumerate()
+                .filter_map(|(row, &key)| {
+                    let facts = sel.facts(&Value::Int(key))?;
+                    Some(planned(row, &facts, spec.domain.len() as u64))
+                })
+                .collect();
+            assert_eq!(MarkPlan::build_sequential(&spec, &short, 0).fit(), expected, "rows={rows}");
+            assert_eq!(
+                MarkPlan::build_with_threads(&spec, &short, 0, 3).fit(),
+                expected,
+                "rows={rows}"
+            );
+        }
     }
 
     #[test]

@@ -18,12 +18,21 @@
 //!
 //! Selection order:
 //!
-//! 1. `CATMARK_SHA_BACKEND=soft` forces the software path everywhere.
+//! 1. `CATMARK_SHA_BACKEND=soft` forces the software path everywhere,
+//!    16-lane batches included.
 //! 2. `CATMARK_SHA_BACKEND=shani` requests the hardware path; if the
 //!    CPU lacks the extension the request degrades to `soft` (same
 //!    digests, so this is safe) with a one-time stderr note.
 //! 3. No (or unrecognized) override: auto-detect — `shani` when the
 //!    CPU supports it, `soft` otherwise.
+//!
+//! Within the selected backend, the 16-lane batch
+//! ([`crate::FixedLenKeyedHasher::hash16_u64`]) that the integer key
+//! scan and the decoder's coins run picks its kernel: on `ShaNi`, the
+//! AVX-512F kernel in `sha256_avx512` when the CPU reports `avx512f`
+//! ([`Sha256Backend::runs_avx512`]), else the SHA-NI stream pairs four
+//! lanes at a time; on `Soft`, the software multibuffer. The CPU
+//! decides; no setting chooses the kernel.
 
 use std::sync::OnceLock;
 
@@ -59,6 +68,16 @@ impl Sha256Backend {
             Sha256Backend::Soft => "soft",
             Sha256Backend::ShaNi => "shani",
         }
+    }
+
+    /// Whether this backend's 16-lane batches
+    /// ([`crate::FixedLenKeyedHasher::hash16_u64_with`]) run the
+    /// AVX-512F kernel: only `ShaNi` does, and only on a CPU that has
+    /// the SHA Extensions and reports `avx512f`. Every other batch runs
+    /// as four-lane batches on this backend.
+    #[must_use]
+    pub fn runs_avx512(self) -> bool {
+        self == Sha256Backend::ShaNi && self.is_available() && avx512f_supported()
     }
 
     /// The process-wide active backend: selected on first call (env
@@ -99,6 +118,18 @@ fn shani_supported() -> bool {
         is_x86_feature_detected!("sha")
             && is_x86_feature_detected!("ssse3")
             && is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Runtime check for the 16-lane kernel's one feature, `avx512f`.
+fn avx512f_supported() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("avx512f")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {

@@ -244,20 +244,33 @@ impl KeyedHash {
     /// with the same canonical bytes (pinned by test).
     #[must_use]
     pub fn fixed_len_hasher(&self, vlen: usize) -> Option<FixedLenKeyedHasher> {
+        self.fixed_len_hasher_after(&[], vlen)
+    }
+
+    /// [`KeyedHash::fixed_len_hasher`] for `hash_u64(&[lead.., V])`:
+    /// the leading parts and their length prefixes join the constant
+    /// prefix, and `V` of exactly `vlen` bytes is the hole. The same
+    /// layout rule applies to the whole message.
+    fn fixed_len_hasher_after(&self, lead: &[&[u8]], vlen: usize) -> Option<FixedLenKeyedHasher> {
         if self.algo != HashAlgorithm::Sha256 {
             return None;
         }
         let key = self.key.as_bytes();
-        let v_offset = key.len() + 8;
-        let total = 2 * key.len() + 8 + vlen;
+        let mut prefix = key.to_vec();
+        for part in lead {
+            prefix.extend_from_slice(&(part.len() as u64).to_be_bytes());
+            prefix.extend_from_slice(part);
+        }
+        prefix.extend_from_slice(&(vlen as u64).to_be_bytes());
+        let v_offset = prefix.len();
+        let total = v_offset + vlen + key.len();
         // The value must sit entirely in block 1 and the padded message
         // must close in block 2 (0x80 marker + 8-byte bit length).
         if v_offset + vlen > 64 || !(65..=119).contains(&total) {
             return None;
         }
         let mut msg = [0u8; 128];
-        msg[..key.len()].copy_from_slice(key);
-        msg[key.len()..v_offset].copy_from_slice(&(vlen as u64).to_be_bytes());
+        msg[..v_offset].copy_from_slice(&prefix);
         // Value region msg[v_offset..v_offset + vlen] left as a hole.
         msg[v_offset + vlen..total].copy_from_slice(key);
         let mut block1 = [0u8; 64];
@@ -266,13 +279,26 @@ impl KeyedHash {
         block2[..total - 64].copy_from_slice(&msg[64..total]);
         block2[total - 64] = 0x80;
         block2[56..64].copy_from_slice(&((total as u64) * 8).to_be_bytes());
+        let block2_schedule = crate::sha256::expand_schedule(&block2);
+        let words = block_words(&block1);
         Some(FixedLenKeyedHasher {
             block1,
             v_offset,
             vlen,
-            block2_schedule: crate::sha256::expand_schedule(&block2),
+            block2_schedule,
+            prefix_state: crate::sha256::prefix_rounds(&words, v_offset / 4),
+            block2_wk: std::array::from_fn(|t| {
+                block2_schedule[t].wrapping_add(crate::sha256::K[t])
+            }),
         })
     }
+}
+
+/// A 64-byte block as its 16 big-endian words.
+fn block_words(block: &[u8; 64]) -> [u32; 16] {
+    std::array::from_fn(|j| {
+        u32::from_be_bytes([block[4 * j], block[4 * j + 1], block[4 * j + 2], block[4 * j + 3]])
+    })
 }
 
 /// See [`KeyedHash::fixed_len_hasher`]. Immutable and `Send + Sync`;
@@ -286,6 +312,12 @@ pub struct FixedLenKeyedHasher {
     /// Pre-expanded schedule of the constant second block (key tail +
     /// padding + length).
     block2_schedule: [u32; 64],
+    /// The working variables after block 1's rounds over the words
+    /// before the value, which every message shares: the 16-lane
+    /// kernel starts there.
+    prefix_state: [u32; 8],
+    /// `block2_schedule[t] + K[t]`, for the 16-lane kernel.
+    block2_wk: [u32; 64],
 }
 
 impl FixedLenKeyedHasher {
@@ -361,6 +393,86 @@ impl FixedLenKeyedHasher {
             block[self.v_offset..self.v_offset + self.vlen].copy_from_slice(v);
         }
         crate::sha256::digest4_two_blocks_u64_with(backend, &block1s, &self.block2_schedule)
+    }
+
+    /// Sixteen independent hashes in one call, bit-identical, lane for
+    /// lane, to sixteen [`Self::hash_u64`] calls (pinned by test). On
+    /// the `ShaNi` backend of a CPU with AVX-512F they run side by side
+    /// in the 16-lane kernel; everywhere else as four
+    /// [`Self::hash4_u64`] batches.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `N` differs from the width the hasher was compiled
+    /// for.
+    #[must_use]
+    pub fn hash16_u64<const N: usize>(&self, vs: &[[u8; N]; 16]) -> [u64; 16] {
+        self.hash16_u64_with(crate::Sha256Backend::active(), vs)
+    }
+
+    /// [`Self::hash16_u64`] on an explicit backend — see
+    /// [`Self::hash_u64_with`] for the contract.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `N` differs from the width the hasher was compiled
+    /// for.
+    #[must_use]
+    pub fn hash16_u64_with<const N: usize>(
+        &self,
+        backend: crate::Sha256Backend,
+        vs: &[[u8; N]; 16],
+    ) -> [u64; 16] {
+        assert_eq!(N, self.vlen, "fixed-length hasher fed a different value width");
+        #[cfg(target_arch = "x86_64")]
+        if backend.runs_avx512() {
+            let words = self.block1_words16(vs);
+            // SAFETY: `runs_avx512` verified the `avx512f` CPU feature
+            // at runtime.
+            #[allow(unsafe_code)]
+            unsafe {
+                return crate::sha256_avx512::digest16_two_blocks_u64(
+                    &words,
+                    self.v_offset / 4,
+                    &self.prefix_state,
+                    &self.block2_wk,
+                );
+            }
+        }
+        let mut out = [0u64; 16];
+        for (lanes, quad) in out.chunks_exact_mut(4).zip(vs.chunks_exact(4)) {
+            let quad = [&quad[0][..], &quad[1], &quad[2], &quad[3]];
+            lanes.copy_from_slice(&self.hash4_u64_with(backend, quad));
+        }
+        out
+    }
+
+    /// The 16 lanes' first blocks, word-major (`words[j][lane]`): the
+    /// template's words, with each lane's value ORed into the words it
+    /// covers (the template holds zeros there).
+    #[cfg(target_arch = "x86_64")]
+    fn block1_words16<const N: usize>(&self, vs: &[[u8; N]; 16]) -> [[u32; 16]; 16] {
+        let mut words = block_words(&self.block1).map(|word| [word; 16]);
+        let (first, skip) = (self.v_offset / 4, self.v_offset % 4);
+        let covered = &mut words[first..(self.v_offset + N).div_ceil(4)];
+        for (lane, v) in vs.iter().enumerate() {
+            if skip + N <= 16 {
+                // The covered words as one big-endian 128-bit window,
+                // built in registers.
+                let window =
+                    v.iter().fold(0u128, |x, &b| x << 8 | u128::from(b)) << (8 * (16 - skip - N));
+                for (i, row) in covered.iter_mut().enumerate() {
+                    row[lane] |= (window >> (96 - 32 * i)) as u32;
+                }
+            } else {
+                let mut window = [0u8; 64];
+                window[skip..skip + N].copy_from_slice(v);
+                for (row, bytes) in covered.iter_mut().zip(window.chunks_exact(4)) {
+                    row[lane] |= u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+                }
+            }
+        }
+        words
     }
 
     /// Bundle four fixed-length hashers — four *different* keys sharing
@@ -486,6 +598,20 @@ impl KeyedPrf {
         self.value(label, index) & 1 == 1
     }
 
+    /// The values of domain `label`, precompiled: for one label the
+    /// keyed message differs only in its 8-byte index, so a label of at
+    /// most 8 bytes under a 32-byte key hashes through a
+    /// [`FixedLenKeyedHasher`] with the index as its hole, 16 indices
+    /// at a time. Each value equals [`KeyedPrf::value`].
+    #[must_use]
+    pub fn coins<'a>(&'a self, label: &'a str) -> PrfCoins<'a> {
+        PrfCoins {
+            prf: self,
+            label,
+            fast: self.inner.fixed_len_hasher_after(&[label.as_bytes()], 8),
+        }
+    }
+
     /// Pseudorandom integer uniform in `[0, bound)`.
     ///
     /// Uses 64-bit modulo reduction; the bias is ≤ bound/2^64, far
@@ -498,6 +624,57 @@ impl KeyedPrf {
     pub fn below(&self, label: &str, index: u64, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         self.value(label, index) % bound
+    }
+}
+
+/// See [`KeyedPrf::coins`].
+#[derive(Debug, Clone)]
+pub struct PrfCoins<'a> {
+    prf: &'a KeyedPrf,
+    label: &'a str,
+    fast: Option<FixedLenKeyedHasher>,
+}
+
+impl PrfCoins<'_> {
+    /// `KeyedPrf::value(label, index)`.
+    #[must_use]
+    pub fn value(&self, index: u64) -> u64 {
+        match &self.fast {
+            Some(fast) => fast.hash_u64(&index.to_be_bytes()),
+            None => self.prf.value(self.label, index),
+        }
+    }
+
+    /// Calls `f(index, value)` for each of `indices` in order, hashing
+    /// them 16 at a time through [`FixedLenKeyedHasher::hash16_u64`].
+    pub fn for_each(&self, indices: impl IntoIterator<Item = u64>, mut f: impl FnMut(u64, u64)) {
+        let Some(fast) = &self.fast else {
+            for index in indices {
+                f(index, self.prf.value(self.label, index));
+            }
+            return;
+        };
+        let mut indices = indices.into_iter();
+        let mut batch = [0u64; 16];
+        loop {
+            let mut filled = 0;
+            for (slot, index) in batch.iter_mut().zip(&mut indices) {
+                *slot = index;
+                filled += 1;
+            }
+            if filled == 0 {
+                return;
+            }
+            // A short last batch hashes the previous batch's tail too,
+            // and ignores it.
+            let values = fast.hash16_u64(&batch.map(u64::to_be_bytes));
+            for (&index, &value) in batch[..filled].iter().zip(&values) {
+                f(index, value);
+            }
+            if filled < batch.len() {
+                return;
+            }
+        }
     }
 }
 
@@ -698,6 +875,40 @@ mod tests {
         let prf = KeyedPrf::new(HashAlgorithm::Sha256, SecretKey::from_u64(99));
         let ones = (0..2000).filter(|&i| prf.bit("test", i)).count();
         assert!((800..1200).contains(&ones), "ones={ones}");
+    }
+
+    #[test]
+    fn prf_coins_match_the_keyed_hash() {
+        // The decoder's three labels under a derived 32-byte key, drawn
+        // one at a time and 16 at a time (the AVX-512F kernel where
+        // `avx512f` is detected) over index runs ending in a partial
+        // batch. A label too long for the precompiled layout, and MD5,
+        // take the streaming path.
+        let key = SecretKey::from_bytes(b"coins".to_vec()).derive(HashAlgorithm::Sha256, "k2");
+        for (algo, label) in [
+            (HashAlgorithm::Sha256, "erasure"),
+            (HashAlgorithm::Sha256, "pos-tie"),
+            (HashAlgorithm::Sha256, "wm-tie"),
+            (HashAlgorithm::Sha256, "label-past-eight-bytes"),
+            (HashAlgorithm::Md5, "erasure"),
+        ] {
+            let prf = KeyedPrf::new(algo, key.clone());
+            let hash = KeyedHash::new(algo, key.clone());
+            for count in [0usize, 1, 16, 37] {
+                let indices: Vec<u64> = (0..count as u64).map(|i| i * 0x9e37_79b9 + 3).collect();
+                let expected: Vec<(u64, u64)> = indices
+                    .iter()
+                    .map(|&i| (i, hash.hash_u64(&[label.as_bytes(), &i.to_be_bytes()])))
+                    .collect();
+                let mut drawn = Vec::new();
+                prf.coins(label).for_each(indices.iter().copied(), |i, v| drawn.push((i, v)));
+                assert_eq!(drawn, expected, "{algo} {label} count={count}");
+                for &(i, v) in &expected {
+                    assert_eq!(prf.coins(label).value(i), v, "{algo} {label} i={i}");
+                }
+            }
+            assert_eq!(prf.coins(label).value(u64::MAX), prf.value(label, u64::MAX));
+        }
     }
 
     #[test]

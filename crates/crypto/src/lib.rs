@@ -29,10 +29,10 @@
 //! let _ = fit;
 //! ```
 
-// `unsafe` is denied crate-wide; the single exception is the SHA-NI
-// intrinsics module below, which opts back in explicitly and carries a
-// safety comment on every unsafe block. (`deny` rather than `forbid`
-// because `forbid` cannot be overridden at module scope.)
+// `unsafe` is denied crate-wide; the two exceptions are the SHA-NI and
+// AVX-512F intrinsics modules below, which opt back in explicitly and
+// carry a safety comment on every unsafe block. (`deny` rather than
+// `forbid` because `forbid` cannot be overridden at module scope.)
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -46,12 +46,17 @@ pub mod sha256;
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 #[deny(unsafe_op_in_unsafe_fn)] // every unsafe op gets an explicit, commented block
+pub(crate) mod sha256_avx512;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[deny(unsafe_op_in_unsafe_fn)] // every unsafe op gets an explicit, commented block
 pub(crate) mod sha256_shani;
 
 pub use backend::Sha256Backend;
 pub use digest::{Digest, DynDigest};
 pub use keyed::{
-    CanonicalInput, FixedLenKeyedHasher, FixedLenKeyedHasher4, KeyedHash, KeyedPrf, SecretKey,
+    CanonicalInput, FixedLenKeyedHasher, FixedLenKeyedHasher4, KeyedHash, KeyedPrf, PrfCoins,
+    SecretKey,
 };
 
 /// Selects one of the supported one-way hash functions.

@@ -398,6 +398,20 @@ macro_rules! sha256_round {
     };
 }
 
+/// The working variables after the first `rounds` rounds of a block
+/// whose leading words are `w[..rounds]`, from the initial state and
+/// before any feed-forward. Messages that share those words share this
+/// state, so the 16-lane kernel starts from it.
+pub(crate) fn prefix_rounds(w: &[u32; 16], rounds: usize) -> [u32; 8] {
+    let mut state = INIT;
+    for t in 0..rounds {
+        let [a, b, c, mut d, e, f, g, mut h] = state;
+        sha256_round!(a, b, c, d, e, f, g, h, K[t], w[t]);
+        state = [h, a, b, c, d, e, f, g];
+    }
+    state
+}
+
 /// The 64 SHA-256 rounds over a pre-expanded schedule.
 pub(crate) fn compress_schedule(state: &mut [u32; 8], w: &[u32; 64]) {
     let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;

@@ -3,7 +3,8 @@
 //! output to the software golden reference bit for bit — one-shot
 //! digests across message lengths (zero blocks through several,
 //! including every padding boundary), the fixed-length keyed hasher,
-//! and the four-lane multibuffer across lane counts.
+//! the four-lane multibuffer across lane counts, and the 16-lane batch
+//! (the AVX-512F kernel where the CPU reports `avx512f`).
 //!
 //! On CPUs without the SHA extensions the `ShaNi` requests fall back
 //! to software inside the dispatch layer, so the assertions hold
@@ -41,16 +42,48 @@ proptest! {
         );
     }
 
-    /// The fixed-length keyed hasher (single stream and all four
-    /// multibuffer lanes) across key widths, value widths, and value
-    /// content: identical truncated digests, and both agree with the
-    /// generic streaming construct.
+    /// The fixed-length keyed hasher (single stream, all four
+    /// multibuffer lanes and the 16-lane batch) across key widths,
+    /// value widths, and value content: identical truncated digests,
+    /// and both agree with the generic streaming construct.
     #[test]
     fn fixed_len_keyed_backends_are_bit_identical(
         key in proptest::collection::vec(any::<u8>(), 1..48),
         vlen in 1usize..48,
         seed in any::<u64>(),
     ) {
+        // The 16-lane batch, lane for lane against the soft single
+        // stream, at the widths of a PRF index (8 bytes) and a
+        // canonical integer (9), under every key length whose layout
+        // qualifies, so the rounds folded into the hasher's prefix run
+        // from 8 to 14; and at two widths past 13 bytes, which splice
+        // their values byte by byte. `ShaNi` runs the AVX-512F kernel
+        // only where `avx512f` is detected; elsewhere its four-lane
+        // pairs.
+        fn sixteen_lanes<const N: usize>(seed: u64) -> Result<(), TestCaseError> {
+            for key_len in 0..=64 {
+                let key: Vec<u8> =
+                    (0..key_len).map(|i| seed.rotate_left(i as u32) as u8 ^ i as u8).collect();
+                let h = KeyedHash::new(HashAlgorithm::Sha256, SecretKey::from_bytes(key));
+                let Some(fast) = h.fixed_len_hasher(N) else { continue };
+                let vs: [[u8; N]; 16] = std::array::from_fn(|lane| {
+                    let lane_seed = seed ^ (lane as u64).wrapping_mul(0x9e37_79b9);
+                    std::array::from_fn(|i| lane_seed.rotate_left(8 * i as u32) as u8)
+                });
+                let soft: Vec<u64> =
+                    vs.iter().map(|v| fast.hash_u64_with(Sha256Backend::Soft, v)).collect();
+                for backend in Sha256Backend::ALL {
+                    prop_assert_eq!(fast.hash16_u64_with(backend, &vs).to_vec(), soft.clone());
+                }
+                prop_assert_eq!(fast.hash16_u64(&vs).to_vec(), soft);
+            }
+            Ok(())
+        }
+        sixteen_lanes::<8>(seed)?;
+        sixteen_lanes::<9>(seed)?;
+        sixteen_lanes::<24>(seed)?;
+        sixteen_lanes::<40>(seed)?;
+
         let h = KeyedHash::new(HashAlgorithm::Sha256, SecretKey::from_bytes(key));
         let Some(fast) = h.fixed_len_hasher(vlen) else {
             // Layout doesn't qualify for the two-block fast path —

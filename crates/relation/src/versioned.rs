@@ -437,12 +437,6 @@ impl VersionLog {
         self.manifests.get(id as usize)
     }
 
-    /// The most recently committed manifest.
-    #[must_use]
-    pub fn latest(&self) -> Option<&VersionManifest> {
-        self.manifests.last()
-    }
-
     /// Commit the current state of `seg` as a new version: flush it
     /// (sealing the tail and writing back dirty segments — deduped by
     /// the content store), then record the ordered blob hashes. The
@@ -643,7 +637,7 @@ mod tests {
         let mut log = VersionLog::new();
         let v0 = log.commit(&mut seg, &store).unwrap();
         assert_eq!(v0, 0);
-        assert_eq!(log.latest().unwrap().rows(), 100);
+        assert_eq!(log.manifests().last().unwrap().rows(), 100);
         let mut back = log.open_version(v0, rel.schema(), &store, None).unwrap();
         let round = back.to_relation().unwrap();
         assert_eq!(round, rel);
@@ -744,7 +738,7 @@ mod tests {
                 .unwrap();
             let mut log = VersionLog::new();
             log.commit(&mut seg, &store).unwrap();
-            log.latest().unwrap().segments.iter().map(|s| s.hash).collect()
+            log.manifests().last().unwrap().segments.iter().map(|s| s.hash).collect()
         };
         let reopened = ContentStore::open_file(&path).unwrap();
         assert_eq!(reopened.unique_blobs(), hashes.len() as u64);
