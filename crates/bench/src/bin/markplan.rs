@@ -50,8 +50,9 @@
 //!   trip gives back equal columns, and at 120k rows the bytes match
 //!   the golden FNV;
 //! * **blocks** — the CLI's row-block pipeline on the same CSV:
-//!   `embed_blocks` over `read_csv_blocks` writes the bytes and report
-//!   of `read_csv` + `embed` + `write_csv`, and the block decode and
+//!   `embed_blocks` over `read_csv_blocks_with_bytes`, copying the rows
+//!   it did not alter, writes the bytes and report of `read_csv` +
+//!   `embed` + `write_csv`, and the block decode and
 //!   certified decode give the in-memory report and bundle. Both paths
 //!   of embed, decode and certify are timed; no speed gate, since a
 //!   runner may have one CPU.
@@ -75,7 +76,9 @@ use catmark_core::{
 use catmark_crypto::hex::to_hex;
 use catmark_crypto::{HashAlgorithm, Sha256Backend};
 use catmark_datagen::{ItemScanConfig, SalesGenerator};
-use catmark_relation::csv::{read_csv, read_csv_blocks, write_csv, write_csv_rows};
+use catmark_relation::csv::{
+    read_csv, read_csv_blocks, read_csv_blocks_with_bytes, write_csv, RowBytes,
+};
 use catmark_relation::spill::FileStore;
 use catmark_relation::{
     CategoricalDomain, ContentStore, Relation, SegmentedRelation, Value, VersionLog,
@@ -1044,22 +1047,27 @@ fn blocks(w: &Workload) -> Vec<Field> {
         write_csv(&rel, &mut out).expect("writing to a Vec never fails");
         (report, out)
     };
+    // As `catmark embed` runs it: the rows it did not alter are copied
+    // from the input.
     let embed_blocks = |session: &MarkSession| {
-        let mut out = Vec::new();
-        let render = |index: usize, block: &Relation| {
+        let source = |push: &mut dyn FnMut(Relation, RowBytes)| {
+            let mut input = BufReader::new(csv.as_slice());
+            read_csv_blocks_with_bytes(schema.clone(), &mut input, BLOCK_ROWS, push)
+                .map_err(CoreError::from)
+        };
+        let render = |index: usize, block: &Relation, bytes: &RowBytes, altered: &[usize]| {
             let mut rows = Vec::new();
-            let written = if index == 0 {
-                write_csv(block, &mut rows)
-            } else {
-                write_csv_rows(block, &mut rows)
-            };
-            written.expect("writing to a Vec never fails");
+            if index == 0 {
+                // The header: `write_csv` of no rows.
+                write_csv(&Relation::new(block.schema().clone()), &mut rows)
+                    .expect("writing to a Vec never fails");
+            }
+            bytes.write_rows(block, altered, &mut rows);
             rows
         };
-        let report = session
-            .embed_blocks(&w.wm, |push| source(&csv, push), render, |rows| out.extend(rows))
-            .expect("block embedding succeeds");
-        (report, out)
+        let (report, blocks) =
+            session.embed_blocks(&w.wm, &schema, source, render).expect("block embedding succeeds");
+        (report, blocks.concat())
     };
     let fresh = || bind(&w.spec, &rel);
     let (report, marked) = embed_memory(&fresh());

@@ -26,7 +26,8 @@ use std::collections::HashMap;
 use std::hash::Hash;
 
 use catmark_relation::{
-    ColumnMut, ColumnView, MarkDelta, MarkDeltaBuilder, Relation, TextColumnMut, Value,
+    AttrType, ColumnMut, ColumnView, MarkDelta, MarkDeltaBuilder, Relation, Schema, TextColumnMut,
+    Value,
 };
 
 use crate::ecc::ErrorCorrectingCode;
@@ -151,6 +152,11 @@ impl EmbedFold {
                 *covered = true;
             }
         }
+    }
+
+    /// The rows the folded passes altered, in the order they ran.
+    pub(crate) fn touched_rows(&self) -> &[usize] {
+        &self.report.touched_rows
     }
 
     pub(crate) fn finish(mut self) -> EmbedReport {
@@ -285,6 +291,32 @@ impl<'a> Embedder<'a> {
         Ok(())
     }
 
+    /// What makes a write pass over a relation of `schema` fail before
+    /// it writes, as that pass words it: the refusals of
+    /// [`Relation::column_mut`], then a domain whose values the target
+    /// column cannot hold.
+    ///
+    /// # Errors
+    ///
+    /// Those refusals.
+    pub(crate) fn check_target(&self, schema: &Schema, attr_idx: usize) -> Result<(), CoreError> {
+        let refuse = |reason: String| {
+            Err(CoreError::Relation(catmark_relation::RelationError::InvalidSchema(reason)))
+        };
+        if attr_idx >= schema.arity() {
+            return refuse(format!("attribute index {attr_idx} out of range"));
+        }
+        if attr_idx == schema.key_index() {
+            return refuse(
+                "the key column cannot be rewritten in bulk (it backs the key index)".into(),
+            );
+        }
+        match schema.attr(attr_idx).ty {
+            AttrType::Integer => domain_as(self.spec, "integer", Value::as_int).map(drop),
+            AttrType::Text => domain_as(self.spec, "text", Value::as_text).map(drop),
+        }
+    }
+
     /// Resolve the spec's domain against `rel`'s target column once:
     /// raw integers for an integer column, or — for a text column —
     /// each domain value's code in the *virtually extended* code space
@@ -304,16 +336,7 @@ impl<'a> Embedder<'a> {
         rel: &Relation,
         attr_idx: usize,
     ) -> Result<DeltaDomainTable, CoreError> {
-        if attr_idx >= rel.schema().arity() {
-            return Err(CoreError::Relation(catmark_relation::RelationError::InvalidSchema(
-                format!("attribute index {attr_idx} out of range"),
-            )));
-        }
-        if attr_idx == rel.schema().key_index() {
-            return Err(CoreError::Relation(catmark_relation::RelationError::InvalidSchema(
-                "the key column cannot be rewritten in bulk (it backs the key index)".into(),
-            )));
-        }
+        self.check_target(rel.schema(), attr_idx)?;
         match rel.column(attr_idx) {
             ColumnView::Int(_) => {
                 Ok(DeltaDomainTable::Int(domain_as(self.spec, "integer", Value::as_int)?))

@@ -999,8 +999,8 @@ impl MarkSession {
     /// the blocks make up, or with a claim [`MarkSession::detect_certified`]'s,
     /// whose detection is `detect(&outcome.watermark, claimed)`. The
     /// bundle carries the one merged tally. The whole-relation identity
-    /// is hashed in block order, on a thread of its own beside the
-    /// workers, and no more than the blocks in flight are held.
+    /// is hashed in block order on the calling thread, as each block is
+    /// read, and no more than the blocks in flight are held.
     ///
     /// # Errors
     ///
@@ -1012,7 +1012,12 @@ impl MarkSession {
         source: impl FnOnce(&mut dyn FnMut(Relation)) -> Result<(), E>,
     ) -> Result<Certified<DecodeReport>, E> {
         let mut identity = IdentityHasher::default();
-        let tally = self.tally_blocks(source, Some(|rel: &Relation| identity.update(rel)))?;
+        let tally = self.tally_blocks(|push| {
+            source(&mut |rel| {
+                identity.update(&rel);
+                push(rel);
+            })
+        })?;
         let report = Decoder::engine(self.spec()).resolve(&MajorityVotingEcc, &tally)?;
         let detection = claimed.map(|claimed| detect(&report.watermark, claimed));
         let claim = claimed.zip(detection.as_ref());

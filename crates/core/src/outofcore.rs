@@ -59,11 +59,13 @@
 //!
 //! [`MarkSession::embed_blocks`] and [`MarkSession::decode_blocks`]
 //! run the same per-segment passes over a relation that arrives as row
-//! blocks, such as a CSV file read [`BLOCK_ROWS`] rows at a time: one
-//! worker per core plans and passes each block into its own fold or
-//! tally while the calling thread reads the next, and the workers'
-//! folds and tallies add up to the in-memory ones for the reason
-//! above.
+//! blocks, such as a CSV file read [`BLOCK_ROWS`] rows at a time, on
+//! one thread per core: the calling thread reads the blocks into one
+//! bounded queue that the other threads work, and works a block itself
+//! whenever the queue is full. Each thread plans and passes its blocks
+//! into a fold or tally of its own, and those add up to the in-memory
+//! ones for the reason above. Each block's result is put in block order
+//! once, after the threads join.
 //!
 //! ```
 //! use catmark_core::{detect, MarkSession, Watermark, WatermarkSpec};
@@ -102,12 +104,12 @@
 //! # use catmark_core::session::Outcome;
 //! ```
 
-use std::collections::VecDeque;
 use std::ops::Deref;
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::{Scope, ScopedJoinHandle};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, TrySendError};
+use std::sync::{Arc, Mutex};
 
-use catmark_relation::{Relation, RelationError, SegmentedRelation, VersionManifest};
+use catmark_relation::{Relation, RelationError, Schema, SegmentedRelation, VersionManifest};
 
 use crate::decode::{DecodeReport, Decoder, VoteAccumulator};
 use crate::ecc::MajorityVotingEcc;
@@ -543,7 +545,7 @@ fn visit<S: Step>(
 }
 
 /// Rows per block when a relation streams in as row blocks, as the CLI
-/// reads a CSV file. Each block is planned on one worker with
+/// reads a CSV file. Each block is planned on one thread with
 /// [`MarkPlan::build_sequential`]; blocks this size stay below the
 /// size at which [`MarkPlan::build`] would thread.
 pub const BLOCK_ROWS: usize = 8_192;
@@ -555,68 +557,75 @@ struct BlockAt {
     first_row: usize,
 }
 
-/// A block's work done: its result, and the block when a tap wants it.
-type Done<T> = (Result<T, CoreError>, Option<Relation>);
-
-/// A block on its way to a worker, with where its result goes.
-type Job<T> = (Relation, BlockAt, mpsc::SyncSender<Done<T>>);
-
 impl MarkSession {
     /// [`MarkSession::embed`] over a relation that arrives as row
     /// blocks. `source` hands every block, in row order, to the
-    /// function it is given (as `catmark_relation::csv::read_csv_blocks`
-    /// does) and returns how reading ended. Workers on every core plan
-    /// and mark the blocks, then run `render` on each marked block with
-    /// its index in the stream; `sink` receives what `render` returned,
-    /// block by block in order, on the calling thread. The report equals
-    /// [`MarkSession::embed`]'s on the relation the blocks make up, and
-    /// the marked blocks are its marked rows: every planned fact and
-    /// every write depends only on the row's own key and `wm_data`.
+    /// function it is given, each with a payload of the caller's (as
+    /// `catmark_relation::csv::read_csv_blocks_with_bytes` hands its
+    /// blocks and their row bytes), and returns how reading ended. The
+    /// blocks are planned and marked on every core, and `render` runs on
+    /// each marked block with its index in the stream, its payload and
+    /// the rows (ascending, counted from the block's first) that the
+    /// pass altered. What `render` returned comes back in block order.
+    /// The report equals [`MarkSession::embed`]'s on the relation the
+    /// blocks make up, and the marked blocks are its marked rows: every
+    /// planned fact and every write depends only on the row's own key
+    /// and `wm_data`.
     ///
     /// # Errors
     ///
-    /// Watermark length mismatch before any block is read, binding
-    /// drift, or the error `source` returned. `source` runs to its end
-    /// even after a block fails, so its own error comes first, as it
-    /// would reading the whole relation before embedding.
-    pub fn embed_blocks<R, E>(
+    /// Before any block is read: watermark length mismatch, binding
+    /// drift against `schema` (the schema of every block), or a target
+    /// column the write pass refuses, so no block of such a source can
+    /// fail. After: the error `source` returned. `source` runs to its
+    /// end even after a block fails, so its own error comes first, as
+    /// it would reading the whole relation before embedding.
+    pub fn embed_blocks<K, R, E>(
         &self,
         wm: &Watermark,
-        source: impl FnOnce(&mut dyn FnMut(Relation)) -> Result<(), E>,
-        render: impl Fn(usize, &Relation) -> R + Sync,
-        sink: impl FnMut(R),
-    ) -> Result<EmbedReport, E>
+        schema: &Schema,
+        source: impl FnOnce(&mut dyn FnMut(Relation, K)) -> Result<(), E>,
+        render: impl Fn(usize, &Relation, &K, &[usize]) -> R + Sync,
+    ) -> Result<(EmbedReport, Vec<R>), E>
     where
+        K: Send,
         R: Send,
         E: From<CoreError>,
     {
         let engine = Embedder::engine(self.spec());
         let wm_data = engine.wm_data(wm, &MajorityVotingEcc)?;
         let (key_idx, attr_idx) = (self.key().index(), self.target().index());
+        self.key().still_bound(schema)?;
+        self.target().still_bound(schema)?;
+        engine.check_target(schema, attr_idx)?;
         let facts = TextFacts::default();
-        let work = |fold: &mut EmbedFold, rel: &mut Relation, at: BlockAt| {
-            self.check(rel)?;
-            let plan = MarkPlan::build_block(self.spec(), rel, key_idx, &facts);
-            engine.embed_pass(rel, attr_idx, &wm_data, None, &plan, at.first_row, fold)?;
-            Ok(render(at.index, rel))
+        let work = |fold: &mut EmbedFold, mut rel: Relation, payload: K, at: BlockAt| {
+            self.check(&rel)?;
+            let plan = MarkPlan::build_block(self.spec(), &rel, key_idx, &facts);
+            let before = fold.touched_rows().len();
+            engine.embed_pass(&mut rel, attr_idx, &wm_data, None, &plan, at.first_row, fold)?;
+            let altered: Vec<usize> =
+                fold.touched_rows()[before..].iter().map(|row| row - at.first_row).collect();
+            Ok(render(at.index, &rel, &payload, &altered))
         };
         let init = || EmbedFold::new(self.spec());
-        let parts = run_blocks(source, init, work, sink, None::<fn(&Relation)>)?;
-        let fold = parts.into_iter().reduce(|mut fold, part| {
+        let (folds, rendered) = run_blocks(host_threads(), source, init, work)?;
+        let fold = folds.into_iter().reduce(|mut fold, part| {
             fold.merge(part);
             fold
         });
         let mut report = fold.unwrap_or_else(init).finish();
-        // Each worker's blocks interleave with the others'.
+        // Each thread's blocks interleave with the others'.
         report.touched_rows.sort_unstable();
-        Ok(report)
+        Ok((report, rendered))
     }
 
     /// [`MarkSession::decode`] over a relation that arrives as row
-    /// blocks, with `source` as in [`MarkSession::embed_blocks`]: each
-    /// worker tallies its blocks' votes, and the tallies sum into one
-    /// resolution. Only the blocks in flight are held, about two per
-    /// worker, and one tally per worker, never the relation.
+    /// blocks, with `source` as in [`MarkSession::embed_blocks`] but
+    /// without payloads: each thread tallies its blocks' votes, and the
+    /// tallies sum into one resolution. Only the blocks in flight are
+    /// held, at most three per thread, and one tally per thread, never
+    /// the relation.
     ///
     /// # Errors
     ///
@@ -625,28 +634,27 @@ impl MarkSession {
         &self,
         source: impl FnOnce(&mut dyn FnMut(Relation)) -> Result<(), E>,
     ) -> Result<DecodeReport, E> {
-        let votes = self.tally_blocks(source, None::<fn(&Relation)>)?;
+        let votes = self.tally_blocks(source)?;
         Ok(Decoder::engine(self.spec()).resolve(&MajorityVotingEcc, &votes)?)
     }
 
     /// The decode driver behind every block decode: the votes of every
-    /// block, summed. `tap`, when given, sees every block after its
-    /// tally, in order.
+    /// block, summed.
     pub(crate) fn tally_blocks<E: From<CoreError>>(
         &self,
         source: impl FnOnce(&mut dyn FnMut(Relation)) -> Result<(), E>,
-        tap: Option<impl FnMut(&Relation) + Send>,
     ) -> Result<VoteAccumulator, E> {
         let (spec, attr_idx) = (self.spec(), self.target().index());
         let facts = TextFacts::default();
-        let work = |votes: &mut VoteAccumulator, rel: &mut Relation, _: BlockAt| {
-            self.check(rel)?;
-            let plan = MarkPlan::build_block(spec, rel, self.key().index(), &facts);
-            votes.add(spec, rel, attr_idx, &plan);
+        let work = |votes: &mut VoteAccumulator, rel: Relation, (), _| {
+            self.check(&rel)?;
+            let plan = MarkPlan::build_block(spec, &rel, self.key().index(), &facts);
+            votes.add(spec, &rel, attr_idx, &plan);
             Ok(())
         };
         let init = || VoteAccumulator::new(spec.wm_data_len);
-        let parts = run_blocks(source, init, work, |()| {}, tap)?;
+        let blocks = |push: &mut dyn FnMut(Relation, ())| source(&mut |rel| push(rel, ()));
+        let (parts, _) = run_blocks(host_threads(), blocks, init, work)?;
         let votes = parts.into_iter().reduce(|mut votes, part| {
             votes.merge(&part);
             votes
@@ -655,217 +663,101 @@ impl MarkSession {
     }
 }
 
+/// The threads a block driver runs on: one per core.
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+}
+
+/// A block, its payload and where it sits.
+type Job<K> = (Relation, K, BlockAt);
+
+/// One thread's share of a block run: its state, once it has worked a
+/// block, and each block's result by index.
+type Part<S, T> = (Option<S>, Vec<(usize, Result<T, CoreError>)>);
+
 /// The block driver: run `work` over every block `source` pushes, on
-/// one worker per core, each worker adding to a state of its own from
-/// `init`; `fold` each block's result in block order on the calling
-/// thread, which also runs `source`; and return the states for the
-/// caller to merge. Every state is as large as one block needs, not one
-/// per block. About two blocks per worker are in flight. A one-block
-/// stream, or any stream on one CPU, runs inline without spawning: the
-/// first block is held until a second one arrives. `tap` sees each
-/// folded block in order, on a thread of its own once the workers
-/// start. After a block fails, later blocks are dropped unworked while
-/// `source` reads on, so an error of `source` comes before the block's.
-fn run_blocks<S: Send, T: Send, E: From<CoreError>>(
-    source: impl FnOnce(&mut dyn FnMut(Relation)) -> Result<(), E>,
+/// `threads` threads, each adding to a state of its own from `init`,
+/// and return those states for the caller to merge and the results in
+/// block order. The calling thread runs `source` and queues each block
+/// on one queue of `2 × threads` blocks, which `threads − 1` helpers
+/// work; when the queue is full it works the block itself, and once
+/// `source` ends it works what is queued. So at most the queue and one
+/// block per thread are held. A one-block stream, or any stream on one
+/// thread, runs on the calling thread without spawning: the first block
+/// is held until a second one arrives. After a block fails, later
+/// blocks are dropped unworked while `source` reads on; the error of
+/// `source` comes first, then that of the lowest-index block that
+/// failed.
+fn run_blocks<K: Send, S: Send, T: Send, E: From<CoreError>>(
+    threads: usize,
+    source: impl FnOnce(&mut dyn FnMut(Relation, K)) -> Result<(), E>,
     init: impl Fn() -> S + Sync,
-    work: impl Fn(&mut S, &mut Relation, BlockAt) -> Result<T, CoreError> + Sync,
-    fold: impl FnMut(T),
-    tap: Option<impl FnMut(&Relation) + Send>,
-) -> Result<Vec<S>, E> {
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let (read, finished) = std::thread::scope(|scope| {
-        let mut blocks = Blocks {
-            scope,
-            threads,
-            init: &init,
-            work: &work,
-            fold,
-            tap: tap.map_or(Tap::Off, Tap::Inline),
-            next: BlockAt::default(),
-            held: None,
-            own: None,
-            queue: None,
-            workers: Vec::new(),
-            pending: VecDeque::new(),
-            failed: None,
-        };
-        let read = source(&mut |rel| blocks.push(rel));
-        (read, blocks.finish())
+    work: impl Fn(&mut S, Relation, K, BlockAt) -> Result<T, CoreError> + Sync,
+) -> Result<(Vec<S>, Vec<T>), E> {
+    // The lowest index of a block that failed.
+    let failed = AtomicUsize::new(usize::MAX);
+    let run = |(state, results): &mut Part<S, T>, (rel, payload, at): Job<K>| {
+        if at.index < failed.load(Ordering::Relaxed) {
+            let result = work(state.get_or_insert_with(&init), rel, payload, at);
+            if result.is_err() {
+                failed.fetch_min(at.index, Ordering::Relaxed);
+            }
+            results.push((at.index, result));
+        }
+    };
+    let (queue, jobs) = mpsc::sync_channel::<Job<K>>(2 * threads);
+    let jobs = Mutex::new(jobs);
+    // Each queued block, until the queue closes and empties.
+    let next_job = || jobs.lock().expect("the block queue is never poisoned").recv().ok();
+    let (read, parts) = std::thread::scope(|scope| {
+        let mut here: Part<S, T> = (None, Vec::new());
+        let mut helpers = Vec::new();
+        let mut held = None;
+        let mut next = BlockAt::default();
+        let read = source(&mut |rel, payload| {
+            let at = next;
+            next = BlockAt { index: at.index + 1, first_row: at.first_row + rel.len() };
+            let job = (rel, payload, at);
+            if threads < 2 {
+                return run(&mut here, job);
+            }
+            if helpers.is_empty() {
+                let Some(first) = held.take() else {
+                    held = Some(job);
+                    return;
+                };
+                helpers = (1..threads)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut part = (None, Vec::new());
+                            while let Some(job) = next_job() {
+                                run(&mut part, job);
+                            }
+                            part
+                        })
+                    })
+                    .collect();
+                queue.try_send(first).expect("an empty queue takes a block");
+            }
+            if let Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) =
+                queue.try_send(job)
+            {
+                run(&mut here, job);
+            }
+        });
+        drop(queue);
+        for job in held.into_iter().chain(std::iter::from_fn(next_job)) {
+            run(&mut here, job);
+        }
+        let joined = helpers.into_iter().map(|h| h.join().expect("block workers do not panic"));
+        (read, std::iter::once(here).chain(joined).collect::<Vec<_>>())
     });
     read?;
-    Ok(finished?)
-}
-
-/// [`run_blocks`]'s state on the calling thread.
-struct Blocks<'scope, 'env, S, T, I, W, F, P> {
-    scope: &'scope Scope<'scope, 'env>,
-    threads: usize,
-    init: &'scope I,
-    work: &'scope W,
-    fold: F,
-    tap: Tap<P>,
-    /// Where the next block sits.
-    next: BlockAt,
-    /// The first block, until a second shows the stream needs workers.
-    held: Option<(Relation, BlockAt)>,
-    /// The calling thread's state, once it works a block itself.
-    own: Option<S>,
-    /// The workers' queue, once they run.
-    queue: Option<mpsc::Sender<Job<T>>>,
-    workers: Vec<ScopedJoinHandle<'scope, S>>,
-    /// Results not yet folded, in block order.
-    pending: VecDeque<mpsc::Receiver<Done<T>>>,
-    failed: Option<CoreError>,
-}
-
-impl<'scope, S, T, I, W, F, P> Blocks<'scope, '_, S, T, I, W, F, P>
-where
-    S: Send + 'scope,
-    T: Send + 'scope,
-    I: Fn() -> S + Sync,
-    W: Fn(&mut S, &mut Relation, BlockAt) -> Result<T, CoreError> + Sync,
-    F: FnMut(T),
-    P: FnMut(&Relation) + Send + 'scope,
-{
-    fn push(&mut self, rel: Relation) {
-        let at = self.next;
-        self.next = BlockAt { index: at.index + 1, first_row: at.first_row + rel.len() };
-        if self.failed.is_some() {
-            return;
-        }
-        if self.threads < 2 {
-            return self.run_here(rel, at);
-        }
-        if self.queue.is_none() {
-            let Some(first) = self.held.take() else {
-                self.held = Some((rel, at));
-                return;
-            };
-            self.start();
-            self.send(first);
-        }
-        self.send((rel, at));
-    }
-
-    /// Work a block on the calling thread.
-    fn run_here(&mut self, rel: Relation, at: BlockAt) {
-        let own = self.own.get_or_insert_with(self.init);
-        let done = run(self.work, own, rel, at, true);
-        self.settle(done);
-    }
-
-    /// Spawn the workers, and the tap's thread.
-    fn start(&mut self) {
-        let (queue, jobs) = mpsc::channel::<Job<T>>();
-        let jobs = Arc::new(Mutex::new(jobs));
-        // Without a tap, a block is dropped where it was worked.
-        let keep = !matches!(self.tap, Tap::Off);
-        for _ in 0..self.threads {
-            let (jobs, init, work) = (Arc::clone(&jobs), self.init, self.work);
-            self.workers.push(self.scope.spawn(move || {
-                let mut state = init();
-                loop {
-                    let job = jobs.lock().expect("the block queue is never poisoned").recv();
-                    let Ok((rel, at, reply)) = job else { break };
-                    // A closed reply means the caller stopped folding.
-                    let _ = reply.send(run(work, &mut state, rel, at, keep));
-                }
-                state
-            }));
-        }
-        self.queue = Some(queue);
-        if let Tap::Inline(mut tap) = std::mem::replace(&mut self.tap, Tap::Off) {
-            let (blocks, rx) = mpsc::sync_channel::<Relation>(2);
-            self.scope.spawn(move || rx.into_iter().for_each(|rel| tap(&rel)));
-            self.tap = Tap::Thread(blocks);
-        }
-    }
-
-    /// Queue a block once fewer than two per worker are in flight, then
-    /// fold every result that has come back in order.
-    fn send(&mut self, (rel, at): (Relation, BlockAt)) {
-        if self.pending.len() >= 2 * self.threads {
-            self.settle_front();
-        }
-        let (reply, done) = mpsc::sync_channel(1);
-        let queue = self.queue.as_ref().expect("workers run before blocks are queued");
-        queue.send((rel, at, reply)).expect("block workers run until the queue closes");
-        self.pending.push_back(done);
-        while let Some(Ok(done)) = self.pending.front().map(mpsc::Receiver::try_recv) {
-            self.pending.pop_front();
-            self.settle(done);
-        }
-    }
-
-    fn settle_front(&mut self) {
-        let front = self.pending.pop_front().expect("a block is in flight");
-        self.settle(front.recv().expect("block workers do not panic"));
-    }
-
-    fn settle(&mut self, (result, rel): Done<T>) {
-        match result {
-            Ok(out) if self.failed.is_none() => {
-                (self.fold)(out);
-                if let Some(rel) = rel {
-                    self.tap.feed(rel);
-                }
-            }
-            Ok(_) => {}
-            Err(e) => {
-                self.failed.get_or_insert(e);
-            }
-        }
-    }
-
-    /// Run a held block inline, fold what is in flight, stop the
-    /// workers and the tap (the scope joins the tap), and hand back
-    /// every state, or the first failure.
-    fn finish(mut self) -> Result<Vec<S>, CoreError> {
-        if let Some((rel, at)) = self.held.take() {
-            self.run_here(rel, at);
-        }
-        while !self.pending.is_empty() {
-            self.settle_front();
-        }
-        self.queue = None;
-        let mut states: Vec<S> = self.own.take().into_iter().collect();
-        for worker in self.workers.drain(..) {
-            states.push(worker.join().expect("block workers do not panic"));
-        }
-        self.failed.take().map_or(Ok(states), Err)
-    }
-}
-
-fn run<S, T>(
-    work: &impl Fn(&mut S, &mut Relation, BlockAt) -> Result<T, CoreError>,
-    state: &mut S,
-    mut rel: Relation,
-    at: BlockAt,
-    keep: bool,
-) -> Done<T> {
-    let result = work(state, &mut rel, at);
-    (result, keep.then_some(rel))
-}
-
-/// [`run_blocks`]'s tap: off, on the calling thread, or fed through a
-/// bounded channel to a thread of its own.
-enum Tap<P> {
-    Off,
-    Inline(P),
-    Thread(mpsc::SyncSender<Relation>),
-}
-
-impl<P: FnMut(&Relation)> Tap<P> {
-    fn feed(&mut self, rel: Relation) {
-        match self {
-            Tap::Off => {}
-            Tap::Inline(tap) => tap(&rel),
-            Tap::Thread(blocks) => {
-                blocks.send(rel).expect("the tap runs until its channel closes");
-            }
-        }
-    }
+    let (states, results): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+    let mut results: Vec<_> = results.into_iter().flatten().collect();
+    results.sort_unstable_by_key(|&(index, _)| index);
+    let results = results.into_iter().map(|(_, result)| result).collect::<Result<_, _>>()?;
+    Ok((states.into_iter().flatten().collect(), results))
 }
 
 /// Check that `manifest` describes `seg`'s committed geometry — the
@@ -1077,5 +969,184 @@ mod tests {
             session.embed_segmented_with(&mut piped, &wm, None, Walk::Pipelined).unwrap();
         assert_eq!(pipe_report, mono_report);
         assert_eq!(stats.prefetched, piped.segment_count() - 1);
+    }
+
+    /// Blocks of `sizes` rows of one integer column, row `r` holding `r`.
+    fn int_blocks(sizes: &[usize]) -> Vec<Relation> {
+        let schema = catmark_relation::Schema::builder()
+            .key_attr("k", catmark_relation::AttrType::Integer)
+            .build()
+            .unwrap();
+        let mut first = 0;
+        sizes
+            .iter()
+            .map(|&n| {
+                let rows = (first..first + n as i64).collect();
+                first += n as i64;
+                let columns = vec![catmark_relation::Column::Int(rows)];
+                Relation::from_columns(schema.clone(), columns).unwrap()
+            })
+            .collect()
+    }
+
+    /// A source pushing `blocks` with their indices as payloads, then
+    /// ending with `end`.
+    fn pushing(
+        blocks: Vec<Relation>,
+        end: Result<(), CoreError>,
+    ) -> impl FnOnce(&mut dyn FnMut(Relation, usize)) -> Result<(), CoreError> {
+        move |push| {
+            for (i, block) in blocks.into_iter().enumerate() {
+                push(block, i);
+            }
+            end
+        }
+    }
+
+    fn failing(index: usize) -> CoreError {
+        CoreError::InvalidSpec(format!("block {index} failed"))
+    }
+
+    #[test]
+    fn block_results_come_back_in_order_with_every_state() {
+        let sizes: Vec<usize> = (0..40).map(|i| i % 7).collect();
+        // Each block's result: its index and first row, which its first
+        // cell holds.
+        let work = |state: &mut Vec<usize>, rel: Relation, i: usize, at: BlockAt| {
+            assert_eq!(i, at.index);
+            if let Some(first) = rel.value(0, 0).ok().and_then(|v| v.as_int()) {
+                assert_eq!(first as usize, at.first_row);
+            }
+            state.push(at.index);
+            Ok((at.index, at.first_row))
+        };
+        let mut first_rows = vec![0];
+        for n in &sizes {
+            first_rows.push(first_rows.last().unwrap() + n);
+        }
+        let expected: Vec<_> = (0..sizes.len()).map(|i| (i, first_rows[i])).collect();
+        for threads in 1..=3 {
+            let source = pushing(int_blocks(&sizes), Ok(()));
+            let (states, results) = run_blocks(threads, source, Vec::new, work).unwrap();
+            assert_eq!(results, expected, "{threads} threads");
+            assert!(states.len() <= threads, "{threads} threads, {} states", states.len());
+            let mut worked: Vec<usize> = states.concat();
+            worked.sort_unstable();
+            assert_eq!(worked, (0..sizes.len()).collect::<Vec<_>>(), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn the_lowest_failing_block_and_then_the_source_fail_the_run() {
+        let work = |(): &mut (), _: Relation, i: usize, _: BlockAt| match i {
+            // The later failure comes first.
+            9 => Err(failing(9)),
+            13 => {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                Err(failing(13))
+            }
+            _ => Ok(i),
+        };
+        for threads in 1..=3 {
+            let source = pushing(int_blocks(&[3; 30]), Ok(()));
+            let err = run_blocks(threads, source, || (), work).unwrap_err();
+            assert_eq!(err.to_string(), failing(9).to_string(), "{threads} threads");
+            let end = Err(CoreError::InvalidSpec("the source failed".into()));
+            let err = run_blocks(threads, pushing(int_blocks(&[3; 30]), end), || (), work);
+            let message = err.unwrap_err().to_string();
+            assert!(message.contains("the source failed"), "{threads} threads: {message}");
+        }
+    }
+
+    #[test]
+    fn a_queued_block_that_fails_after_a_later_one_still_wins() {
+        // At two threads the helper takes block 0 and holds it until
+        // block 7 has failed. Meanwhile blocks 1 to 4 fill the queue, so
+        // the calling thread works 5 to 7 itself; block 3 fails only
+        // after block 7 has.
+        let (failed_late, late) = mpsc::channel();
+        let late = Mutex::new(late);
+        let work = |(): &mut (), _: Relation, i: usize, _: BlockAt| match i {
+            0 => {
+                let late = late.lock().unwrap().recv_timeout(std::time::Duration::from_secs(10));
+                late.expect("block 7 fails while block 0 is held");
+                Ok(())
+            }
+            3 => Err(failing(3)),
+            7 => {
+                failed_late.send(()).unwrap();
+                Err(failing(7))
+            }
+            _ => Ok(()),
+        };
+        let err = run_blocks(2, pushing(int_blocks(&[3; 12]), Ok(())), || (), work).unwrap_err();
+        assert_eq!(err.to_string(), failing(3).to_string());
+    }
+
+    #[test]
+    fn a_tap_in_the_source_sees_each_block_once_in_order_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for threads in 1..=3 {
+            let mut tapped = Vec::new();
+            let blocks = int_blocks(&[2; 25]);
+            let source = |push: &mut dyn FnMut(Relation, usize)| {
+                pushing(blocks, Ok(()))(&mut |block, i| {
+                    assert_eq!(std::thread::current().id(), caller);
+                    tapped.push(i);
+                    push(block, i);
+                })
+            };
+            let work = |(): &mut (), _: Relation, i: usize, _: BlockAt| Ok(i);
+            let (_, results) = run_blocks(threads, source, || (), work).unwrap();
+            assert_eq!(tapped, (0..25).collect::<Vec<_>>(), "{threads} threads");
+            assert_eq!(results, tapped, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn one_block_or_one_thread_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let work = |(): &mut (), _: Relation, _: usize, _: BlockAt| Ok(std::thread::current().id());
+        let (_, one_block) = run_blocks(3, pushing(int_blocks(&[5]), Ok(())), || (), work).unwrap();
+        assert_eq!(one_block, [caller]);
+        let (_, one_thread) =
+            run_blocks(1, pushing(int_blocks(&[5; 9]), Ok(())), || (), work).unwrap();
+        assert_eq!(one_thread, [caller; 9]);
+    }
+
+    #[test]
+    fn a_run_holds_at_most_the_queue_and_one_block_per_thread() {
+        /// A payload counting the blocks alive, and their peak.
+        struct Live(Arc<[AtomicUsize; 2]>);
+        impl Live {
+            fn new(counts: &Arc<[AtomicUsize; 2]>) -> Self {
+                let live = counts[0].fetch_add(1, Ordering::SeqCst) + 1;
+                counts[1].fetch_max(live, Ordering::SeqCst);
+                Live(Arc::clone(counts))
+            }
+        }
+        impl Drop for Live {
+            fn drop(&mut self) {
+                self.0[0].fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        for threads in 1..=3 {
+            let counts = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+            let source = |push: &mut dyn FnMut(Relation, Live)| {
+                for block in int_blocks(&[4; 60]) {
+                    push(block, Live::new(&counts));
+                }
+                Ok::<_, CoreError>(())
+            };
+            // Slow work, so the reader runs ahead until the queue is full.
+            let work = |(): &mut (), _: Relation, _: Live, _: BlockAt| {
+                std::thread::sleep(std::time::Duration::from_micros(300));
+                Ok(())
+            };
+            run_blocks(threads, source, || (), work).unwrap();
+            assert_eq!(counts[0].load(Ordering::SeqCst), 0);
+            let peak = counts[1].load(Ordering::SeqCst);
+            assert!(peak <= 2 * threads + threads, "{threads} threads held {peak} blocks");
+        }
     }
 }

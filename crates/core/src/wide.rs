@@ -157,19 +157,25 @@ impl<'a> WideCodec<'a> {
             self.spec.algo,
             self.spec.k2.derive(self.spec.algo, "wide-coins"),
         );
-        let wm_data: Vec<Option<bool>> = (0..len)
+        // `RandomFill`'s erasure coins and the ties' coins are drawn
+        // below, 16 positions at a time per label.
+        let mut wm_data: Vec<Option<bool>> = (0..len)
             .map(|i| match (ones[i], zeros[i]) {
-                (0, 0) => match self.spec.erasure {
-                    ErasurePolicy::Abstain => None,
-                    ErasurePolicy::RandomFill => Some(prf.bit("erasure", i as u64)),
-                    ErasurePolicy::ZeroFill => Some(false),
-                },
-                (o, z) if o > z => Some(true),
-                (o, z) if o < z => Some(false),
-                _ => Some(prf.bit("pos-tie", i as u64)),
+                (0, 0) => (self.spec.erasure == ErasurePolicy::ZeroFill).then_some(false),
+                (o, z) => (o != z).then_some(o > z),
             })
             .collect();
-        let mut tie_break = |j: usize| prf.bit("wm-tie", j as u64);
+        let mut fill = |label: &str, positions: &mut dyn Iterator<Item = usize>| {
+            prf.coins(label).for_each(positions.map(|i| i as u64), |i, coin| {
+                wm_data[i as usize] = Some(coin & 1 == 1);
+            });
+        };
+        if self.spec.erasure == ErasurePolicy::RandomFill {
+            fill("erasure", &mut (0..len).filter(|&i| ones[i] + zeros[i] == 0));
+        }
+        fill("pos-tie", &mut (0..len).filter(|&i| ones[i] > 0 && ones[i] == zeros[i]));
+        let wm_ties = prf.coins("wm-tie");
+        let mut tie_break = |j: usize| wm_ties.value(j as u64) & 1 == 1;
         Ok(MajorityVotingEcc.decode(&wm_data, self.spec.wm_len, &mut tie_break))
     }
 }
@@ -245,6 +251,80 @@ mod tests {
         codec.embed(&mut rel, "visit_nbr", "item_nbr", &wm).unwrap();
         let suspect = ops::sample_bernoulli(&ops::shuffle(&rel, 9), 0.6, 10);
         assert_eq!(codec.decode(&suspect, "visit_nbr", "item_nbr").unwrap(), wm);
+    }
+
+    #[test]
+    fn coins_drawn_sixteen_at_a_time_match_one_at_a_time() {
+        // The decode as it drew one coin per call: every erasure, tie
+        // and mark-bit tie through `KeyedPrf::bit`.
+        let per_coin = |codec: &WideCodec<'_>, spec: &WatermarkSpec, rel: &Relation| {
+            let index_of = |name| rel.schema().index_of(name).unwrap();
+            let targets = rel.column(index_of("item_nbr"));
+            let (mut ones, mut zeros) =
+                (vec![0u32; spec.wm_data_len], vec![0u32; spec.wm_data_len]);
+            for planned in MarkPlan::build(spec, rel, index_of("visit_nbr")).fit() {
+                let Ok(t) = spec.domain.index_of(&targets.value(planned.row as usize)) else {
+                    continue;
+                };
+                for (i, pos) in codec.positions(planned).into_iter().enumerate() {
+                    if (t >> i) & 1 == 1 {
+                        ones[pos] += 1;
+                    } else {
+                        zeros[pos] += 1;
+                    }
+                }
+            }
+            let prf =
+                catmark_crypto::KeyedPrf::new(spec.algo, spec.k2.derive(spec.algo, "wide-coins"));
+            let mut draws = [0usize; 3];
+            let wm_data: Vec<Option<bool>> = (0..spec.wm_data_len)
+                .map(|i| match (ones[i], zeros[i]) {
+                    (0, 0) => match spec.erasure {
+                        ErasurePolicy::Abstain => None,
+                        ErasurePolicy::RandomFill => {
+                            draws[0] += 1;
+                            Some(prf.bit("erasure", i as u64))
+                        }
+                        ErasurePolicy::ZeroFill => Some(false),
+                    },
+                    (o, z) if o != z => Some(o > z),
+                    _ => {
+                        draws[1] += 1;
+                        Some(prf.bit("pos-tie", i as u64))
+                    }
+                })
+                .collect();
+            let mut tie_break = |j: usize| {
+                draws[2] += 1;
+                prf.bit("wm-tie", j as u64)
+            };
+            (MajorityVotingEcc.decode(&wm_data, spec.wm_len, &mut tie_break), draws)
+        };
+        let mut drawn = [0usize; 3];
+        // A `wm_data` far longer than the fit rows leaves most positions
+        // erased and the rest tied more often; unmarked data ties more.
+        for (erasure, wm_data_len) in [
+            (ErasurePolicy::RandomFill, 4_000),
+            (ErasurePolicy::Abstain, 4_000),
+            (ErasurePolicy::Abstain, 40),
+            (ErasurePolicy::ZeroFill, 400),
+        ] {
+            let (rel, mut spec, wm) = setup(30, wm_data_len);
+            spec.erasure = erasure;
+            for width in [1, 3] {
+                let codec = WideCodec::new(&spec, width).unwrap();
+                let mut marked = rel.clone();
+                codec.embed(&mut marked, "visit_nbr", "item_nbr", &wm).unwrap();
+                for data in [&rel, &marked] {
+                    let (expected, draws) = per_coin(&codec, &spec, data);
+                    assert_eq!(codec.decode(data, "visit_nbr", "item_nbr").unwrap(), expected);
+                    for (total, n) in drawn.iter_mut().zip(draws) {
+                        *total += n;
+                    }
+                }
+            }
+        }
+        assert!(drawn.iter().all(|&n| n > 0), "erasure, tie and mark-bit tie coins: {drawn:?}");
     }
 
     #[test]

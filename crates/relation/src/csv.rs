@@ -22,7 +22,10 @@
 //! that straddles two buffers is copied. A record is as long as its
 //! quoted fields, so a very long quoted field, or a quote that never
 //! closes (which runs the record to the end of the input), is held
-//! whole.
+//! whole. [`read_csv_blocks_with_bytes`] also keeps the bytes of each
+//! plain record that is already in the form [`write_csv_rows`] writes,
+//! so a block whose few altered rows are formatted again can copy the
+//! rest.
 //!
 //! Parsing rules, kept from the line-based reader this replaced:
 //!
@@ -99,30 +102,57 @@ pub fn write_csv_rows(rel: &Relation, out: &mut impl Write) -> Result<(), Relati
     write_rows(rel, Vec::with_capacity(2 * CHUNK), out)
 }
 
+/// The input bytes of a block's rows, for each row that
+/// [`write_csv_rows`] would write back byte for byte, as
+/// [`read_csv_blocks_with_bytes`] keeps them.
+#[derive(Debug, Default)]
+pub struct RowBytes {
+    /// The plain records' bytes, copied a run of records at a time.
+    bytes: Vec<u8>,
+    /// Where each row's bytes end in `bytes`, with [`RowBytes::FORMAT`]
+    /// set for a row that is to be formatted.
+    ends: Vec<usize>,
+}
+
+impl RowBytes {
+    /// The flag of an end whose row is to be formatted: a row whose
+    /// bytes are not as [`write_csv_rows`] writes it, or that was not
+    /// kept (its bytes are empty).
+    const FORMAT: usize = 1 << (usize::BITS - 1);
+
+    /// Append `rel`'s rows, the block these bytes were read with, as
+    /// [`write_csv_rows`] writes them: the kept bytes of each row, but
+    /// for the rows in `render` (ascending) and the rows not kept, which
+    /// are formatted.
+    pub fn write_rows(&self, rel: &Relation, render: &[usize], out: &mut Vec<u8>) {
+        let mut columns = None;
+        let mut render = render.iter().peekable();
+        let end = |row: usize| if row == 0 { 0 } else { self.ends[row - 1] & !Self::FORMAT };
+        // The first row of the kept run not yet copied.
+        let mut run = 0;
+        for row in 0..rel.len() {
+            if render.next_if_eq(&&row).is_some() || self.ends[row] & Self::FORMAT != 0 {
+                out.extend_from_slice(&self.bytes[end(run)..end(row)]);
+                push_row(columns.get_or_insert_with(|| cells(rel)), row, out);
+                run = row + 1;
+            }
+        }
+        out.extend_from_slice(&self.bytes[end(run)..end(rel.len())]);
+    }
+
+    /// End the next row at `end` in `bytes`: a row to copy when
+    /// `written_form` holds, else one to format.
+    fn push_end(&mut self, end: usize, written_form: bool) {
+        self.ends.push(if written_form { end } else { end | Self::FORMAT });
+    }
+}
+
 /// Append `rel`'s rows to `buf`, handing `out` the bytes in pieces of
 /// at least [`CHUNK`].
 fn write_rows(rel: &Relation, mut buf: Vec<u8>, out: &mut impl Write) -> Result<(), RelationError> {
-    let columns: Vec<Cells<'_>> = (0..rel.schema().arity())
-        .map(|i| match rel.column(i) {
-            ColumnView::Int(xs) => Cells::Int(xs),
-            ColumnView::Text { codes, dict } => {
-                Cells::Text(codes, dict.entries().iter().map(|e| escape(e)).collect())
-            }
-        })
-        .collect();
+    let columns = cells(rel);
     for row in 0..rel.len() {
-        for (i, cells) in columns.iter().enumerate() {
-            if i > 0 {
-                buf.push(b',');
-            }
-            match cells {
-                Cells::Int(xs) => push_int(&mut buf, xs[row]),
-                Cells::Text(codes, entries) => {
-                    buf.extend_from_slice(entries[codes[row] as usize].as_bytes());
-                }
-            }
-        }
-        buf.push(b'\n');
+        push_row(&columns, row, &mut buf);
         if buf.len() >= CHUNK {
             out.write_all(&buf).map_err(io_error)?;
             buf.clear();
@@ -136,6 +166,37 @@ enum Cells<'a> {
     Int(&'a [i64]),
     /// Codes, and each dictionary entry already escaped.
     Text(&'a [u32], Vec<Cow<'a, str>>),
+}
+
+/// `rel`'s columns as [`push_row`] renders them.
+fn cells(rel: &Relation) -> Vec<Cells<'_>> {
+    (0..rel.schema().arity())
+        .map(|i| match rel.column(i) {
+            ColumnView::Int(xs) => Cells::Int(xs),
+            ColumnView::Text { codes, dict } => {
+                Cells::Text(codes, dict.entries().iter().map(|e| escape(e)).collect())
+            }
+        })
+        .collect()
+}
+
+/// Append row `row` of `columns`, newline included. Inlined, so
+/// [`write_csv`]'s loop formats a row without a call, as it did before
+/// copied rows needed this one-row form.
+#[inline]
+fn push_row(columns: &[Cells<'_>], row: usize, buf: &mut Vec<u8>) {
+    for (i, cells) in columns.iter().enumerate() {
+        if i > 0 {
+            buf.push(b',');
+        }
+        match cells {
+            Cells::Int(xs) => push_int(buf, xs[row]),
+            Cells::Text(codes, entries) => {
+                buf.extend_from_slice(entries[codes[row] as usize].as_bytes());
+            }
+        }
+    }
+    buf.push(b'\n');
 }
 
 /// `field` as it appears in CSV: quoted, with quotes doubled, when it
@@ -201,9 +262,39 @@ pub fn read_csv_blocks(
     block_rows: usize,
     mut each: impl FnMut(Relation),
 ) -> Result<(), RelationError> {
+    read_blocks::<false>(schema, input, block_rows, |block, _| each(block))
+}
+
+/// [`read_csv_blocks`] that also hands `each` the input bytes of the
+/// block's rows that [`write_csv_rows`] would write back unchanged:
+/// plain records ended by a newline whose integers are written as
+/// [`write_csv`] writes them (no `+`, no leading zero, no `-0`, no
+/// spaces) and whose text holds no `\r`. [`RowBytes::write_rows`] then
+/// writes the block, altered or not, copying those rows.
+///
+/// # Errors
+///
+/// As [`read_csv`].
+pub fn read_csv_blocks_with_bytes(
+    schema: Schema,
+    input: &mut impl BufRead,
+    block_rows: usize,
+    each: impl FnMut(Relation, RowBytes),
+) -> Result<(), RelationError> {
+    read_blocks::<true>(schema, input, block_rows, each)
+}
+
+/// The block reader, keeping row bytes when `KEEP` holds. Without it,
+/// no row pays for the bytes or the test of their form.
+fn read_blocks<const KEEP: bool>(
+    schema: Schema,
+    input: &mut impl BufRead,
+    block_rows: usize,
+    mut each: impl FnMut(Relation, RowBytes),
+) -> Result<(), RelationError> {
     let mut table = Table::new(&schema, block_rows.max(1));
     let mut seen_header = false;
-    for_each_record(input, &mut table, Table::push_plain, |table, rec| {
+    for_each_record(input, &mut table, Table::push_plain::<KEEP>, |table, rec| {
         if !seen_header {
             seen_header = true;
             let header = rec.texts()?;
@@ -215,16 +306,20 @@ pub fn read_csv_blocks(
             }
         } else if !rec.line().is_empty() {
             if table.is_full() {
-                each(Relation::from_columns(schema.clone(), table.take(&schema))?);
+                let (columns, kept) = table.take(&schema);
+                each(Relation::from_columns(schema.clone(), columns)?, kept);
             }
             table.push_record(rec).map_err(|e| rec.utf8_first(e))?;
+            if KEEP {
+                table.kept.push_end(table.kept.bytes.len(), false);
+            }
         }
         Ok(true)
     })?;
     if !seen_header {
         return Err(RelationError::Csv("missing header row".into()));
     }
-    each(Relation::from_columns(schema, table.columns)?);
+    each(Relation::from_columns(schema, table.columns)?, table.kept);
     Ok(())
 }
 
@@ -235,6 +330,8 @@ struct Table {
     carried: Vec<usize>,
     /// Rows a block holds.
     block_rows: usize,
+    /// The rows' bytes, when the reader keeps them.
+    kept: RowBytes,
 }
 
 impl Table {
@@ -243,7 +340,7 @@ impl Table {
         let capacity = if block_rows < usize::MAX { block_rows } else { 0 };
         let columns =
             schema.attrs().iter().map(|a| Column::with_capacity(a.ty, capacity)).collect();
-        Table { columns, carried: vec![0; schema.arity()], block_rows }
+        Table { columns, carried: vec![0; schema.arity()], block_rows, kept: RowBytes::default() }
     }
 
     fn rows(&self) -> usize {
@@ -254,14 +351,14 @@ impl Table {
         self.rows() >= self.block_rows
     }
 
-    /// The full block's columns, leaving empty ones for the next. A
-    /// text dictionary whose values repeat (the block added at most one
-    /// entry per two rows) hands its entries on while it holds no more
-    /// entries than a block has rows, so such a value is interned once
-    /// per input rather than once per block, and no dictionary outgrows
-    /// two blocks' worth of entries. A near-unique column starts each
-    /// block empty.
-    fn take(&mut self, schema: &Schema) -> Vec<Column> {
+    /// The full block's columns and row bytes, leaving empty ones for
+    /// the next. A text dictionary whose values repeat (the block added
+    /// at most one entry per two rows) hands its entries on while it
+    /// holds no more entries than a block has rows, so such a value is
+    /// interned once per input rather than once per block, and no
+    /// dictionary outgrows two blocks' worth of entries. A near-unique
+    /// column starts each block empty.
+    fn take(&mut self, schema: &Schema) -> (Vec<Column>, RowBytes) {
         let mut next = Table::new(schema, self.block_rows);
         let rows = self.rows();
         for (i, full) in self.columns.iter().enumerate() {
@@ -275,40 +372,58 @@ impl Table {
                 }
             }
         }
-        std::mem::replace(self, next).columns
+        // The next block's rows take about as many bytes as these.
+        next.kept.bytes.reserve(self.kept.bytes.len());
+        next.kept.ends.reserve(self.kept.ends.len());
+        let full = std::mem::replace(self, next);
+        (full.columns, full.kept)
     }
 
-    /// Append the record at the start of `bytes` if it is plain: every
-    /// field unquoted and well formed, no `\r` before the newline, and
-    /// the newline within `bytes`. Plain records, nearly all of them,
-    /// go from the buffer to the columns in one pass, without the
-    /// [`Splitter`]. Returns the bytes taken, newline included; `None`
-    /// leaves the columns as they were and the record to
-    /// [`Table::push_record`], as does a full block.
-    fn push_plain(&mut self, bytes: &[u8]) -> Option<usize> {
-        let rows = self.rows();
-        if rows >= self.block_rows {
-            return None;
-        }
-        let taken = self.try_push_plain(bytes);
-        if taken.is_none() {
-            for column in &mut self.columns {
-                match column {
-                    Column::Int(xs) => xs.truncate(rows),
-                    Column::Text { codes, .. } => codes.truncate(rows),
+    /// Append the plain records at the start of `bytes`, while the block
+    /// has room: records whose every field is unquoted and well formed,
+    /// with no `\r` before the newline, and the newline within `bytes`.
+    /// Plain records, nearly all of them, go from the buffer to the
+    /// columns in one pass, without the [`Splitter`]. Returns the bytes
+    /// taken, newlines included, and the records; the next record is
+    /// left to [`Table::push_record`], and the columns as they were
+    /// before it. With `KEEP`, the records' bytes are kept in one copy,
+    /// those not as [`write_csv_rows`] writes them marked for
+    /// formatting.
+    fn push_plain<const KEEP: bool>(&mut self, bytes: &[u8]) -> (usize, usize) {
+        let (mut taken, first) = (0, self.rows());
+        let kept_from = self.kept.bytes.len();
+        while self.rows() < self.block_rows {
+            let rows = self.rows();
+            let Some((len, written_form)) = self.try_push_plain::<KEEP>(&bytes[taken..]) else {
+                for column in &mut self.columns {
+                    match column {
+                        Column::Int(xs) => xs.truncate(rows),
+                        Column::Text { codes, .. } => codes.truncate(rows),
+                    }
                 }
+                break;
+            };
+            taken += len;
+            if KEEP {
+                self.kept.push_end(kept_from + taken, written_form);
             }
         }
-        taken
+        if KEEP {
+            self.kept.bytes.extend_from_slice(&bytes[..taken]);
+        }
+        (taken, self.rows() - first)
     }
 
-    fn try_push_plain(&mut self, bytes: &[u8]) -> Option<usize> {
+    /// [`Table::push_plain`]'s pass: the bytes taken, and with `KEEP`
+    /// whether every field is as [`write_csv_rows`] writes it.
+    fn try_push_plain<const KEEP: bool>(&mut self, bytes: &[u8]) -> Option<(usize, bool)> {
         if bytes.first() == Some(&b'\n') {
             // A blank record, which the general path skips.
             return None;
         }
         let last = self.columns.len() - 1;
         let mut at = 0;
+        let mut written_form = KEEP;
         for (i, column) in self.columns.iter_mut().enumerate() {
             let rest = &bytes[at..];
             let separator = if i == last { b'\n' } else { b',' };
@@ -317,6 +432,15 @@ impl Table {
                     let (v, len) = leading_int(rest)?;
                     if rest.get(len) != Some(&separator) {
                         return None;
+                    }
+                    if KEEP {
+                        // `push_int` writes no leading zero and no `-0`:
+                        // a nonzero digit leads, or the field is `0`, or
+                        // a minus leads a nonzero digit.
+                        let lead = rest[0];
+                        written_form &= lead > b'0'
+                            || (lead == b'0' && len == 1)
+                            || (lead == b'-' && rest[1] != b'0');
                     }
                     xs.push(v);
                     at += len + 1;
@@ -327,6 +451,10 @@ impl Table {
                     if rest.get(len) != Some(&separator) || text.ends_with('\r') {
                         return None;
                     }
+                    if KEEP {
+                        // `escape` quotes a field holding `\r`.
+                        written_form &= !text.contains('\r');
+                    }
                     // Interned only once known whole, so a record the
                     // general path takes over leaves the dictionary as
                     // that path alone would.
@@ -335,7 +463,7 @@ impl Table {
                 }
             }
         }
-        Some(at)
+        Some((at, written_form))
     }
 
     /// Append one data record's fields, through the [`Splitter`]'s
@@ -381,7 +509,7 @@ pub fn infer_schema(input: &mut impl BufRead, cat_attrs: &[&str]) -> Result<Sche
     for_each_record(
         input,
         &mut (),
-        |(), _| None,
+        |(), _| (0, 0),
         |(), rec| {
             if names.is_none() {
                 let header = rec.texts()?;
@@ -681,13 +809,13 @@ fn plain_prefix(bytes: &[u8]) -> usize {
 /// Hand each record of `input` to `visit`, in order, until the input
 /// ends or `visit` returns `Ok(false)`. Every record but the first that
 /// starts inside the current buffer is offered to `plain` first, which
-/// either takes it straight from the buffer (returning the bytes it
-/// took, newline included) or returns `None`, and the record goes
-/// through the [`Splitter`] to `visit`.
+/// takes the records it can straight from the buffer, returning the
+/// bytes it took (newlines included) and how many records; the next
+/// record goes through the [`Splitter`] to `visit`.
 fn for_each_record<R: BufRead + ?Sized, S>(
     input: &mut R,
     state: &mut S,
-    plain: impl Fn(&mut S, &[u8]) -> Option<usize>,
+    plain: impl Fn(&mut S, &[u8]) -> (usize, usize),
     mut visit: impl FnMut(&mut S, &Record<'_>) -> Result<bool, RelationError>,
 ) -> Result<(), RelationError> {
     let mut split = Splitter::default();
@@ -707,10 +835,9 @@ fn for_each_record<R: BufRead + ?Sized, S>(
         let mut start = 0;
         loop {
             if carry.is_empty() && line_no > 1 {
-                while let Some(taken) = plain(state, &buf[start..]) {
-                    start += taken;
-                    line_no += 1;
-                }
+                let (taken, records) = plain(state, &buf[start..]);
+                start += taken;
+                line_no += records;
             }
             let Some(end) = split.scan(&buf[start..], carry.len()) else { break };
             let bytes = if carry.is_empty() {

@@ -32,7 +32,9 @@ use catmark::mining::apriori::{mine, AprioriConfig};
 use catmark::mining::item::Transactions;
 use catmark::mining::rules::RuleSet;
 use catmark::prelude::*;
-use catmark::relation::csv::{infer_schema, read_csv, read_csv_blocks, write_csv, write_csv_rows};
+use catmark::relation::csv::{
+    infer_schema, read_csv, read_csv_blocks, read_csv_blocks_with_bytes, write_csv, RowBytes,
+};
 use catmark::relation::RelationError;
 
 /// A CLI failure, split by whose fault it is: usage errors (bad
@@ -255,31 +257,39 @@ fn embed(flags: &HashMap<String, String>) -> Result<String, CliError> {
     let mark = Watermark::parse(require(flags, "mark")?, spec.wm_len)
         .map_err(|e| CliError::Usage(format!("--mark: {e}")))?;
     let csv = CsvInput::open(require(flags, "input")?, &[attr])?;
-    let session = bind_session(spec, &Relation::new(csv.schema.clone()), key_attr, attr)?;
-    // Workers mark and format the blocks; the first carries the header.
-    let mut blocks = Vec::new();
-    let report = session.embed_blocks(
+    let schema = csv.schema.clone();
+    let session = bind_session(spec, &Relation::new(schema.clone()), key_attr, attr)?;
+    let mut output = None;
+    // Every core marks blocks; each block copies the input bytes of the
+    // rows it did not alter and formats the rest, and the first block
+    // carries the header.
+    let (report, blocks) = session.embed_blocks(
         &mark,
-        |push| csv.blocks(push),
-        |index, block| {
-            let mut rows = Vec::new();
-            let written = if index == 0 {
-                write_csv(block, &mut rows)
-            } else {
-                write_csv_rows(block, &mut rows)
-            };
-            written.map(|()| rows)
+        &schema,
+        |push| {
+            csv.blocks_with_bytes(push)?;
+            // Created only once the whole input has read: a CSV error
+            // leaves an existing file alone, and --output may name
+            // --input. The last blocks are still being marked.
+            let path = require(flags, "output")?;
+            let file = File::create(path).map_err(|e| CliError::Run(format!("{path}: {e}")))?;
+            output = Some((path, file));
+            Ok::<_, CliError>(())
         },
-        |rows| blocks.push(rows),
+        |index, block, bytes, altered| {
+            let mut rows = Vec::new();
+            if index == 0 {
+                // The header: `write_csv` of no rows.
+                write_csv(&Relation::new(block.schema().clone()), &mut rows)
+                    .expect("writing to a Vec never fails");
+            }
+            bytes.write_rows(block, altered, &mut rows);
+            rows
+        },
     )?;
-    // Created only once the whole input has read: a CSV error leaves no
-    // file behind, and --output may name --input.
-    let output_path = require(flags, "output")?;
-    let mut out =
-        File::create(output_path).map_err(|e| CliError::Run(format!("{output_path}: {e}")))?;
+    let (output_path, mut out) = output.expect("a source that read to its end made the output");
     for rows in blocks {
-        out.write_all(&rows.map_err(CliError::run)?)
-            .map_err(|e| CliError::run(RelationError::Csv(e.to_string())))?;
+        out.write_all(&rows).map_err(|e| CliError::run(RelationError::Csv(e.to_string())))?;
     }
     Ok(format!(
         "embedded {} into {}: {} tuples, {} fit, {} altered ({:.2}%)\n",
@@ -603,6 +613,13 @@ impl<'a> CsvInput<'a> {
     fn blocks(self, push: &mut dyn FnMut(Relation)) -> Result<(), CliError> {
         let CsvInput { path, schema, mut reader } = self;
         read_csv_blocks(schema, &mut reader, BLOCK_ROWS, push)
+            .map_err(|e| CliError::Run(format!("{path}: {e}")))
+    }
+
+    /// [`CsvInput::blocks`], each block with the bytes of its rows.
+    fn blocks_with_bytes(self, push: &mut dyn FnMut(Relation, RowBytes)) -> Result<(), CliError> {
+        let CsvInput { path, schema, mut reader } = self;
+        read_csv_blocks_with_bytes(schema, &mut reader, BLOCK_ROWS, push)
             .map_err(|e| CliError::Run(format!("{path}: {e}")))
     }
 }
@@ -1037,25 +1054,42 @@ mod tests {
     /// text and bundles of the in-memory `MarkSession` path, an in-place
     /// embed, and a bad last record that leaves `--output` alone. The
     /// marked column is quoted text, and quoted newlines sit around rows
-    /// 8,192 and 16,384.
+    /// 8,192 and 16,384. Among the rows `write_csv` would write as they
+    /// are, which `embed` copies when it does not alter them, are rows it
+    /// must format again: keys with a leading zero, a `+`, spaces or
+    /// quotes, a `-0` key, quoted plain text, text holding `\r`, CRLF
+    /// rows, blank lines, and a last record without a newline.
     #[test]
     fn embed_and_decode_match_the_in_memory_path_on_a_large_file() {
         use catmark::core::DecodeReport;
         let dir = std::env::temp_dir().join(format!("catmark-large-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
-        let mut csv = String::from("visit_nbr,shelf,note\n");
+        let mut csv = String::from("visit_nbr,shelf,note\n-0,shelf1,plain\n");
         for i in 0..40_000u64 {
             let k = i * 31 % 12;
-            let shelf = match k % 3 {
+            let mut shelf = match k % 3 {
                 0 => format!("\"aisle, {k}\""),
                 1 => format!("\"say \"\"{k}\"\" é\""),
                 _ => format!("shelf{k}"),
             };
             let wrapped = (8_189..8_195).contains(&i) || (16_382..16_387).contains(&i);
-            let note = if wrapped { "\"two\nlines\"" } else { "plain" };
-            csv.push_str(&format!("{},{shelf},{note}\n", i * 7 + 3));
+            let mut note = if wrapped { "\"two\nlines\"" } else { "plain" };
+            let (mut key, mut end) = ((i * 7 + 3).to_string(), "\n");
+            match i % 499 {
+                1 => key = format!("00{key}"),
+                2 => key = format!("+{key}"),
+                3 => key = format!(" {key} "),
+                4 => key = format!("\"{key}\""),
+                5 => shelf = format!("shelf\r{k}"),
+                6 => note = "\"plain\"",
+                7 => end = "\r\n",
+                8 => end = "\n\n",
+                _ => {}
+            }
+            csv.push_str(&format!("{key},{shelf},{note}{end}"));
         }
+        csv.pop();
         std::fs::write(path("data.csv"), &csv).unwrap();
         let run_args =
             |args: &[&str]| run(&args.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>());
@@ -1191,14 +1225,15 @@ mod tests {
         assert_eq!(std::fs::read(path("inplace.csv")).unwrap(), marked);
 
         // A short record at the end fails the run with its physical line
-        // (the quoted newlines push it down) and writes nothing.
-        std::fs::write(path("bad.csv"), format!("{csv}12345,shelf2\n")).unwrap();
+        // (the quoted newlines and blank lines push it down) and writes
+        // nothing.
+        std::fs::write(path("bad.csv"), format!("{csv}\n12345,shelf2\n")).unwrap();
         std::fs::write(path("kept.csv"), b"keep me").unwrap();
         let err = embed(&path("bad.csv"), &path("kept.csv")).unwrap_err();
         assert_eq!(err.exit_code(), ExitCode::FAILURE);
         assert_eq!(
             err.message(),
-            format!("{}: csv error: row 40013: 2 fields, expected 3", path("bad.csv"))
+            format!("{}: csv error: row 40095: 2 fields, expected 3", path("bad.csv"))
         );
         assert_eq!(std::fs::read(path("kept.csv")).unwrap(), b"keep me");
         std::fs::remove_dir_all(&dir).ok();

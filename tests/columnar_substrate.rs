@@ -6,11 +6,15 @@
 
 use std::io::{BufRead, BufReader};
 
-use catmark::core::{verify_evidence, CoreError, MarkSession, Watermark, WatermarkSpec};
+use catmark::core::{
+    verify_evidence, CoreError, MarkSession, Watermark, WatermarkSpec, BLOCK_ROWS,
+};
 use catmark::crypto::hex::to_hex;
 use catmark::prelude::*;
 use catmark::relation::column::{Column, ColumnView, Dictionary};
-use catmark::relation::csv::{read_csv, read_csv_blocks, write_csv, write_csv_rows};
+use catmark::relation::csv::{
+    read_csv, read_csv_blocks, read_csv_blocks_with_bytes, write_csv, write_csv_rows,
+};
 use catmark::relation::RelationError;
 use proptest::prelude::*;
 
@@ -648,12 +652,12 @@ proptest! {
         let plain = session.decode_certified(&marked).unwrap().bundle;
         let claimed = session.detect_certified(&marked, &wm).unwrap().bundle;
         for size in BLOCK_SIZES {
-            let mut streamed = Vec::new();
-            let streamed_report = session
+            let (streamed_report, streamed) = session
                 .embed_blocks(
                     &wm,
-                    |push| blocks_of(&rel, size, push),
-                    |index, block| {
+                    rel.schema(),
+                    |push| blocks_of(&rel, size, &mut |block| push(block, ())),
+                    |index, block, (), _| {
                         let mut out = Vec::new();
                         if index == 0 {
                             write_csv(block, &mut out).unwrap();
@@ -662,11 +666,10 @@ proptest! {
                         }
                         out
                     },
-                    |out| streamed.extend(out),
                 )
                 .unwrap();
             prop_assert_eq!(&streamed_report, &report, "{} rows per block", size);
-            prop_assert!(streamed == bytes, "marked bytes differ at {} rows per block", size);
+            prop_assert!(streamed.concat() == bytes, "marked bytes differ at {} rows per block", size);
             let source = |push: &mut dyn FnMut(Relation)| blocks_of(&marked, size, push);
             prop_assert_eq!(&session.decode_blocks(source).unwrap(), &decoded);
             let bundle = session.decode_blocks_certified(None, source).unwrap().bundle;
@@ -674,5 +677,113 @@ proptest! {
             let bundle = session.decode_blocks_certified(Some(&wm), source).unwrap().bundle;
             prop_assert!(bundle == claimed, "claim bundle differs at {} rows per block", size);
         }
+    }
+
+    /// `catmark embed`'s copy-through: blocks read with their row bytes,
+    /// marked, and written by copying every unaltered row whose bytes
+    /// are as `write_csv` writes it, give `write_csv` of the in-memory
+    /// embed on `read_csv`'s relation. The input mixes such rows with
+    /// every form that must be formatted again: leading zeros, `-0`,
+    /// `+5`, spaced and quoted integers, quoted plain text, unquoted text
+    /// holding `\r`, CRLF rows, blank lines, a last record without a
+    /// newline, and quoted newlines, at blocks of 1, 2, 3, 7 and
+    /// `BLOCK_ROWS` rows and through 1- and 7-byte buffers.
+    #[test]
+    fn copied_rows_splice_into_the_in_memory_bytes(
+        rows in prop::collection::vec(
+            (
+                (
+                    "[,\"\n\r éabababababababab]{0,6}",
+                    "[,\"\n\r éxyxyxyxyxyxyxyxy]{0,5}",
+                    any::<i64>(),
+                    -1000i64..1000,
+                ),
+                (0..24usize, 0..24usize, (0..24usize, 0..24usize), 0..12usize),
+            ),
+            0..40,
+        ),
+        last_newline in any::<bool>(),
+    ) {
+        let mut csv = String::from("name,city,n,m\n");
+        for ((name, city, n, m), (name_form, city_form, (n_form, m_form), end)) in &rows {
+            let fields = [
+                text_field(name, *name_form),
+                text_field(city, *city_form),
+                int_field(*n, *n_form),
+                int_field(*m, *m_form),
+            ];
+            csv += &fields.join(",");
+            csv += ["\r\n", "\n\n", "\n\r\n"].get(*end).copied().unwrap_or("\n");
+        }
+        if !last_newline {
+            csv.truncate(csv.trim_end_matches(['\r', '\n']).len());
+        }
+        let schema = text_relation(&[]).schema().clone();
+        let mut rel = read_csv(schema.clone(), &mut csv.as_bytes()).unwrap();
+        let session = text_session(&rel);
+        let wm = Watermark::from_u64(0b1011, 4);
+        let report = session.embed(&mut rel, &wm).unwrap();
+        let mut expected = Vec::new();
+        write_csv(&rel, &mut expected).unwrap();
+        for size in [1, 2, 3, 7, BLOCK_ROWS] {
+            for (streamed_report, spliced) in through_buffers(csv.as_bytes(), |input| {
+                session
+                    .embed_blocks(
+                        &wm,
+                        &schema,
+                        |push| {
+                            read_csv_blocks_with_bytes(schema.clone(), &mut { input }, size, push)
+                                .map_err(CoreError::from)
+                        },
+                        |index, block, bytes, altered| {
+                            let mut out = Vec::new();
+                            if index == 0 {
+                                write_csv(&Relation::new(block.schema().clone()), &mut out).unwrap();
+                            }
+                            bytes.write_rows(block, altered, &mut out);
+                            out
+                        },
+                    )
+                    .unwrap()
+            }) {
+                prop_assert_eq!(&streamed_report, &report, "{} rows per block", size);
+                prop_assert!(
+                    spliced.concat() == expected,
+                    "spliced bytes differ at {} rows per block:\n{:?}",
+                    size,
+                    String::from_utf8_lossy(&spliced.concat())
+                );
+            }
+        }
+    }
+}
+
+/// `s` as a CSV field in form `form`: quoted although it may need no
+/// quotes (23), unquoted where that reads back the same (12 to 22; the
+/// field may then hold `\r`), else as `write_csv` writes it.
+fn text_field(s: &str, form: usize) -> String {
+    let quoted = format!("\"{}\"", s.replace('"', "\"\""));
+    let raw_reads_back = !s.contains([',', '"', '\n']) && !s.ends_with('\r');
+    match form {
+        23 => quoted,
+        12.. if raw_reads_back => s.to_owned(),
+        _ if s.contains([',', '"', '\n', '\r']) => quoted,
+        _ => s.to_owned(),
+    }
+}
+
+/// `v` as a CSV field in form `form`: with a leading zero (19), with `+`
+/// or as `-0` (20), spaced (21), quoted (22) or spaced inside quotes
+/// (23), else as `write_csv` writes it.
+fn int_field(v: i64, form: usize) -> String {
+    let (sign, abs) = if v < 0 { ("-", v.unsigned_abs()) } else { ("", v.unsigned_abs()) };
+    match form {
+        19 => format!("{sign}0{abs}"),
+        20 if v == 0 => "-0".to_owned(),
+        20 if v > 0 => format!("+{v}"),
+        21 => format!(" {v} "),
+        22 => format!("\"{v}\""),
+        23 => format!("\" {v}\""),
+        _ => v.to_string(),
     }
 }
