@@ -124,6 +124,11 @@ impl RowBytes {
     /// [`write_csv_rows`] writes them: the kept bytes of each row, but
     /// for the rows in `render` (ascending) and the rows not kept, which
     /// are formatted.
+    ///
+    /// # Panics
+    ///
+    /// When `rel` has more rows than the block these bytes were read
+    /// with.
     pub fn write_rows(&self, rel: &Relation, render: &[usize], out: &mut Vec<u8>) {
         let mut columns = None;
         let mut render = render.iter().peekable();
